@@ -58,7 +58,6 @@ from repro.mobility import (
 from repro.kernel import ExecutionConfig, available_kernels
 from repro.obs import (
     EventLog,
-    ObservabilityServer,
     PhaseProfiler,
     SLOConfig,
     SLOEngine,
@@ -173,3 +172,10 @@ __all__ = [
     "TailSamplingConfig",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name == "ObservabilityServer":  # imported on first use, see repro.obs
+        from repro.obs import ObservabilityServer
+        return ObservabilityServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -32,16 +32,21 @@ comparand moves by at most the displacement, including the order
 statistic ``D_k``).  Numeric probabilities drift continuously and are
 recomputable client-side.
 
-Like reverse-kNN, answers come from a dataset snapshot: zero simulated
-node accesses, budgets ignored, never degraded.
+Like reverse-kNN, answers come from the server's epoch-cached
+:class:`~repro.kernel.columns.PointColumns` snapshot, whatever the
+kernel: one sort of the centre distances, then ``searchsorted`` over the
+sorted column for the horizon, the rival counts and the band-flip
+slacks; only the in-horizon prefix is touched after the sort.  Zero
+simulated node accesses, budgets ignored, never degraded.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.api import (
     QueryBudget,
@@ -52,6 +57,7 @@ from repro.core.api import (
 from repro.core.validity import POINT_BYTES, AnnulusValidityRegion
 from repro.geometry import Rect
 from repro.index.entry import LeafEntry
+from repro.kernel.columns import PointColumns
 
 __all__ = [
     "ProbKNNDetail",
@@ -125,78 +131,65 @@ class ProbKNNResponse:
                 + self.region.transfer_bytes())
 
 
+_BANDS = ("certain", "likely", "possible")
+
+
 def compute_probknn_validity(entries, location, uncertainty: float, k: int,
-                             universe: Rect, kernel=None,
-                             columns=None) -> Tuple[List[LeafEntry],
-                                                    ProbKNNDetail]:
-    """The probabilistic kNN candidates and detail at ``location``."""
+                             universe: Rect) -> Tuple[List[LeafEntry],
+                                                      ProbKNNDetail]:
+    """The probabilistic kNN candidates and detail at ``location``.
+
+    ``entries`` is a :class:`~repro.kernel.columns.PointColumns`
+    snapshot or any iterable of leaf entries.
+    """
     center = (float(location[0]), float(location[1]))
     u = float(uncertainty)
-    entries = list(entries)
+    cols = (entries if isinstance(entries, PointColumns)
+            else PointColumns(entries))
+    n = len(cols)
     diag = math.hypot(universe.width, universe.height)
-    if (kernel is not None and columns is not None
-            and getattr(kernel, "columnar", False)):
-        d2 = kernel.distances_sq(columns, center[0], center[1])
-        dist = [math.sqrt(v) for v in d2]
-    else:
-        dist = [math.hypot(e.x - center[0], e.y - center[1])
-                for e in entries]
-    if not entries:
+    if not n:
         detail = ProbKNNDetail(
             query=center, k=k, uncertainty=u, kth_distance=math.inf,
             distances=(), probabilities=(), bands=(),
             safety_radius=diag, num_points=0)
         return [], detail
 
-    order = sorted(range(len(entries)), key=lambda i: (dist[i],
-                                                       entries[i].oid))
-    sorted_d = sorted(dist)
-    d_k = sorted_d[min(k, len(entries)) - 1]
+    xs, ys, oids = cols.as_numpy()
+    dx = xs - center[0]
+    dy = ys - center[1]
+    dist = np.sqrt(dx * dx + dy * dy)
+    order = np.lexsort((oids, dist))
+    sorted_d = dist[order]
+    d_k = float(sorted_d[min(k, n) - 1])
     horizon = d_k + 2.0 * u
 
-    result: List[LeafEntry] = []
-    distances: List[float] = []
-    probabilities: List[float] = []
-    bands: List[str] = []
-    slacks: List[float] = []
-    for i in order:
-        d_o = dist[i]
-        if d_o > horizon:
-            slacks.append(d_o - horizon)
-            continue
-        result.append(entries[i])
-        distances.append(d_o)
-        slacks.append(horizon - d_o)
-        # Competitors that can undercut o somewhere in the disk.
-        rivals = bisect.bisect_left(sorted_d, d_o + 2.0 * u) - 1
-        if rivals <= k - 1:
-            bands.append("certain")
-        elif d_o <= d_k + u:
-            bands.append("likely")
-        else:
-            bands.append("possible")
-        probabilities.append(min(1.0, max(0.0,
-                                          (horizon - d_o) / (2.0 * u))))
-        # Band-flip slacks: the nearest competitor distance to the
-        # certain threshold, and the likely threshold itself.
-        t = d_o + 2.0 * u
-        j = bisect.bisect_left(sorted_d, t)
-        if j < len(sorted_d):
-            slacks.append(sorted_d[j] - t)
-        if j > 0:
-            slacks.append(t - sorted_d[j - 1])
-        slacks.append(abs(d_o - (d_k + u)))
-    # Ordering slacks: adjacent candidate distance gaps.
-    for a, b in zip(distances, distances[1:]):
-        slacks.append(b - a)
+    # The result: the in-horizon prefix in (distance, oid) order.
+    h = int(np.searchsorted(sorted_d, horizon, side="right"))
+    near = sorted_d[:h]
+    # Competitors that can undercut o somewhere in the disk: every
+    # d_j < d_o + 2u except o itself.
+    t = near + 2.0 * u
+    j = np.searchsorted(sorted_d, t)
+    band = np.where(j - 1 <= k - 1, 0, np.where(near <= d_k + u, 1, 2))
+    probabilities = np.clip((horizon - near) / (2.0 * u), 0.0, 1.0)
 
-    rho = min(slacks) / 2.0 if slacks else diag
+    # Slacks to every decision boundary: the horizon on both sides, the
+    # nearest competitor on each side of o's certain threshold, the
+    # likely threshold itself, and adjacent ordering gaps.
+    slacks = [horizon - near, sorted_d[h:h + 1] - horizon,
+              sorted_d[j[j < n]] - t[j < n],
+              t[j > 0] - sorted_d[j[j > 0] - 1],
+              np.abs(near - (d_k + u)), np.diff(near)]
+    rho = min(float(s.min()) for s in slacks if s.size) / 2.0
     rho = max(0.0, min(rho, diag))
     detail = ProbKNNDetail(
         query=center, k=k, uncertainty=u, kth_distance=d_k,
-        distances=tuple(distances), probabilities=tuple(probabilities),
-        bands=tuple(bands), safety_radius=rho, num_points=len(entries))
-    return result, detail
+        distances=tuple(near.tolist()),
+        probabilities=tuple(probabilities.tolist()),
+        bands=tuple(_BANDS[b] for b in band.tolist()),
+        safety_radius=rho, num_points=n)
+    return [cols.entries[i] for i in order[:h].tolist()], detail
 
 
 class ProbKNNSemantics(QuerySemantics):
@@ -209,11 +202,8 @@ class ProbKNNSemantics(QuerySemantics):
     # --- execution ----------------------------------------------------
     def execute(self, server, request):
         result, detail = compute_probknn_validity(
-            server.dataset_entries(), request.location,
-            request.uncertainty, request.k, universe=server.universe,
-            kernel=getattr(server, "kernel", None),
-            columns=(server._kernel_columns()
-                     if hasattr(server, "_kernel_columns") else None))
+            server.dataset_columns(), request.location,
+            request.uncertainty, request.k, universe=server.universe)
         server.queries_processed += 1
         region = AnnulusValidityRegion(detail.query, 0.0,
                                        detail.safety_radius)

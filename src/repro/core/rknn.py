@@ -29,11 +29,17 @@ The safety radius around ``q`` is the smallest of
   one over the full set), and at most ``dist(o, q)`` by the sector
   lemma, so the slack is never negative.
 
-Answers are computed from a point-in-time dataset snapshot (zero
-simulated node accesses, like the columnar kernels); the budget is
-ignored and responses are never degraded.  The result is a *set* —
-entries are reported in oid order — so cached answers re-serve without
-re-ranking.
+Answers are computed from the server's epoch-cached
+:class:`~repro.kernel.columns.PointColumns` snapshot
+(``server.dataset_columns()``) in a few numpy passes, whatever the
+kernel: ``arctan2`` bins the dataset into the six sectors and one
+``lexsort`` on (sector, distance, oid) picks each sector's ``k``
+nearest; one candidates × dataset squared-distance matrix, reduced with
+``np.partition`` along each axis, then yields both the candidates'
+exact k-NN radii and every non-candidate's bound ``m_o``.  Zero
+simulated node accesses; the budget is ignored and responses are never
+degraded.  The result is a *set* — entries are reported in oid order —
+so cached answers re-serve without re-ranking.
 """
 
 from __future__ import annotations
@@ -42,6 +48,8 @@ import heapq
 import math
 from dataclasses import dataclass, field, replace
 from typing import ClassVar, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.api import (
     QueryBudget,
@@ -56,6 +64,7 @@ from repro.core.validity import (
 )
 from repro.geometry import Rect
 from repro.index.entry import LeafEntry
+from repro.kernel.columns import PointColumns
 
 __all__ = [
     "RKNNDetail",
@@ -130,73 +139,79 @@ class RKNNResponse:
         return POINT_BYTES * len(self.result) + self.region.transfer_bytes()
 
 
-def _distances_sq(entries, x: float, y: float, kernel=None, columns=None):
-    """Squared distances from ``(x, y)`` to every entry, batched through
-    the columnar kernel when one is available."""
-    if (kernel is not None and columns is not None
-            and getattr(kernel, "columnar", False)):
-        return kernel.distances_sq(columns, x, y)
-    return [(e.x - x) ** 2 + (e.y - y) ** 2 for e in entries]
+_SECTOR = math.pi / 3.0
+_TWO_PI = 2.0 * math.pi
+#: Angles within this many sector widths of a sector edge are binned
+#: again with ``math.atan2``: numpy's ``arctan2`` may differ from libm's
+#: in the last ulp, and which sector an edge point joins must not
+#: depend on that.
+_EDGE = 1e-9
 
 
-def _knn_distances(entries, center: LeafEntry, k: int,
-                   kernel=None, columns=None) -> List[float]:
-    """The ``k`` smallest distances from ``center`` to *other* entries."""
-    d2 = _distances_sq(entries, center.x, center.y,
-                       kernel=kernel, columns=columns)
-    smallest = heapq.nsmallest(
-        k, (d2[i] for i, e in enumerate(entries) if e.oid != center.oid))
-    return [math.sqrt(v) for v in smallest]
+def _sector(dx: float, dy: float) -> int:
+    angle = math.atan2(dy, dx) % _TWO_PI
+    return min(int(angle / _SECTOR), 5)
 
 
-def compute_rknn_validity(entries, location, k: int, universe: Rect,
-                          kernel=None, columns=None) -> RKNNDetail:
-    """The reverse-kNN answer and its validity machinery at ``location``."""
+def compute_rknn_validity(entries, location, k: int,
+                          universe: Rect) -> RKNNDetail:
+    """The reverse-kNN answer and its validity machinery at ``location``.
+
+    ``entries`` is a :class:`~repro.kernel.columns.PointColumns`
+    snapshot or any iterable of leaf entries.
+    """
     q = (float(location[0]), float(location[1]))
-    entries = list(entries)
+    cols = (entries if isinstance(entries, PointColumns)
+            else PointColumns(entries))
+    xs, ys, oids = cols.as_numpy()
+    n = len(cols)
     diag = math.hypot(universe.width, universe.height)
 
     # 60-degree sector filter: at most 6k candidates survive.
-    sectors: List[List[Tuple[float, int, LeafEntry]]] = [[] for _ in range(6)]
-    dist_q: Dict[int, float] = {}
-    for e in entries:
-        d = math.hypot(e.x - q[0], e.y - q[1])
-        dist_q[e.oid] = d
-        angle = math.atan2(e.y - q[1], e.x - q[0]) % (2.0 * math.pi)
-        sectors[min(int(angle / (math.pi / 3.0)), 5)].append((d, e.oid, e))
-    candidates: List[LeafEntry] = []
-    for bucket in sectors:
-        bucket.sort()
-        candidates.extend(e for _d, _o, e in bucket[:k])
-    candidates.sort(key=lambda e: e.oid)
-    candidate_ids = {c.oid for c in candidates}
+    dx = xs - q[0]
+    dy = ys - q[1]
+    dist_q = np.sqrt(dx * dx + dy * dy)
+    ratio = np.arctan2(dy, dx) % _TWO_PI / _SECTOR
+    sector = np.minimum(ratio.astype(np.int64), 5)
+    for i in np.flatnonzero(np.abs(ratio - np.rint(ratio)) < _EDGE).tolist():
+        sector[i] = _sector(float(dx[i]), float(dy[i]))
+    order = np.lexsort((oids, dist_q, sector))
+    grouped = sector[order]
+    rank = np.arange(n) - np.searchsorted(grouped, grouped)
+    cand = order[rank < k]
+    cand = cand[np.argsort(oids[cand])]
 
-    # Exact k-NN distance per candidate; members are strict.
-    members: List[LeafEntry] = []
-    member_knn: Dict[int, Tuple[float, ...]] = {}
-    candidate_radii: Dict[int, float] = {}
-    for c in candidates:
-        knn = _knn_distances(entries, c, k, kernel=kernel, columns=columns)
-        radius = knn[k - 1] if len(knn) >= k else math.inf
-        candidate_radii[c.oid] = radius
-        if dist_q[c.oid] < radius:
+    # One candidates x dataset matrix of squared distances: its rows
+    # give the candidates' exact k-NN distances (members are strict),
+    # its non-candidate columns the bounds m_o below.
+    d2 = (xs - xs[cand, None]) ** 2 + (ys - ys[cand, None]) ** 2
+    d2[np.arange(len(cand)), cand] = math.inf  # not its own neighbour
+    kk = max(0, min(k, n - 1))  # fewer than k others: r_c is infinite
+    knn = (np.sqrt(np.sort(np.partition(d2, kk - 1, axis=1)[:, :kk], axis=1))
+           if kk else np.empty((len(cand), 0)))
+    radii = knn[:, k - 1] if kk == k else np.full(len(cand), math.inf)
+    cand_q = dist_q[cand]
+    is_member = cand_q < radii
+
+    candidates = [cols.entries[i] for i in cand.tolist()]
+    members, member_knn = [], {}
+    for c, member, row in zip(candidates, is_member.tolist(), knn.tolist()):
+        if member:
             members.append(c)
-            member_knn[c.oid] = tuple(knn)
+            member_knn[c.oid] = tuple(row)
+    candidate_radii = dict(zip((c.oid for c in candidates), radii.tolist()))
 
     # Safety disk around q: keep every non-member out of membership.
-    slacks: List[float] = []
-    for c in candidates:
-        if c.oid not in member_knn:
-            slacks.append(dist_q[c.oid] - candidate_radii[c.oid])
-    for e in entries:
-        if e.oid in candidate_ids:
-            continue
-        # m_o: k-th smallest distance to the candidates — an upper
-        # bound on r_o, and <= dist(o, q) by the sector lemma.
-        m_o = heapq.nsmallest(
-            k, ((e.x - c.x) ** 2 + (e.y - c.y) ** 2 for c in candidates))
-        slacks.append(dist_q[e.oid] - math.sqrt(m_o[k - 1]))
-    rho = min(slacks) if slacks else diag
+    # Non-member candidates give dist - r_c; a non-candidate o gives
+    # dist - m_o, with m_o its k-th smallest distance to the candidates
+    # (an upper bound on r_o, and <= dist(o, q) by the sector lemma).
+    slacks = [cand_q[~is_member] - radii[~is_member]]
+    far = np.ones(n, dtype=bool)
+    far[cand] = False
+    if far.any():
+        m_o = np.partition(d2[:, far], k - 1, axis=0)[k - 1]
+        slacks.append(dist_q[far] - np.sqrt(m_o))
+    rho = min((float(s.min()) for s in slacks if s.size), default=diag)
     rho = max(0.0, min(rho, diag))
 
     return RKNNDetail(
@@ -207,7 +222,7 @@ def compute_rknn_validity(entries, location, k: int, universe: Rect,
         candidates=tuple(candidates),
         candidate_radii=candidate_radii,
         safety_radius=rho,
-        num_points=len(entries),
+        num_points=n,
     )
 
 
@@ -244,11 +259,8 @@ class RKNNSemantics(QuerySemantics):
     # --- execution ----------------------------------------------------
     def execute(self, server, request):
         detail = compute_rknn_validity(
-            server.dataset_entries(), request.location, request.k,
-            universe=server.universe,
-            kernel=getattr(server, "kernel", None),
-            columns=(server._kernel_columns()
-                     if hasattr(server, "_kernel_columns") else None))
+            server.dataset_columns(), request.location, request.k,
+            universe=server.universe)
         server.queries_processed += 1
         result = sorted(detail.members, key=lambda e: e.oid)
         return RKNNResponse(result=result,

@@ -13,7 +13,8 @@ The geometry kernel is pluggable (``kernel=``): the default scalar
 kernel runs the paper's per-object tree algorithms and charges
 simulated node accesses; the columnar kernels of :mod:`repro.kernel`
 batch-evaluate kNN and TPNN influence times over a struct-of-arrays
-snapshot of the dataset (cached per epoch) for raw CPU throughput.
+snapshot of the dataset (:meth:`LocationServer.dataset_columns`, cached
+per epoch) for raw CPU throughput.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ from repro.core.validity import (
     RECT_BYTES,
 )
 from repro.core.window_validity import WindowValidityResult, compute_window_validity
+from repro.kernel.backends import get_kernel
+from repro.kernel.columns import PointColumns
 
 
 @dataclass
@@ -138,29 +141,36 @@ class LocationServer:
         self.universe = universe if universe is not None else tree.root.mbr
         self.queries_processed = 0
         self.epoch = 0
-        # Resolved lazily-importable to keep repro.core free of a hard
-        # dependency edge on repro.kernel at module import time.
-        from repro.kernel.backends import get_kernel
         self.kernel = get_kernel(kernel)
+        #: ``(snapshot, epoch)`` once :meth:`dataset_columns` has run.
         self._columns = None
-        self._columns_epoch = -1
 
     def use_kernel(self, kernel) -> None:
         """Swap the geometry kernel (name, ``None``, or instance)."""
-        from repro.kernel.backends import get_kernel
         self.kernel = get_kernel(kernel)
-        self._columns = None
-        self._columns_epoch = -1
+
+    def dataset_columns(self) -> PointColumns:
+        """Every data entry as a :class:`~repro.kernel.columns.PointColumns`
+        snapshot (no simulated I/O).
+
+        Built on first use and cached for the dataset epoch, whatever the
+        kernel: within an epoch every call returns the same object, and
+        the first call after an update builds a new one.  The snapshot
+        kinds (reverse-kNN, probabilistic kNN) and the columnar kernels
+        answer from it.
+        """
+        cached = self._columns
+        if cached is None or cached[1] != self.epoch:
+            # Read the epoch before walking the tree: an update racing
+            # the walk leaves the snapshot stale, never stamped current.
+            epoch = self.epoch
+            cached = (PointColumns.from_tree(self.tree), epoch)
+            self._columns = cached
+        return cached[0]
 
     def _kernel_columns(self):
-        """The epoch-cached SoA snapshot (``None`` on the scalar path)."""
-        if not self.kernel.columnar:
-            return None
-        if self._columns is None or self._columns_epoch != self.epoch:
-            from repro.kernel.columns import PointColumns
-            self._columns = PointColumns.from_tree(self.tree)
-            self._columns_epoch = self.epoch
-        return self._columns
+        """The snapshot on a columnar kernel (``None`` on the scalar path)."""
+        return self.dataset_columns() if self.kernel.columnar else None
 
     # ------------------------------------------------------------------
     # updates
@@ -204,12 +214,10 @@ class LocationServer:
         return query_semantics(request).execute(self, request)
 
     def dataset_entries(self) -> List[LeafEntry]:
-        """A point-in-time list of every data entry (no simulated I/O).
-
-        Centralized query semantics (reverse-kNN, probabilistic kNN)
-        answer from this snapshot the same way the columnar kernels do.
-        """
-        return list(self.tree.points())
+        """A point-in-time list of every data entry (no simulated I/O):
+        a copy of :meth:`dataset_columns`' entries, for query types that
+        iterate entries rather than columns."""
+        return list(self.dataset_columns().entries)
 
     def _start_clock(self, budget: Optional[QueryBudget]
                      ) -> Optional[BudgetClock]:

@@ -97,12 +97,6 @@ class SoAKernel:
                 for i in range(len(columns))))
         return [(d2, columns.entries[i]) for d2, _oid, i in best]
 
-    def distances_sq(self, columns: PointColumns, qx: float,
-                     qy: float) -> List[float]:
-        """Squared distances of every column entry to ``(qx, qy)``."""
-        xs, ys = columns.xs, columns.ys
-        return [(x - qx) ** 2 + (y - qy) ** 2 for x, y in zip(xs, ys)]
-
     # ------------------------------------------------------------------
     # TPNN influence times over columns
     # ------------------------------------------------------------------
@@ -432,12 +426,6 @@ class NumpyKernel(SoAKernel):
         ordered = sorted(
             ((float(d2[i]), int(oids[i]), int(i)) for i in idx))
         return [(d, columns.entries[i]) for d, _oid, i in ordered]
-
-    def distances_sq(self, columns: PointColumns, qx: float, qy: float):
-        xs, ys, _oids = columns.as_numpy()
-        dx = xs - qx
-        dy = ys - qy
-        return list(dx * dx + dy * dy)
 
     def mindist_sq(self, rects: Sequence, qx: float, qy: float):
         np = self._np

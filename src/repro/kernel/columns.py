@@ -9,7 +9,10 @@ results materialize as the same ``LeafEntry`` objects the scalar path
 returns.
 
 Snapshots are immutable; :class:`~repro.core.server.LocationServer`
-caches one per dataset epoch and rebuilds it after updates.
+and :class:`~repro.service.shard.ShardedServer` cache one per dataset
+epoch (``dataset_columns()``) and rebuild it after updates.  The
+columnar kernels and the snapshot query kinds (reverse-kNN,
+probabilistic kNN) all read that one snapshot.
 """
 
 from __future__ import annotations

@@ -52,7 +52,6 @@ from repro.obs.exporters import (
     span_tree,
     write_chrome_trace,
 )
-from repro.obs.http import ObservabilityServer
 from repro.obs.profile import PhaseProfiler, collapse_trace
 from repro.obs.slo import SLOConfig, SLOEngine
 
@@ -76,3 +75,12 @@ __all__ = [
     "SLOConfig",
     "SLOEngine",
 ]
+
+
+def __getattr__(name):
+    # The HTTP endpoint pulls in http.server, email and ssl -- about
+    # 3 MB of resident memory -- so it is imported on first use only.
+    if name == "ObservabilityServer":
+        from repro.obs.http import ObservabilityServer
+        return ObservabilityServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -43,6 +43,7 @@ import bisect
 import json
 import re
 import threading
+from array import array
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
@@ -200,7 +201,8 @@ class Histogram:
             raise ValueError("max_samples must be positive")
         self.name = name
         self.labels: Dict[str, str] = dict(labels or {})
-        self._samples: List[float] = []
+        #: Packed doubles: 8 bytes a sample, not a float object each.
+        self._samples = array("d")
         self._max_samples = max_samples
         self._lock = lock if lock is not None else threading.Lock()
         if buckets is not None:

@@ -82,7 +82,7 @@ from repro.geometry import Point, Rect
 from repro.index.bulk import bulk_load_str
 from repro.index.entry import LeafEntry
 from repro.index.rstar import RStarTree
-from repro.kernel import ExecutionConfig
+from repro.kernel import ExecutionConfig, PointColumns
 from repro.kernel.backends import get_kernel
 from repro.obs.context import attach, current_trace, emit_event
 from repro.obs.context import span as obs_span
@@ -264,6 +264,8 @@ class ShardedServer:
         }
         self.queries_processed = 0
         self.epoch = 0
+        #: ``(snapshot, epoch)`` once :meth:`dataset_columns` has run.
+        self._columns = None
         if max_workers is not None:
             warnings.warn(
                 "ShardedServer(max_workers=...) is deprecated; pass "
@@ -468,17 +470,31 @@ class ShardedServer:
     def _dispatch(self, request: QueryRequest):
         return query_semantics(request).shard_execute(self, request)
 
-    def dataset_entries(self) -> List[LeafEntry]:
-        """Every live entry across all shards (no simulated I/O).
+    def dataset_columns(self) -> PointColumns:
+        """Every live entry across all shards as one
+        :class:`~repro.kernel.columns.PointColumns` snapshot (no
+        simulated I/O).
 
-        The centralized :meth:`~repro.core.api.QuerySemantics.execute`
-        fallback answers snapshot-style query types (reverse-kNN,
-        probabilistic kNN) from this merged view.
+        The shards' own epoch-cached snapshots are merged once per
+        epoch of this server, so within an epoch every call returns the
+        same object.  The centralized
+        :meth:`~repro.core.api.QuerySemantics.execute` fallback answers
+        the snapshot kinds (reverse-kNN, probabilistic kNN) from it.
         """
-        out: List[LeafEntry] = []
-        for s in self._live():
-            out.extend(s.server.tree.points())
-        return out
+        cached = self._columns
+        if cached is None or cached[1] != self.epoch:
+            epoch = self.epoch
+            cached = (PointColumns(
+                e for s in self._live()
+                for e in s.server.dataset_columns().entries), epoch)
+            self._columns = cached
+        return cached[0]
+
+    def dataset_entries(self) -> List[LeafEntry]:
+        """Every live entry across all shards (no simulated I/O): a copy
+        of :meth:`dataset_columns`' entries, for query types that iterate
+        entries rather than columns."""
+        return list(self.dataset_columns().entries)
 
     # ------------------------------------------------------------------
     # scatter-gather plumbing

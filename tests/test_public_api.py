@@ -1,5 +1,8 @@
 """Smoke tests for the top-level public API."""
 
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -15,6 +18,17 @@ def test_version():
 def test_all_exports_resolve():
     for name in repro.__all__:
         assert getattr(repro, name) is not None
+
+
+def test_import_leaves_the_http_endpoint_unloaded():
+    """``ObservabilityServer`` and the http.server stack behind it load
+    on first use, not with the package."""
+    code = ("import sys, repro; "
+            "assert 'http.server' not in sys.modules; "
+            "from repro import ObservabilityServer; "
+            "assert 'http.server' in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                   env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
 
 
 def test_api_docs_in_sync():
