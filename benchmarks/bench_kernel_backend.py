@@ -5,19 +5,23 @@ Every configuration here is reached through the same front door —
 matrix measures exactly what a caller gets by flipping the two
 ``ExecutionConfig`` knobs:
 
-* ``kernel``: per-candidate ``scalar`` evaluation over the R*-tree
-  (the seed baseline), the stdlib ``soa`` columnar kernel, and the
-  ``numpy`` columnar kernel (skipped when numpy is unavailable or
-  ``REPRO_KERNEL_DISABLE_NUMPY`` is set);
+* ``kernel``: the ``scalar`` R*-tree traversal (the baseline), the
+  stdlib ``soa`` columnar kernel, and the ``numpy`` columnar kernel
+  (skipped when numpy is unavailable or ``REPRO_KERNEL_DISABLE_NUMPY``
+  is set);
 * ``backend``: ``thread`` scatter-gather vs the ``process`` pool with
   struct-packed wire frames (a documented no-op at ``shards=1``).
 
 The headline (asserted by the pytest wrapper when numpy is enabled):
 ``ExecutionConfig(backend="process", kernel="numpy")`` sustains
-**>= 5x** the kNN throughput of the seed thread/scalar baseline.  The
-pure-stdlib ``soa`` kernel is the *portability* fallback, not the perf
-path — at these cardinalities its linear scans lose to the tree, and
-the table shows that honestly.
+**>= 2.5x** the kNN throughput of the thread/scalar baseline.  That is
+the original 5x over the per-entry scalar traversal, divided by the
+speedup the R*-tree node columns gave thread/scalar (106.5 -> 206.0
+q/s, 1.93x: medians of six alternating smoke runs per side on a 2-vCPU
+VM) and rounded down to one decimal.  The pure-stdlib ``soa`` kernel
+is the *portability* fallback, not the perf path — at these
+cardinalities its linear scans lose to the tree, and the table shows
+that honestly.
 
 Results land in the schema-versioned ``BENCH_kernel_exec_matrix.json``
 trail (``write_bench_record(..., prefix="kernel")``), which
@@ -107,9 +111,9 @@ def test_kernel_backend(benchmark):
     if numpy_enabled():
         process_numpy = results[("process", "numpy")]["throughput_qps"]
         speedup = process_numpy / baseline
-        assert speedup >= 5.0, (
+        assert speedup >= 2.5, (
             f"process/numpy throughput only {speedup:.2f}x the "
-            f"thread/scalar seed baseline (need >= 5x)")
+            f"thread/scalar baseline (need >= 2.5x)")
     else:
         # Fallback leg: stdlib soa must at least stay on the road.
         assert results[("process", "soa")]["throughput_qps"] > 0

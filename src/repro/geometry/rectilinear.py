@@ -20,10 +20,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the stdlib CI leg
-    np = None
+import numpy as np
 
 from repro.geometry.rect import Rect
 
@@ -71,8 +68,6 @@ class RectilinearRegion:
             return 0.0
         if not self._holes:
             return base.area()
-        if np is None:
-            return self._area_sweep_py()
         xs = np.unique(np.array(
             [b for h in self._holes for b in (h.xmin, h.xmax)]))
         ys = np.unique(np.array(
@@ -93,23 +88,6 @@ class RectilinearRegion:
         coverage = diff.cumsum(axis=0).cumsum(axis=1)[:-1, :-1] > 0.0
         cell_areas = np.outer(np.diff(xs), np.diff(ys))
         covered = float((cell_areas * coverage).sum())
-        return base.area() - covered
-
-    def _area_sweep_py(self) -> float:
-        """The same coordinate-compressed sweep, stdlib-only (the
-        fallback when numpy is unavailable)."""
-        base = self._base
-        xs = sorted({b for h in self._holes for b in (h.xmin, h.xmax)})
-        ys = sorted({b for h in self._holes for b in (h.ymin, h.ymax)})
-        covered = 0.0
-        for i in range(len(xs) - 1):
-            cx = (xs[i] + xs[i + 1]) / 2.0
-            width = xs[i + 1] - xs[i]
-            for j in range(len(ys) - 1):
-                cy = (ys[j] + ys[j + 1]) / 2.0
-                if any(h.xmin <= cx <= h.xmax and h.ymin <= cy <= h.ymax
-                       for h in self._holes):
-                    covered += width * (ys[j + 1] - ys[j])
         return base.area() - covered
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -1,11 +1,26 @@
-"""R*-tree nodes."""
+"""R*-tree nodes.
+
+Besides its entries, a node caches them as numpy columns, built on the
+first :meth:`Node.columns` call and dropped by :meth:`Node.recompute_mbr`.
+The tree searches of :mod:`repro.queries` and :meth:`RStarTree.window`
+evaluate one visited node in one numpy pass over these columns instead
+of one Python call per entry; which nodes they visit is unchanged.
+"""
 
 from __future__ import annotations
 
-from typing import List, Union
+from itertools import chain
+from operator import attrgetter, itemgetter
+from typing import List, Optional, Union
+
+import numpy as np
 
 from repro.geometry import Rect
 from repro.index.entry import LeafEntry
+
+_X = itemgetter(1)
+_Y = itemgetter(2)
+_MBR = attrgetter("mbr")
 
 
 class Node:
@@ -14,15 +29,26 @@ class Node:
     ``level`` 0 is the leaf level.  A leaf's ``entries`` are
     :class:`LeafEntry` instances; an inner node's ``entries`` are child
     ``Node`` instances.  ``mbr`` is kept tight by the tree operations.
+
+    :meth:`columns` caches the entries as a float64 array: ``(2, n)``
+    rows ``x``, ``y`` for a leaf, ``(4, m)`` rows ``xmin``, ``ymin``,
+    ``xmax``, ``ymax`` of the children's MBRs for an inner node.  Every
+    mutation path (insert, split, forced reinsert, delete/condense, bulk
+    load, ``load_tree``) ends by calling :meth:`recompute_mbr` on each
+    node whose entries or children's MBRs changed, which drops the
+    cache.  The lazy fill is idempotent, and the reads and mutations of
+    one tree are serialized by the service lock (or a replica's lock),
+    so no lock guards it here.
     """
 
-    __slots__ = ("level", "entries", "mbr", "page_id")
+    __slots__ = ("level", "entries", "mbr", "page_id", "_columns")
 
     def __init__(self, level: int, page_id: int):
         self.level = level
         self.entries: List[Union[LeafEntry, "Node"]] = []
         self.mbr: Rect = Rect(0.0, 0.0, 0.0, 0.0)
         self.page_id = page_id
+        self._columns: Optional[np.ndarray] = None
 
     @property
     def is_leaf(self) -> bool:
@@ -32,11 +58,29 @@ class Node:
         return len(self.entries)
 
     def recompute_mbr(self) -> None:
-        """Tighten ``mbr`` to exactly cover the current entries."""
+        """Tighten ``mbr`` to exactly cover the current entries (and
+        drop the cached columns, which may no longer match them)."""
+        self._columns = None
         if not self.entries:
             self.mbr = Rect(0.0, 0.0, 0.0, 0.0)
             return
         self.mbr = Rect.from_rects([entry_mbr(e) for e in self.entries])
+
+    def columns(self) -> np.ndarray:
+        """The entries as numpy columns (see the class docstring)."""
+        cols = self._columns
+        if cols is None:
+            cols = self._columns = self._build_columns()
+        return cols
+
+    def _build_columns(self) -> np.ndarray:
+        entries = self.entries
+        n = len(entries)
+        if self.is_leaf:
+            return np.fromiter(chain(map(_X, entries), map(_Y, entries)),
+                               dtype=float, count=2 * n).reshape(2, n)
+        return np.fromiter(chain.from_iterable(map(_MBR, entries)),
+                           dtype=float, count=4 * n).reshape(n, 4).T
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "leaf" if self.is_leaf else f"inner(level={self.level})"

@@ -10,7 +10,10 @@ charged to the simulated disk.
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import Iterator, List, Optional, Sequence, Set
+
+import numpy as np
 
 from repro.geometry import Rect
 from repro.index.entry import LeafEntry
@@ -291,19 +294,24 @@ class RStarTree:
         Every visited node — including the root — is charged to the
         simulated disk, matching the paper's node-access counting.
         """
+        xmin, ymin, xmax, ymax = rect
         result: List[LeafEntry] = []
         stack = [self.root]
         while stack:
             node = stack.pop()
             self.read_node(node)
+            cols = node.columns()
+            entries = node.entries
             if node.is_leaf:
-                for e in node.entries:
-                    if rect.contains_point((e.x, e.y)):
-                        result.append(e)
+                # rect.contains_point of every entry
+                xs, ys = cols
+                hits = (xmin <= xs) & (xs <= xmax) & (ymin <= ys) & (ys <= ymax)
+                result.extend(compress(entries, hits.tolist()))
             else:
-                for child in node.entries:
-                    if rect.intersects(child.mbr):
-                        stack.append(child)
+                # rect.intersects of every child MBR
+                hits = ((cols[0] <= xmax) & (cols[2] >= xmin)
+                        & (cols[1] <= ymax) & (cols[3] >= ymin))
+                stack.extend(compress(entries, hits.tolist()))
         return result
 
     # ------------------------------------------------------------------
@@ -329,6 +337,9 @@ class RStarTree:
             if node.entries:
                 recomputed = Rect.from_rects([entry_mbr(e) for e in node.entries])
                 assert node.mbr == recomputed, "MBR not tight"
+            if node._columns is not None:
+                assert np.array_equal(node._columns,
+                                      node._build_columns()), "stale columns"
             if node.is_leaf:
                 size += len(node.entries)
             else:

@@ -24,18 +24,25 @@ which is *linear* in ``t``; the crossing time is
     t = (|q - p|^2 - |q - o|^2) / (2 * v . (p - o)),
 
 defined (and non-negative) whenever ``v . (p - o) > 0``.
+
+``tp_knn`` evaluates each node it reads in one numpy pass over the
+node's cached columns (:meth:`repro.index.node.Node.columns`): an inner
+node's child bounds are bit-identical to the per-rectangle expressions,
+so children enter the heap with the same keys and counters and the
+search reads the same nodes in the same order; a leaf's numpy times
+only *filter* its entries, and the survivors' times are recomputed per
+entry, so the reported time and every tie-break are those of the
+per-entry scan.  ``tp_window`` still evaluates one entry at a time.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from itertools import compress
 from typing import List, NamedTuple, Optional, Sequence, Set, Tuple
 
-try:  # numpy is optional: the vectorized leaf scan degrades gracefully
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via stdlib-only CI
-    np = None
+import numpy as np
 
 from repro.geometry import Rect
 from repro.index.entry import LeafEntry
@@ -43,9 +50,22 @@ from repro.index.rstar import RStarTree
 
 INFINITY = math.inf
 
-#: Leaf scans with more than this many (entry, result) pairs switch to
-#: the vectorized numpy path.
-_VECTORIZE_THRESHOLD = 512
+#: Error bound of the leaf filter's numpy influence times, relative to
+#: ``(|q - p|^2 + |q - o|^2) / den``.  They differ from the per-entry
+#: times only in ``|q - p|^2``: ``x * x`` is correctly rounded, ``x ** 2``
+#: (libm ``pow``) is within 1 ulp, so the two differ by at most ~5 units
+#: of roundoff u = 2**-53 of it; through one subtraction and the division
+#: by the identical denominator (plus the bounds' own rounding) a time
+#: moves by at most ~12u of that scale.  2**-48 = 32u leaves a margin.
+_SLACK = 2.0 ** -48
+#: Smallest normal double: absorbs the absolute error of squares that
+#: underflow, where the relative bound above does not hold.
+_TINY = 2.0 ** -1022
+#: The filter's (lower, upper) time bounds widen ``|q - p|^2 - |q - o|^2``
+#: by ``_SLACK * (|q - p|^2 + |q - o|^2 + _TINY)``, term by term.
+_FILTER_SCALE = np.array([[[1.0 - _SLACK]], [[1.0 + _SLACK]]])
+_SHIFT_SCALE = np.array([[[1.0 + _SLACK]], [[1.0 - _SLACK]]])
+_SHIFT_TINY = np.array([[[_SLACK * _TINY]], [[-_SLACK * _TINY]]])
 
 
 class TPEvent(NamedTuple):
@@ -99,7 +119,8 @@ def tp_knn(tree: RStarTree, q, direction, result: Sequence[LeafEntry],
     Parameters
     ----------
     result:
-        The current k nearest neighbours of ``q``.
+        The current k nearest neighbours of ``q``: entries of ``tree``,
+        which the search skips where the tree stores them.
     prefer_new:
         Object ids already known to the caller.  When two candidate
         events happen at exactly the same time, an object *not* in this
@@ -119,6 +140,19 @@ def tp_knn(tree: RStarTree, q, direction, result: Sequence[LeafEntry],
     # Per result object o: (dist_sq(q, o), v . o) reused by every bound.
     res_info = [((e.x - qx) ** 2 + (e.y - qy) ** 2, vx * e.x + vy * e.y, e)
                 for e in result]
+    # The same two quantities as (k, 1) columns, broadcast against the
+    # (n,) columns of a node's entries.
+    res_dist_sq, res_v_dot = np.array(
+        [(d, v) for d, v, _ in res_info]).T[:, :, None]
+    # The leaf filter's (lower, upper) time bounds, stacked on a leading
+    # axis, are (dist_sq(q, p) * _FILTER_SCALE - res_shift) / den.
+    res_shift = res_dist_sq * _SHIFT_SCALE + _SHIFT_TINY
+    q_col = np.array([[qx], [qy]])
+    v_col = np.array([[vx], [vy]])
+    # Rows of a (4, m) MBR column block maximizing v . p per axis.
+    ix = 2 if vx > 0 else 0
+    iy = 3 if vy > 0 else 1
+    result_points = [(e.x, e.y) for e in result] if len(result) > 1 else []
 
     def exact_time(p: LeafEntry) -> Tuple[float, Optional[LeafEntry]]:
         p_dist_sq = (p.x - qx) ** 2 + (p.y - qy) ** 2
@@ -135,95 +169,97 @@ def tp_knn(tree: RStarTree, q, direction, result: Sequence[LeafEntry],
                 best_t, best_o = t, o
         return best_t, best_o
 
-    def node_bound(mbr: Rect) -> float:
-        """Admissible lower bound of the influence time of any p in mbr."""
-        min_p_dist_sq = mbr.mindist_sq((qx, qy))
+    def node_bounds(mbrs: np.ndarray) -> np.ndarray:
+        """Admissible lower bound of the influence time of any p in each
+        rectangle of ``mbrs`` (4, m).
+
+        Every operation is the one the per-rectangle bound (mindist_sq,
+        then one candidate crossing time per result object) performs,
+        on the same operands, so the values are bit-identical to it.
+        """
+        d = np.maximum(np.maximum(mbrs[:2] - q_col, 0.0), q_col - mbrs[2:])
+        d *= d
+        min_p_dist_sq = d[0] + d[1]
         # max of v . p over the rectangle is attained at a corner.
-        v_dot_p_max = (vx * (mbr.xmax if vx > 0 else mbr.xmin)
-                       + vy * (mbr.ymax if vy > 0 else mbr.ymin))
-        bound = INFINITY
-        for o_dist_sq, v_dot_o, _ in res_info:
-            den_max = 2.0 * (v_dot_p_max - v_dot_o)
-            if den_max <= 0.0:
-                continue
-            num_min = min_p_dist_sq - o_dist_sq
-            pair = num_min / den_max if num_min > 0.0 else 0.0
-            if pair < bound:
-                bound = pair
-        return bound
+        den_max = 2.0 * ((vx * mbrs[ix] + vy * mbrs[iy]) - res_v_dot)
+        pair = np.maximum(min_p_dist_sq - res_dist_sq, 0.0) / den_max
+        return np.where(den_max > 0.0, pair, INFINITY).min(axis=0)
+
+    def leaf_candidates(leaf, best_time: float) -> List[int]:
+        """Indices of the leaf entries that may win or tie the search.
+
+        The numpy times differ from :func:`exact_time` only through
+        ``x * x`` versus ``x ** 2`` in ``dist_sq(q, p)``; the filter
+        widens each time by an error bound of that difference (see
+        ``_SLACK``), so it keeps every entry whose exact time can reach
+        the leaf's winning time ``min(best_time, leaf minimum)``.  The
+        caller re-evaluates the survivors with :func:`exact_time`, in
+        entry order.
+        """
+        cols = leaf.columns()
+        d = cols - q_col
+        d *= d
+        p_dist_sq = d[0] + d[1]
+        w = v_col * cols
+        den = 2.0 * ((w[0] + w[1]) - res_v_dot)
+        t = (p_dist_sq * _FILTER_SCALE - res_shift) / den
+        lo, hi = np.where(den > 0.0, t, INFINITY).min(axis=1)
+        # For k = 1 a result object pairs only with itself, at den == 0.
+        if any(leaf.mbr.contains_point(p) for p in result_points):
+            members = [i for i, e in enumerate(leaf.entries)
+                       if e.oid in result_oids]
+            lo[members] = INFINITY
+            hi[members] = INFINITY
+        threshold = min(best_time, max(float(hi.min(initial=INFINITY)), 0.0))
+        if threshold == INFINITY:
+            return []  # no entry has a crossing time
+        return (lo <= threshold).nonzero()[0].tolist()
 
     best_time = INFINITY
     best_entry: Optional[LeafEntry] = None
     best_pair: Optional[LeafEntry] = None
     counter = 0
-    heap = [(node_bound(tree.root.mbr), counter, tree.root)]
-    while heap:
-        bound, _, node = heapq.heappop(heap)
-        if bound > best_time:
-            break
-        if bound == best_time and not (best_entry is not None
-                                       and best_entry.oid in known):
-            # Nothing in this subtree can beat or usefully tie the winner.
-            break
-        tree.read_node(node)
-        if node.is_leaf:
-            if (np is not None
-                    and len(node.entries) * len(result)
-                    >= _VECTORIZE_THRESHOLD):
-                candidates = _leaf_scan_vectorized(
-                    node.entries, qx, qy, vx, vy, res_info, result_oids)
+    # Pairs with den <= 0 divide by zero before np.where drops them.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root_bound = float(node_bounds(np.array(tree.root.mbr)[:, None])[0])
+        heap = [(root_bound, counter, tree.root)]
+        while heap:
+            bound, _, node = heapq.heappop(heap)
+            if bound > best_time:
+                break
+            if bound == best_time and not (best_entry is not None
+                                           and best_entry.oid in known):
+                # Nothing in this subtree can beat or usefully tie the winner.
+                break
+            tree.read_node(node)
+            entries = node.entries
+            if node.is_leaf:
+                for i in leaf_candidates(node, best_time):
+                    e = entries[i]
+                    t, paired = exact_time(e)
+                    if paired is None:
+                        continue
+                    wins = t < best_time or (
+                        t == best_time
+                        and best_entry is not None
+                        and best_entry.oid in known
+                        and e.oid not in known)
+                    if wins:
+                        best_time, best_entry, best_pair = t, e, paired
             else:
-                candidates = ((e, *exact_time(e)) for e in node.entries
-                              if e.oid not in result_oids)
-            for e, t, paired in candidates:
-                if paired is None:
-                    continue
-                wins = t < best_time or (
-                    t == best_time
-                    and best_entry is not None
-                    and best_entry.oid in known
-                    and e.oid not in known)
-                if wins:
-                    best_time, best_entry, best_pair = t, e, paired
-        else:
-            for child in node.entries:
-                child_bound = node_bound(child.mbr)
-                if child_bound <= best_time:
-                    counter += 1
-                    heapq.heappush(heap, (child_bound, counter, child))
+                bounds = node_bounds(node.columns())
+                pushed = (bounds <= best_time).tolist()
+                keys = list(compress(bounds.tolist(), pushed))
+                # The per-child pushes in one heapify: keys and counters
+                # are unique, so the pop order does not depend on layout.
+                first = counter + 1
+                counter += len(keys)
+                heap.extend(zip(keys, range(first, counter + 1),
+                                compress(entries, pushed)))
+                heapq.heapify(heap)
     if best_entry is None:
         return TPEvent(INFINITY, None, None)
     return TPEvent(best_time, best_entry, best_pair)
-
-
-def _leaf_scan_vectorized(entries, qx, qy, vx, vy, res_info, result_oids):
-    """Vectorized leaf scan for large k: the per-entry minimum crossing
-    time over all result objects, returning the entries achieving the
-    leaf-wide minimum (all of them, so tie preferences still apply)."""
-    xs = np.fromiter((e.x for e in entries), dtype=float, count=len(entries))
-    ys = np.fromiter((e.y for e in entries), dtype=float, count=len(entries))
-    p_dist_sq = (xs - qx) ** 2 + (ys - qy) ** 2
-    v_dot_p = vx * xs + vy * ys
-    best_t = np.full(len(entries), np.inf)
-    best_j = np.zeros(len(entries), dtype=int)
-    for j, (o_dist_sq, v_dot_o, _) in enumerate(res_info):
-        den = 2.0 * (v_dot_p - v_dot_o)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(den > 0.0,
-                         np.maximum((p_dist_sq - o_dist_sq)
-                                    / np.where(den > 0.0, den, 1.0), 0.0),
-                         np.inf)
-        improved = t < best_t
-        best_t[improved] = t[improved]
-        best_j[improved] = j
-    for i, e in enumerate(entries):
-        if e.oid in result_oids:
-            best_t[i] = np.inf
-    leaf_min = best_t.min()
-    if not np.isfinite(leaf_min):
-        return []
-    return [(entries[i], float(best_t[i]), res_info[best_j[i]][2])
-            for i in np.nonzero(best_t == leaf_min)[0]]
 
 
 # ----------------------------------------------------------------------

@@ -1,16 +1,18 @@
 """Property-based model checking of the R*-tree.
 
 The tree is driven by random insert/delete programs and compared, after
-every program, against a plain dictionary model — the classic stateful
+every operation, against a plain dictionary model — the classic stateful
 model-checking pattern.
 """
 
+import math
 import random
 
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Rect
 from repro.index import RStarTree
+from repro.queries import nearest_neighbors, tp_knn
 
 coord = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -29,7 +31,7 @@ def test_tree_matches_dict_model(program, capacity):
     tree = RStarTree(capacity=capacity)
     model = {}
     next_id = 0
-    for op in program:
+    for step, op in enumerate(program):
         if op[0] == "insert":
             tree.insert(next_id, op[1], op[2])
             model[next_id] = (op[1], op[2])
@@ -43,12 +45,60 @@ def test_tree_matches_dict_model(program, capacity):
                 del model[oid]
             else:
                 assert not tree.delete(oid, 0.5, 0.5)
-    tree.check_invariants()
+        # Query after every op, so node columns cached by one query are
+        # live through the next split, reinsert, condense or root shrink.
+        check_queries(tree, model, step)
+        tree.check_invariants()
     assert len(tree) == len(model)
-    rect = Rect(0.25, 0.25, 0.75, 0.75)
+
+
+def check_queries(tree, model, step):
+    """Window, kNN and TPNN answers against the dict model."""
+    rnd = random.Random(step)
+    q = (rnd.random(), rnd.random())
+    x1, x2 = sorted((rnd.random(), rnd.random()))
+    y1, y2 = sorted((rnd.random(), rnd.random()))
+    rect = Rect(x1, y1, x2, y2)
     got = sorted(e.oid for e in tree.window(rect))
     want = sorted(o for o, p in model.items() if rect.contains_point(p))
     assert got == want
+
+    def dist_sq(p):
+        return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
+
+    k = min(3, len(model))
+    neighbors = nearest_neighbors(tree, q, k) if k else []
+    assert [n.dist for n in neighbors] == \
+        sorted(math.sqrt(dist_sq(p)) for p in model.values())[:k]
+    if not neighbors:
+        return
+    result = [n.entry for n in neighbors]
+    angle = rnd.uniform(0.0, 2.0 * math.pi)
+    v = (math.cos(angle), math.sin(angle))
+    event = tp_knn(tree, q, v, result)
+    assert event.time == brute_tp_time(model, q, v, result)
+
+
+def brute_tp_time(model, q, v, result):
+    """The first bisector crossing, over every non-result point of the
+    model (the same arithmetic as the tree search's exact times)."""
+    vx, vy = v
+    norm = math.hypot(vx, vy)
+    vx, vy = vx / norm, vy / norm
+    res = [((o.x - q[0]) ** 2 + (o.y - q[1]) ** 2, vx * o.x + vy * o.y)
+           for o in result]
+    members = {o.oid for o in result}
+    best = math.inf
+    for oid, (x, y) in model.items():
+        if oid in members:
+            continue
+        p_dist_sq = (x - q[0]) ** 2 + (y - q[1]) ** 2
+        v_dot_p = vx * x + vy * y
+        for o_dist_sq, v_dot_o in res:
+            den = 2.0 * (v_dot_p - v_dot_o)
+            if den > 0.0:
+                best = min(best, max(0.0, (p_dist_sq - o_dist_sq) / den))
+    return best
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1),
