@@ -14,6 +14,12 @@ cell is computed on the fly:
    otherwise confirm ``v``;
 4. stop when every vertex is confirmed.
 
+One exception to step 3: when ``q`` is equidistant from the two objects
+of the known pair a probe reports, probes along their bisector return
+that pair at spurious times, so ``v`` cannot be confirmed.  Such a tie
+ships the zero-radius safe disk instead (a degraded response), since
+there ``d_{k+1} = d_k``.
+
 Lemma 3.1 guarantees the final region is exactly the Voronoi cell and
 the collected set contains no false hits; Lemma 3.2 bounds the number
 of TP queries by ``n_inf + n_v``.
@@ -60,8 +66,10 @@ class NNValidityResult(QueryDetail):
     #: half-planes (the trace span the service layer reports).
     clip_seconds: float = 0.0
     #: True when the query budget ran out before every vertex was
-    #: confirmed: the kNN result is still exact, but the shipped region
-    #: is the conservative safe disk below instead of the Voronoi cell.
+    #: confirmed, or when ``q`` is tied between a result object and a
+    #: non-result one: the kNN result is still exact, but the shipped
+    #: region is the conservative safe disk below instead of the
+    #: Voronoi cell.
     degraded: bool = False
     #: Radius of the degraded safe disk around the query (set iff
     #: ``degraded``): half the margin between the nearest unverified
@@ -219,7 +227,7 @@ def retrieve_influence_set_knn(tree: RStarTree, q, neighbors: Sequence[LeafEntry
     probe_ctx = (kernel.tp_context(columns, q.x, q.y, neighbors)
                  if columnar else None)
 
-    degraded = False
+    degraded = tied = False
     while True:
         vertex = _pick_vertex(region, confirmed, q, vertex_policy, rng)
         if vertex is None:
@@ -247,6 +255,14 @@ def retrieve_influence_set_knn(tree: RStarTree, q, neighbors: Sequence[LeafEntry
             continue
         pair_key = (event.influence.oid, event.paired_with.oid)
         if pair_key in pair_oids:
+            if _tied(q, event.paired_with, event.influence):
+                # q sits on this pair's bisector, so a probe along it
+                # reports the known pair at a spurious time and would
+                # confirm a vertex a new pair cuts.  At a tie
+                # d_{k+1} = d_k: the sound region is the zero-radius
+                # safe disk, shipped through the degraded path.
+                degraded = tied = True
+                break
             confirmed[(vertex.x, vertex.y)] = True
             num_confirm += 1
             continue
@@ -268,7 +284,9 @@ def retrieve_influence_set_knn(tree: RStarTree, q, neighbors: Sequence[LeafEntry
         }
 
     safe_radius = None
-    if degraded:
+    if tied:
+        safe_radius = 0.0
+    elif degraded:
         safe_radius = degraded_safe_radius(
             tree, q, neighbors,
             kernel=kernel if columnar else None, columns=columns)
@@ -283,6 +301,14 @@ def retrieve_influence_set_knn(tree: RStarTree, q, neighbors: Sequence[LeafEntry
         degraded=degraded,
         safe_radius=safe_radius,
     )
+
+
+def _tied(q: Point, result: LeafEntry, other: LeafEntry) -> bool:
+    """Are ``result`` and ``other`` equally far from ``q`` (to a relative
+    1e-9 of their squared distances)?"""
+    d2_result = q.distance_sq_to((result.x, result.y))
+    d2_other = q.distance_sq_to((other.x, other.y))
+    return abs(d2_result - d2_other) <= 1e-9 * max(d2_result, d2_other)
 
 
 def degraded_safe_radius(tree: RStarTree, q: Point,

@@ -10,12 +10,17 @@ region.  :class:`ValidityCache` is that idea as an in-memory spatial
 structure (the INSQ-style influence-set cache, arXiv:1602.00363):
 
 * every admitted response is indexed by the **MBR of its validity
-  region** in a uniform grid over the universe, so a probe inspects
-  only the entries whose region can possibly cover the query point;
-* a probe is a hit when the query *shape* matches (same ``k``, same
-  window extents, same range radius) and the query point passes the
-  exact ``region.contains`` test of the geometry layer — never the MBR
-  alone, so hits inherit the paper's correctness guarantee unchanged;
+  region** in a uniform grid over the universe, and within each cell by
+  its query *shape* (the request's cache key: same ``k``, same window
+  extents, same range radius), so a probe inspects only the entries of
+  its own shape whose region can possibly cover the query point;
+* a probe is a hit when the query point passes the exact
+  ``region.contains`` test of the geometry layer — never the MBR alone,
+  so hits inherit the paper's correctness guarantee unchanged.  A
+  four-comparison pre-test against the entry's MBR (widened by a small
+  slack, see :func:`_pretest_box`) skips ``contains`` for entries whose
+  region cannot hold the point; it never rejects a point ``contains``
+  accepts, so it changes which entries are *tested*, not which one hits;
 * entries are evicted LRU once ``capacity`` is exceeded;
 * the dataset-mutation hook is **surgical** (:meth:`invalidate_mutation`):
   a mutation drops only the entries whose region the mutated object can
@@ -71,19 +76,53 @@ class CacheConfig:
             raise ValueError("grid must be positive")
 
 
+#: Slack of the MBR pre-test, relative to the coordinate scale.
+_PRETEST_SLACK = 1e-6
+
+
 class _Entry:
     """One cached response and where its region MBR is registered."""
 
-    __slots__ = ("uid", "key", "response", "epoch", "cells", "mbr")
+    __slots__ = ("uid", "key", "response", "epoch", "cells", "mbr", "box")
 
     def __init__(self, uid: int, key: Tuple, response: QueryResponse,
-                 epoch: int, cells: Tuple[Tuple[int, int], ...], mbr: Rect):
+                 epoch: int, cells: Tuple[Tuple[int, int], ...], mbr: Rect,
+                 box: Optional[Tuple[float, float, float, float]]):
         self.uid = uid
         self.key = key
         self.response = response
         self.epoch = epoch
         self.cells = cells
         self.mbr = mbr
+        #: The probe's pre-test bounds (``None``: ``contains`` decides).
+        self.box = box
+
+
+def _pretest_box(mbr: Rect, scale: float
+                 ) -> Optional[Tuple[float, float, float, float]]:
+    """``mbr`` widened so that no point ``contains`` accepts lies
+    outside it, or ``None`` when the MBR cannot be trusted that way.
+
+    A kNN region's MBR spans the vertices of its clipped polygon while
+    ``contains`` tests the bisector half-planes themselves, and a disk's
+    MBR is its centre plus or minus the radius.  Rounding puts either a
+    few ulps of the coordinate scale short of what ``contains`` accepts,
+    except at the tip of a needle where two bisectors meet at an angle
+    ``a``: the clipped tip moves along the needle by about 2e-17 of the
+    scale divided by ``a``.  ``_PRETEST_SLACK`` (1e-6) of ``scale`` — the
+    largest coordinate magnitude of the universe and the box — covers
+    the ulps with nine orders of magnitude to spare, and needles down to
+    ``a`` of ~1e-10 rad (influence objects ~1e-10 of the scale apart).
+    A degenerate box bounds nothing (an empty kNN clip parks its MBR at
+    the universe corner, a numerically disjoint intersection collapses
+    to a point), so it gets no pre-test: ``contains`` alone decides.
+    """
+    if not (mbr.xmin < mbr.xmax and mbr.ymin < mbr.ymax):
+        return None
+    slack = _PRETEST_SLACK * max(scale, abs(mbr.xmin), abs(mbr.ymin),
+                                 abs(mbr.xmax), abs(mbr.ymax))
+    return (mbr.xmin - slack, mbr.ymin - slack,
+            mbr.xmax + slack, mbr.ymax + slack)
 
 
 def request_key(request: QueryRequest) -> Optional[Tuple]:
@@ -131,7 +170,14 @@ class ValidityCache:
         self._uids = 0
         #: LRU order: oldest first.
         self._entries: "OrderedDict[int, _Entry]" = OrderedDict()
-        self._grid: Dict[Tuple[int, int], Dict[int, _Entry]] = {}
+        #: ``(cell, cache key)`` -> that shape's entries over the cell,
+        #: in admission order.
+        self._grid: Dict[Tuple[Tuple[int, int], Tuple],
+                         Dict[int, _Entry]] = {}
+        #: The coordinate scale the MBR pre-test's slack is relative to.
+        self._scale = max(abs(universe.xmin), abs(universe.ymin),
+                          abs(universe.xmax), abs(universe.ymax),
+                          universe.width, universe.height)
         self.hits = 0
         self.misses = 0
         self.insertions = 0
@@ -150,19 +196,21 @@ class ValidityCache:
               ) -> Optional[QueryResponse]:
         """The cached response answering ``request``, if any.
 
-        A hit requires an entry with the same query shape, computed
+        A hit is the newest entry with the same query shape, computed
         under the current dataset ``epoch``, whose validity region
-        contains the request's query point.  Epoch-stale entries found
-        along the way are dropped lazily.
+        contains the request's query point.  Only that shape's bucket of
+        the point's cell is walked; its epoch-stale entries found along
+        the way are dropped lazily.
         """
         key = request_key(request)
         if key is None or self.config.capacity == 0:
             return None
         location = request_location(request)
+        x, y = location
         cell = self.universe.grid_index(location, self.config.grid,
                                         self.config.grid)
         with self._lock:
-            bucket = self._grid.get(cell)
+            bucket = self._grid.get((cell, key))
             if bucket:
                 stale = []
                 hit: Optional[_Entry] = None
@@ -171,8 +219,11 @@ class ValidityCache:
                     if entry.epoch != epoch:
                         stale.append(entry)
                         continue
-                    if (entry.key == key
-                            and entry.response.region.contains(location)):
+                    box = entry.box
+                    if box is not None and not (box[0] <= x <= box[2]
+                                                and box[1] <= y <= box[3]):
+                        continue
+                    if entry.response.region.contains(location):
                         hit = entry
                         break
                 for entry in stale:
@@ -205,7 +256,9 @@ class ValidityCache:
         mbr_of = getattr(response.region, "mbr", None)
         mbr = mbr_of() if mbr_of is not None else None
         if mbr is None:  # unbounded region: clamp to the universe
-            mbr = self.universe
+            mbr, box = self.universe, None
+        else:
+            box = _pretest_box(mbr, self._scale)
         n = self.config.grid
         ix0, iy0, ix1, iy1 = self.universe.grid_range(mbr, n, n)
         cells = tuple((ix, iy)
@@ -213,10 +266,10 @@ class ValidityCache:
                       for iy in range(iy0, iy1 + 1))
         with self._lock:
             self._uids += 1
-            entry = _Entry(self._uids, key, response, epoch, cells, mbr)
+            entry = _Entry(self._uids, key, response, epoch, cells, mbr, box)
             self._entries[entry.uid] = entry
             for cell in cells:
-                self._grid.setdefault(cell, {})[entry.uid] = entry
+                self._grid.setdefault((cell, key), {})[entry.uid] = entry
             self.insertions += 1
             while len(self._entries) > self.config.capacity:
                 _, oldest = self._entries.popitem(last=False)
@@ -293,11 +346,12 @@ class ValidityCache:
 
     def _unlink(self, entry: _Entry) -> None:
         for cell in entry.cells:
-            bucket = self._grid.get(cell)
+            slot = (cell, entry.key)
+            bucket = self._grid.get(slot)
             if bucket is not None:
                 bucket.pop(entry.uid, None)
                 if not bucket:
-                    del self._grid[cell]
+                    del self._grid[slot]
 
     # ------------------------------------------------------------------
     # reporting

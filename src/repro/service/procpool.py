@@ -15,8 +15,10 @@ The worker keeps the parent's observability contract:
   links as local indices) and the parent re-injects it into the live
   trace with a time-base shift — process workers render in exporters
   exactly like thread workers;
-* per-phase node-access/page-fault deltas are measured around each job
-  and merged into the parent-side shard counters at decode time
+* per-phase node accesses and page faults are measured around each job
+  on the worker's copy of that shard's disk
+  (:meth:`~repro.storage.counters.AccessStats.measure`) and merged into
+  the parent-side shard counters at decode time
   (:meth:`~repro.service.shard.ShardedServer._scatter_process`), so
   ``io_stats``, phase breakdowns, shard snapshots *and* the dimensional
   ``service.shard.*{shard=,backend="process"}`` registry series stay
@@ -74,22 +76,6 @@ def _budget(frame: RequestFrame) -> Optional[QueryBudget]:
                        max_node_accesses=frame.max_node_accesses)
 
 
-def _snapshot(server: LocationServer) -> Tuple[Dict[str, int],
-                                               Dict[str, int]]:
-    stats = server.io_stats
-    return (dict(stats.node_accesses), dict(stats.page_faults))
-
-
-def _deltas(before, after) -> Tuple[Dict[str, int], Dict[str, int]]:
-    na = {phase: count - before[0].get(phase, 0)
-          for phase, count in after[0].items()
-          if count - before[0].get(phase, 0)}
-    pf = {phase: count - before[1].get(phase, 0)
-          for phase, count in after[1].items()
-          if count - before[1].get(phase, 0)}
-    return na, pf
-
-
 def _run_job(frame: RequestFrame, job: Tuple,
              budget: Optional[QueryBudget]):
     sid = job[0]
@@ -112,21 +98,20 @@ def worker_run(data: bytes) -> bytes:
     results = []
     for job in frame.jobs:
         sid = job[0]
-        server = _SERVERS[sid]
-        before = _snapshot(server)
         # A private trace per job: its span collection is exactly the
         # job's span tree, ready for re-injection parent-side.
         with start_trace(frame.trace_id or None) as ctx:
             with obs_span(f"shard_{sid}", meta={"sid": sid,
                                                 "process": True}) as sp:
-                sid, response = _run_job(frame, job, budget)
-                na, pf = _deltas(before, _snapshot(server))
+                with _SERVERS[sid].io_stats.measure() as io:
+                    sid, response = _run_job(frame, job, budget)
                 if sp is not None:
-                    sp.meta["node_accesses"] = sum(na.values())
+                    sp.meta["node_accesses"] = io.total_node_accesses
             spans = ctx.spans()
         index = {s.span_id: i for i, s in enumerate(spans)}
         wire_spans = [(s.name, s.offset_ms, s.duration_ms,
                        index.get(s.parent_id, -1), s.meta)
                       for s in spans]
-        results.append((sid, response, na, pf, wire_spans))
+        results.append((sid, response, io.node_accesses, io.page_faults,
+                        wire_spans))
     return encode_response(frame.kind, results)

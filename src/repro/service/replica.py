@@ -68,7 +68,7 @@ from repro.service.faults import BreakerConfig, CircuitBreaker, CircuitOpenError
 from repro.service.retry import is_transient
 from repro.service.shard import ShardedServer
 from repro.service.staleness import Mutation, ServedResponse, shrunk_stale_region
-from repro.storage.counters import AccessStats
+from repro.storage.counters import AccessDelta, AccessStats
 
 __all__ = [
     "ReplicaConfig",
@@ -359,13 +359,8 @@ class ReplicaSet:
                     if staleness > bound:
                         return "stale_skip", staleness
                     served_epoch = replica.server.epoch
-                    before_na = replica.server.node_accesses_by_phase()
-                    before_pf = replica.server.page_faults_by_phase()
-                    response = replica.server.answer(request)
-                    node_accesses = _delta(
-                        before_na, replica.server.node_accesses_by_phase())
-                    page_faults = _delta(
-                        before_pf, replica.server.page_faults_by_phase())
+                    with replica.server.io_stats.measure() as io:
+                        response = replica.server.answer(request)
             except Exception as exc:
                 if not is_transient(exc):
                     raise
@@ -377,13 +372,14 @@ class ReplicaSet:
             if span_ is not None:
                 span_.meta.update({
                     "staleness": staleness,
-                    "node_accesses": sum(node_accesses.values()),
+                    "node_accesses": io.total_node_accesses,
                 })
             region = None
             if backlog:
                 region = shrunk_stale_region(request, response, backlog,
                                              self.universe)
                 if region is None:
+                    self._discard_io(io)
                     return "unserveable", staleness
                 replica.stale_served += 1
                 self._count("stale_served")
@@ -397,7 +393,22 @@ class ReplicaSet:
                 # the answer is valid at the primary epoch it implies.
                 valid_for_epoch=served_epoch + staleness,
                 failovers=failovers,
-                node_accesses=node_accesses, page_faults=page_faults)
+                node_accesses=io.node_accesses,
+                page_faults=io.page_faults)
+
+    def _discard_io(self, io: AccessDelta) -> None:
+        """Charge the reads of an answer that was computed and then
+        dropped as stale-unserveable to the
+        ``service.replica.discarded_*{phase=}`` counters — never to a
+        served query, so per-query node accesses keep their meaning."""
+        if self._metrics is None:
+            return
+        for phase, count in io.node_accesses.items():
+            self._metrics.counter("service.replica.discarded_node_accesses",
+                                  labels={"phase": phase}).inc(count)
+        for phase, count in io.page_faults.items():
+            self._metrics.counter("service.replica.discarded_page_faults",
+                                  labels={"phase": phase}).inc(count)
 
     # ------------------------------------------------------------------
     # mutations: synchronous primary, lazily-draining replicas
@@ -674,12 +685,3 @@ class ReplicaSet:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def _delta(before: Dict[str, int], after: Dict[str, int]) -> Dict[str, int]:
-    out = {}
-    for phase, count in after.items():
-        diff = count - before.get(phase, 0)
-        if diff:
-            out[phase] = diff
-    return out

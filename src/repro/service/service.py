@@ -634,11 +634,15 @@ class QueryService:
         the answer is valid for.  The storage layer records disk-level
         spans itself through the active trace context.
 
-        A ``concurrent_safe`` server (the :class:`ReplicaSet`) manages
-        its own locking and measures its access deltas inside the
-        serving replica's critical section, so the service lock — which
-        would serialize the whole fleet — is skipped and the deltas are
-        read off the :class:`ServedResponse`.  A stale-served answer is
+        The deltas are measured on ``server.io_stats``: the disk itself
+        for a single-tree server, and for a sharded one the running
+        total its shards' per-query measurements are summed into — no
+        fleet-wide merge per query.  A ``concurrent_safe`` server (the
+        :class:`ReplicaSet`) manages its own locking and measures its
+        access deltas inside the serving replica's critical section, so
+        the service lock — which would serialize the whole fleet — is
+        skipped and the deltas are read off the
+        :class:`ServedResponse`.  A stale-served answer is
         valid for the *primary* epoch its shrink accounted for
         (``valid_for_epoch``), which is the epoch the cache admits under.
         """
@@ -654,13 +658,9 @@ class QueryService:
             return response, node_accesses, page_faults, valid_epoch
         with self._lock:
             epoch = self.server.epoch
-            before = self.server.node_accesses_by_phase()
-            before_pf = self.server.page_faults_by_phase()
-            response = self.server.answer(request)
-            after = self.server.node_accesses_by_phase()
-            after_pf = self.server.page_faults_by_phase()
-        return (response, _delta(before, after), _delta(before_pf, after_pf),
-                epoch)
+            with self.server.io_stats.measure() as io:
+                response = self.server.answer(request)
+        return response, io.node_accesses, io.page_faults, epoch
 
     def _fail(self, trace: QueryTrace, ctx: TraceContext, kind: str,
               exc: Exception) -> None:
@@ -905,15 +905,6 @@ class QueryService:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def _delta(before: Dict[str, int], after: Dict[str, int]) -> Dict[str, int]:
-    out = {}
-    for phase, count in after.items():
-        diff = count - before.get(phase, 0)
-        if diff:
-            out[phase] = diff
-    return out
 
 
 def build_service(points: Sequence, *,

@@ -266,6 +266,8 @@ class ShardedServer:
         self.epoch = 0
         #: ``(snapshot, epoch)`` once :meth:`dataset_columns` has run.
         self._columns = None
+        #: The fleet's running I/O total (see :attr:`io_stats`).
+        self._io = AccessStats()
         if max_workers is not None:
             warnings.warn(
                 "ShardedServer(max_workers=...) is deprecated; pass "
@@ -578,8 +580,8 @@ class ShardedServer:
         the live trace — shifted by the parent's elapsed time at
         submission, so process workers render like thread workers.
 
-        Returns ``(shard, response, node_accesses)`` triples exactly
-        like :meth:`_metered`.
+        Returns ``(shard, response, io)`` triples exactly like
+        :meth:`_metered`.
         """
         pool = self._ensure_proc_pool()
         ctx = current_trace()
@@ -606,16 +608,16 @@ class ShardedServer:
         for chunk, future in zip(chunks, futures):
             for job in decode_response(future.result(), self.universe):
                 shard = by_sid[job.sid]
-                stats = shard.server.io_stats
-                stats.node_accesses.update(job.node_accesses)
-                stats.page_faults.update(job.page_faults)
+                io = AccessStats()
+                io.node_accesses.update(job.node_accesses)
+                io.page_faults.update(job.page_faults)
+                shard.server.io_stats.merge(io)
                 if ctx is not None:
                     self._inject_spans(ctx, job.spans, shift_ms)
                 # The worker's counters merge back here — the one place
                 # process-backend shard work is visible to the registry.
-                self._meter_shard(shard.sid, sum(job.node_accesses.values()))
-                out.append((shard, job.response,
-                            sum(job.node_accesses.values())))
+                self._meter_shard(shard.sid, io.total_node_accesses)
+                out.append((shard, job.response, io))
         # Preserve the caller's job order (MINDIST order), not the
         # chunk interleave.
         rank = {job[0].sid: i for i, job in enumerate(jobs)}
@@ -639,17 +641,25 @@ class ShardedServer:
             new_ids[i] = span_.span_id
 
     def _metered(self, shard: Shard, fn):
-        """Run ``fn`` under a per-shard child span and report the node
-        accesses it cost the shard."""
+        """Run ``fn`` under a per-shard child span; returns ``(shard,
+        response, io)`` with ``io`` the per-phase accesses it cost the
+        shard's own disk."""
         with obs_span(f"shard_{shard.sid}",
                       meta={"sid": shard.sid}) as span_:
-            before = shard.server.io_stats.total_node_accesses
-            response = fn()
-            after = shard.server.io_stats.total_node_accesses
+            with shard.server.io_stats.measure() as io:
+                response = fn()
             if span_ is not None:
-                span_.meta["node_accesses"] = after - before
-        self._meter_shard(shard.sid, after - before)
-        return shard, response, after - before
+                span_.meta["node_accesses"] = io.total_node_accesses
+        self._meter_shard(shard.sid, io.total_node_accesses)
+        return shard, response, io
+
+    def _gather_io(self, queried) -> Dict[int, int]:
+        """Add each queried shard's measured I/O to the fleet's running
+        total — on the calling thread, so pool workers never share it —
+        and return the node accesses per shard."""
+        for _s, _r, io in queried:
+            self._io.merge(io)
+        return {s.sid: io.total_node_accesses for s, _r, io in queried}
 
     @staticmethod
     def _split_budget(budget: Optional[QueryBudget],
@@ -716,7 +726,7 @@ class ShardedServer:
         # the ordering is the same, sqrt waits until the safety radius).
         candidates = sorted(
             ((e.x - loc[0]) ** 2 + (e.y - loc[1]) ** 2, e.oid, e)
-            for _s, resp, _na in queried for e in resp.neighbors)
+            for _s, resp, _io in queried for e in resp.neighbors)
         top = candidates[:k]
         neighbors = [e for _d2, _oid, e in top]
 
@@ -732,13 +742,13 @@ class ShardedServer:
                         for s in pruned)
             rho = slack if rho is None else min(rho, slack)
 
-        components = [resp.region for _s, resp, _na in queried]
+        components = [resp.region for _s, resp, _io in queried]
         if rho is not None:
             components.append(ValidityDisk(loc, max(rho, 0.0)))
         region = (components[0] if len(components) == 1
                   else CompositeValidityRegion(components))
 
-        shard_details = [(s.sid, resp.detail) for s, resp, _na in queried]
+        shard_details = [(s.sid, resp.detail) for s, resp, _io in queried]
         detail = ShardedKNNDetail(
             query=loc,
             k=k,
@@ -747,7 +757,7 @@ class ShardedServer:
             shards_total=len(live),
             shards_queried=len(queried),
             shards_pruned=len(pruned),
-            per_shard_node_accesses={s.sid: na for s, _r, na in queried},
+            per_shard_node_accesses=self._gather_io(queried),
             shard_details=shard_details,
             num_tp_queries=sum(
                 getattr(d, "num_tp_queries", 0) for _sid, d in shard_details),
@@ -789,7 +799,7 @@ class ShardedServer:
             ])
 
         rect = self.universe
-        for _s, resp, _na in queried:
+        for _s, resp, _io in queried:
             overlap = rect.intersection(resp.region.rect)
             if overlap is None:  # numerically disjoint: collapse to f
                 overlap = Rect(f[0], f[1], f[0], f[1])
@@ -803,9 +813,9 @@ class ShardedServer:
                 rect = _cut_away(rect, hull, f)
                 cuts += 1
 
-        result = sorted((e for _s, resp, _na in queried
+        result = sorted((e for _s, resp, _io in queried
                          for e in resp.result), key=lambda e: e.oid)
-        shard_details = [(s.sid, resp.detail) for s, resp, _na in queried]
+        shard_details = [(s.sid, resp.detail) for s, resp, _io in queried]
         detail = ShardedWindowDetail(
             focus=f,
             window=Rect(f[0] - hw, f[1] - hh, f[0] + hw, f[1] + hh),
@@ -815,7 +825,7 @@ class ShardedServer:
             shards_queried=len(queried),
             shards_pruned=len(others),
             shards_cut=cuts,
-            per_shard_node_accesses={s.sid: na for s, _r, na in queried},
+            per_shard_node_accesses=self._gather_io(queried),
             shard_details=shard_details,
             degraded=any(
                 getattr(d, "degraded", False) for _sid, d in shard_details),
@@ -854,7 +864,7 @@ class ShardedServer:
             ])
 
         validity_radius = math.inf
-        for _s, resp, _na in queried:
+        for _s, resp, _io in queried:
             validity_radius = min(validity_radius,
                                   resp.detail.validity_radius)
         for s in pruned:
@@ -863,9 +873,9 @@ class ShardedServer:
                 math.sqrt(s.data_mbr.mindist_sq(loc)) - radius)
         validity_radius = max(validity_radius, 0.0)
 
-        result = sorted((e for _s, resp, _na in queried
+        result = sorted((e for _s, resp, _io in queried
                          for e in resp.result), key=lambda e: e.oid)
-        shard_details = [(s.sid, resp.detail) for s, resp, _na in queried]
+        shard_details = [(s.sid, resp.detail) for s, resp, _io in queried]
         detail = ShardedRangeDetail(
             focus=loc,
             radius=radius,
@@ -874,7 +884,7 @@ class ShardedServer:
             shards_total=len(live),
             shards_queried=len(queried),
             shards_pruned=len(pruned),
-            per_shard_node_accesses={s.sid: na for s, _r, na in queried},
+            per_shard_node_accesses=self._gather_io(queried),
             shard_details=shard_details,
             degraded=any(
                 getattr(d, "degraded", False) for _sid, d in shard_details),
@@ -892,15 +902,21 @@ class ShardedServer:
     # ------------------------------------------------------------------
     @property
     def io_stats(self) -> AccessStats:
-        """A merged *snapshot* of every shard's counters (fresh object)."""
-        merged = AccessStats()
-        for s in self.shards:
-            merged.merge(s.server.io_stats)
-        return merged
+        """The fleet's running I/O total, live like a single disk's.
+
+        Every query measures each shard it reads on that shard's own
+        disk and adds the results here on the calling thread, so a
+        caller measures one query's fleet-wide cost with
+        :meth:`AccessStats.measure` instead of merging every shard's
+        counters.  It equals the sum of the shards' own counters as long
+        as shards are queried only through this server.
+        """
+        return self._io
 
     def reset_io_stats(self) -> None:
         for s in self.shards:
             s.server.reset_io_stats()
+        self._io.reset()
 
     @property
     def num_points(self) -> int:

@@ -55,12 +55,62 @@ class AccessStats:
         self.node_accesses.clear()
         self.page_faults.clear()
 
-    def merge(self, other: "AccessStats") -> None:
-        """Accumulate another run's counts into this one."""
+    def merge(self, other) -> None:
+        """Accumulate another run's counts (an :class:`AccessStats` or an
+        :class:`AccessDelta`) into this one."""
         self.node_accesses.update(other.node_accesses)
         self.page_faults.update(other.page_faults)
+
+    def measure(self) -> "AccessDelta":
+        """Measure what these counters record inside a ``with`` block.
+
+        ``with stats.measure() as io:`` yields an :class:`AccessDelta`
+        that holds, once the block exits (normally or by an exception),
+        the per-phase node accesses and page faults recorded here
+        meanwhile.  This is how one query's I/O is charged at the disk
+        that served it: the caller measures only the counters of the
+        disk it queried, never a merged view of a fleet.
+        """
+        return AccessDelta(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"AccessStats(NA={self.total_node_accesses}, "
                 f"PA={self.total_page_faults}, "
                 f"phases={sorted(self.node_accesses)})")
+
+
+class AccessDelta:
+    """The accesses an :class:`AccessStats` recorded during a ``with``
+    block (see :meth:`AccessStats.measure`).
+
+    ``node_accesses`` / ``page_faults`` are plain per-phase dicts, empty
+    until the block exits and without zero phases after; like an
+    :class:`AccessStats` it can be merged into another one.
+    """
+
+    __slots__ = ("_stats", "_na0", "_pf0", "node_accesses", "page_faults")
+
+    def __init__(self, stats: AccessStats) -> None:
+        self._stats = stats
+        self.node_accesses: Dict[str, int] = {}
+        self.page_faults: Dict[str, int] = {}
+
+    def __enter__(self) -> "AccessDelta":
+        self._na0 = dict(self._stats.node_accesses)
+        self._pf0 = dict(self._stats.page_faults)
+        return self
+
+    def __exit__(self, *exc_info) -> bool:
+        self.node_accesses = _gained(self._stats.node_accesses, self._na0)
+        self.page_faults = _gained(self._stats.page_faults, self._pf0)
+        return False
+
+    @property
+    def total_node_accesses(self) -> int:
+        return sum(self.node_accesses.values())
+
+
+def _gained(now: Dict[str, int], before: Dict[str, int]) -> Dict[str, int]:
+    return {phase: count - before.get(phase, 0)
+            for phase, count in now.items()
+            if count != before.get(phase, 0)}

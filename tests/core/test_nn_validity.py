@@ -229,6 +229,34 @@ class TestEdgeCases:
         assert region.transfer_bytes() > 0
 
 
+class TestTies:
+    """q equidistant from a result object and a non-result one."""
+
+    #: q = (0.925, 0.365) lies on the bisector of objects 5 and 7: their
+    #: squared distances from q differ by 2e-17.
+    POINTS = [(0.005, 0.005), (0.005, 0.01), (0.005, 0.015), (0.005, 0.44),
+              (0.01, 0.005), (0.715, 0.31), (0.73, 0.32), (0.79, 0.535)]
+
+    def test_tied_query_ships_the_zero_radius_safe_disk(self):
+        from repro import KNNRequest, LocationServer
+
+        server = LocationServer.from_points(self.POINTS, universe=UNIT)
+        server.reset_io_stats()
+        response = server.answer(KNNRequest((0.925, 0.365), k=2))
+        assert {e.oid for e in response.result} == {6, 7}
+        assert response.detail.degraded
+        assert response.detail.safe_radius == 0.0
+        assert response.region.contains((0.925, 0.365))
+        # Probes toward two vertices once met the known pair (5, 7) at a
+        # spurious time and confirmed them, so the region held p, where
+        # the 2-NN is {7, 5}.
+        p = (0.5457230392156862, 0.5049999999999999)
+        assert brute_knn_set(self.POINTS, p, 2) == {5, 7}
+        assert not response.region.contains(p)
+        # The tie costs no extra (k+1)-NN probe.
+        assert "degraded" not in server.io_stats.node_accesses
+
+
 class TestPhaseAccounting:
     def test_phases_split_nn_and_tpnn(self, small_tree):
         small_tree.disk.reset_stats()

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.core.api import KNNRequest, RangeRequest, WindowRequest
 from repro.core.server import LocationServer
@@ -97,9 +97,19 @@ def _knn_at(fresh, p, k):
 # ----------------------------------------------------------------------
 # the containment property, per query type
 # ----------------------------------------------------------------------
+#: q = (0.925, 0.365) is tied between result 7 and non-result 5 (their
+#: squared distances differ by 2e-17); the region once held a point
+#: whose 2-NN is {5, 7} (see tests/core/test_nn_validity.py).
+_TIED_WORLD = ({i: xy for i, xy in enumerate([
+    (0.005, 0.005), (0.005, 0.01), (0.005, 0.015), (0.005, 0.44),
+    (0.01, 0.005), (0.715, 0.31), (0.73, 0.32), (0.79, 0.535)])},
+    [Mutation("delete", 3, 0.005, 0.44)])
+
+
 @settings(max_examples=60, deadline=None)
 @given(world=stale_worlds(), qx=_coord(), qy=_coord(),
        k=st.integers(1, 4))
+@example(world=_TIED_WORLD, qx=0.925, qy=0.365, k=2)
 def test_stale_knn_region_contained_in_fresh_oracle(world, qx, qy, k):
     stale, pending = world
     server = LocationServer.from_points(
