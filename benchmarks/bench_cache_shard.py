@@ -71,7 +71,7 @@ def _drive(shards: int, cache_capacity: int, points,
         cache=(CacheConfig(capacity=cache_capacity)
                if cache_capacity > 0 else None),
         # single dispatch thread keeps the timing stable and comparable
-        execution=ExecutionConfig(backend="thread", workers=1),
+        execution=ExecutionConfig(workers=1),
     )
     start = time.perf_counter()
     queries = 0

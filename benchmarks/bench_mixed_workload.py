@@ -94,7 +94,7 @@ def _drive(shards: int, cache_capacity: int, points,
         cache=(CacheConfig(capacity=cache_capacity)
                if cache_capacity > 0 else None),
         # single dispatch thread keeps the timing stable and comparable
-        execution=ExecutionConfig(backend="thread", workers=1),
+        execution=ExecutionConfig(workers=1),
     )
     try:
         start = time.perf_counter()

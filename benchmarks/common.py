@@ -253,7 +253,7 @@ def bench_record_path(name: str, prefix: str = "obs") -> str:
     working directory, which is where CI collects ``BENCH_<prefix>_*.json``
     artifacts from).  ``prefix`` namespaces independent trails: "obs"
     for the observability benches, "kernel" for the execution-config
-    (kernel x backend) matrix, "fleet" for the replicated-serving
+    kernel matrix, "fleet" for the replicated-serving
     chaos/overload gate.
     """
     out_dir = os.environ.get("REPRO_BENCH_DIR", ".")

@@ -38,7 +38,7 @@ from repro.datasets import (
 )
 from repro.geometry import Rect
 from repro.index import bulk_load_str
-from repro.kernel import BACKENDS, KERNELS, ExecutionConfig
+from repro.kernel import KERNELS, ExecutionConfig
 from repro.mobility import random_waypoint, simulate_knn_protocols
 from repro.service import ClientFleet, FleetConfig, QueryService
 from repro.storage.serialize import load_tree, save_tree
@@ -144,14 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "(0 disables it)")
     p_svc.add_argument("--cache-grid", type=int, default=16,
                        help="resolution of the cache's region-MBR grid")
-    p_svc.add_argument("--backend", choices=BACKENDS, default="thread",
-                       help="shard fan-out backend (process keeps "
-                            "pre-loaded per-shard trees in pool workers)")
     p_svc.add_argument("--kernel", choices=KERNELS, default="auto",
                        help="geometry kernel: scalar (paper-faithful "
-                            "tree probing), soa (stdlib columnar), numpy "
-                            "(vectorized columnar), auto (numpy if "
-                            "available, else soa)")
+                            "tree probing), numpy (vectorized columnar), "
+                            "auto (an alias of numpy)")
     p_svc.add_argument("--fault-rate", type=float, default=0.0,
                        help="inject seeded page-read failures at this rate")
     p_svc.add_argument("--fault-latency-ms", type=float, default=0.0,
@@ -413,7 +409,7 @@ def _cmd_service(args) -> int:
         shards=args.shards,
         replicas=args.replicas,
         replica=replica,
-        execution=ExecutionConfig(backend=args.backend, kernel=args.kernel),
+        execution=ExecutionConfig(kernel=args.kernel),
         cache=cache,
         buffer_fraction=args.buffer_fraction,
         resilience=resilience,

@@ -296,8 +296,8 @@ class QuerySemantics:
     * ``execute`` / ``shard_execute`` — answer the request against a
       single-tree or sharded server (the default ``shard_execute``
       falls back to centralized ``execute`` over the merged dataset,
-      so a new type works on both backends without a scatter-gather
-      merge rule);
+      so a new type works on both server shapes without a
+      scatter-gather merge rule);
     * ``location`` / ``cache_key`` / ``serve_cached`` /
       ``cache_survives`` — :class:`~repro.service.cache.ValidityCache`
       addressing, admissibility and surgical mutation survival;
@@ -329,8 +329,8 @@ class QuerySemantics:
         """Answer against a :class:`~repro.service.shard.ShardedServer`.
 
         The default runs the centralized :meth:`execute` over the
-        sharded server's merged dataset snapshot — correct (if not
-        scatter-gathered) on both thread and process backends.
+        sharded server's merged dataset snapshot — correct, if not
+        scatter-gathered.
         """
         return self.execute(server, request)
 

@@ -11,8 +11,8 @@ accepts any typed request from :mod:`repro.core.api`.
 
 The geometry kernel is pluggable (``kernel=``): the default scalar
 kernel runs the paper's per-object tree algorithms and charges
-simulated node accesses; the columnar kernels of :mod:`repro.kernel`
-batch-evaluate kNN and TPNN influence times over a struct-of-arrays
+simulated node accesses; the columnar numpy kernel of :mod:`repro.kernel`
+batch-evaluates kNN and TPNN influence times over a struct-of-arrays
 snapshot of the dataset (:meth:`LocationServer.dataset_columns`, cached
 per epoch) for raw CPU throughput.
 """

@@ -3,38 +3,30 @@
 ``repro.kernel`` turns the paper's per-object hot paths into batch
 evaluation over struct-of-arrays candidate sets, and defines
 :class:`~repro.kernel.config.ExecutionConfig` — the one typed knob that
-selects the shard fan-out backend (thread vs process) and the geometry
-kernel (scalar vs SoA vs numpy) everywhere queries run.
+selects the geometry kernel (scalar vs numpy) everywhere queries run
+and the width of the shard fan-out pool.
 """
 
 from repro.kernel.config import (
-    BACKENDS,
-    DISABLE_NUMPY_ENV,
     KERNELS,
     ExecutionConfig,
-    numpy_enabled,
     resolve_kernel_name,
 )
 from repro.kernel.columns import PointColumns
 from repro.kernel.backends import (
     NumpyKernel,
     ScalarKernel,
-    SoAKernel,
     available_kernels,
     get_kernel,
 )
 
 __all__ = [
-    "BACKENDS",
-    "DISABLE_NUMPY_ENV",
     "KERNELS",
     "ExecutionConfig",
     "PointColumns",
     "ScalarKernel",
-    "SoAKernel",
     "NumpyKernel",
     "available_kernels",
     "get_kernel",
-    "numpy_enabled",
     "resolve_kernel_name",
 ]

@@ -50,8 +50,7 @@ class PointColumns:
     def as_numpy(self):
         """``(xs, ys, oids)`` as numpy arrays sharing the column buffers.
 
-        Cached after the first call; raises ``ImportError`` when numpy
-        is unavailable (callers gate on the kernel's availability).
+        Cached after the first call.
         """
         if self._np is None:
             import numpy as np

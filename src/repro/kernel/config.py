@@ -1,111 +1,57 @@
-"""Execution strategy selection: one typed knob for backend + kernel.
+"""Execution strategy selection: one typed knob for kernel + pool width.
 
 :class:`ExecutionConfig` is the single place callers pick *how* queries
-execute — which shard fan-out backend carries the scatter-gather
-(``thread`` or ``process``) and which geometry kernel evaluates the
-candidate sets (``scalar``, ``soa``, ``numpy``, or ``auto``).  It is
-accepted by :func:`repro.service.service.build_service`,
-:class:`repro.service.shard.ShardedServer`, and the CLI
-(``--backend`` / ``--kernel``), replacing the ad-hoc ``max_workers``
-kwargs that used to thread through the service/shard layers.
-
-Kernel resolution is dynamic: ``auto`` picks the numpy kernel when
-numpy imports (and ``REPRO_KERNEL_DISABLE_NUMPY`` is unset) and falls
-back to the pure-stdlib SoA kernel otherwise, so the same configuration
-runs unchanged on machines without numpy.
+execute — which geometry kernel evaluates the candidate sets
+(``scalar``, ``numpy``, or ``auto``) and how wide the shard fan-out
+thread pool is.  It is accepted by
+:func:`repro.service.service.build_service`,
+:class:`repro.service.shard.ShardedServer`, and the CLI (``--kernel``).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
 __all__ = [
-    "BACKENDS",
     "KERNELS",
     "ExecutionConfig",
-    "numpy_enabled",
     "resolve_kernel_name",
 ]
 
-#: Shard fan-out backends: ``thread`` (the GIL-bound latency-overlap
-#: pool) and ``process`` (true CPU parallelism over pre-loaded workers).
-BACKENDS = ("thread", "process")
-
 #: Geometry kernels: ``scalar`` is the paper's one-object-at-a-time
-#: R*-tree path, ``soa``/``numpy`` are the columnar batch kernels,
-#: ``auto`` resolves to the fastest available columnar kernel.
-KERNELS = ("auto", "scalar", "soa", "numpy")
-
-#: Set (to anything but ``0``) to pretend numpy is not installed —
-#: exercises the stdlib fallback path in CI.
-DISABLE_NUMPY_ENV = "REPRO_KERNEL_DISABLE_NUMPY"
-
-
-def numpy_enabled() -> bool:
-    """Whether the numpy kernel may be used *right now*.
-
-    Checked dynamically (not cached at import) so tests and CI jobs can
-    flip :data:`DISABLE_NUMPY_ENV` per run.
-    """
-    if os.environ.get(DISABLE_NUMPY_ENV, "") not in ("", "0"):
-        return False
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
+#: R*-tree path, ``numpy`` the columnar batch kernel, and ``auto`` an
+#: alias of ``numpy``.
+KERNELS = ("auto", "scalar", "numpy")
 
 
 def resolve_kernel_name(name: str) -> str:
-    """Resolve a kernel request to a concrete kernel name.
-
-    ``auto`` becomes ``numpy`` when available, else ``soa``; asking for
-    ``numpy`` explicitly when it cannot be used raises.
-    """
+    """Resolve a kernel request to a concrete kernel name (``auto``
+    becomes ``numpy``)."""
     if name not in KERNELS:
         raise ValueError(
             f"unknown kernel {name!r}; expected one of {KERNELS}")
-    if name == "auto":
-        return "numpy" if numpy_enabled() else "soa"
-    if name == "numpy" and not numpy_enabled():
-        raise RuntimeError(
-            "numpy kernel requested but numpy is unavailable "
-            f"(or disabled via {DISABLE_NUMPY_ENV}); use kernel='auto' "
-            "to fall back to the stdlib SoA kernel")
-    return name
+    return "numpy" if name == "auto" else name
 
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """How queries execute: fan-out backend, geometry kernel, pool width.
+    """How queries execute: geometry kernel and shard pool width.
 
-    * ``backend`` — ``"thread"`` overlaps per-shard latency on a
-      :class:`~concurrent.futures.ThreadPoolExecutor`; ``"process"``
-      scatters struct-packed request frames to a pool of worker
-      processes that each hold pre-deserialized copies of every shard's
-      R*-tree (real CPU parallelism, at an IPC cost per query).  With a
-      single-tree server (``shards=1``) the backend is moot and
-      ``process`` is treated as ``thread``.
     * ``kernel`` — the geometry kernel of :mod:`repro.kernel.backends`;
-      see :data:`KERNELS`.  Columnar kernels answer kNN/TPNN from an
+      see :data:`KERNELS`.  The columnar kernel answers kNN/TPNN from an
       in-memory struct-of-arrays snapshot with **zero simulated node
       accesses**, so the paper's I/O accounting (and node-access
       budgets) only meter the ``scalar`` kernel — the default.
-    * ``workers`` — pool width; ``None`` sizes it to
-      ``min(num_shards, cpu_count)``.
+    * ``workers`` — width of the thread pool a sharded server scatters
+      shard jobs over; ``None`` sizes it to ``min(num_shards,
+      cpu_count)``.
     """
 
-    backend: str = "thread"
     kernel: str = "scalar"
     workers: Optional[int] = None
 
     def __post_init__(self):
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; "
-                f"expected one of {BACKENDS}")
         if self.kernel not in KERNELS:
             raise ValueError(
                 f"unknown kernel {self.kernel!r}; "

@@ -50,8 +50,8 @@ def collapse_trace(trace, normalize: bool = True
     The root frame is the trace's query kind; span stacks follow
     parent links (flat legacy spans hang off the root).  A span's self
     time is its duration minus its direct children's durations,
-    clamped at zero (children overlapping their parent's end, as
-    process-backend wire spans can, never go negative).  Trace time
+    clamped at zero (children overlapping their parent's end never
+    drive it negative).  Trace time
     not covered by any root span is charged to the root frame itself.
     """
     spans = list(trace.spans)

@@ -50,7 +50,6 @@ import itertools
 import random
 import threading
 import time
-import warnings
 from concurrent.futures import Executor
 from dataclasses import dataclass, replace
 from time import perf_counter
@@ -764,7 +763,7 @@ class QueryService:
             m.counter("service.page_faults",
                       labels={"phase": phase}).inc(count)
         # Per-shard breakdowns are metered by the sharded server itself
-        # (bind_metrics), with shard/backend labels; the service only
+        # (bind_metrics), with shard labels; the service only
         # records the fan-out shape here.
         fanout = getattr(detail, "per_shard_node_accesses", None)
         if fanout is not None:
@@ -924,10 +923,7 @@ def build_service(points: Sequence, *,
                   continuous: Optional[ContinuousConfig] = None,
                   slo: Optional[SLOEngine] = None,
                   tail: Optional[TailSamplingConfig] = None,
-                  profile=False,
-                  cache_capacity: Optional[int] = None,
-                  cache_grid: Optional[int] = None,
-                  max_workers: Optional[int] = None) -> QueryService:
+                  profile=False) -> QueryService:
     """Assemble the full serving stack over raw ``(x, y)`` data.
 
     The one-stop entry point of the public API (see docs/API.md):
@@ -944,11 +940,8 @@ def build_service(points: Sequence, *,
       composes with sharding: each replica is its own ``shards``-way
       fleet.
     * ``execution`` — an :class:`~repro.kernel.ExecutionConfig` —
-      selects the geometry kernel (``scalar`` / ``soa`` / ``numpy`` /
-      ``auto``) and, for sharded servers, the fan-out backend
-      (``thread`` or ``process``) and worker count.  A ``process``
-      backend over a single-tree server is a documented no-op: the
-      paper's server owns one simulated disk and runs serially.
+      selects the geometry kernel (``scalar`` / ``numpy`` / ``auto``)
+      and, for sharded servers, the width of the fan-out thread pool.
     * ``cache`` — a :class:`~repro.service.cache.CacheConfig` — attaches
       a server-side :class:`~repro.service.cache.ValidityCache`; None
       disables it.
@@ -972,42 +965,11 @@ def build_service(points: Sequence, *,
     Everything else is threaded through unchanged (index node
     ``capacity`` and ``fill``, LRU ``buffer_fraction`` per disk,
     metrics registry, trace-ring size).
-
-    ``cache_capacity`` / ``cache_grid`` / ``max_workers`` are the
-    pre-1.3 spellings, deprecated in favour of ``cache=CacheConfig(...)``
-    and ``execution=ExecutionConfig(workers=...)`` (removal planned for
-    v2.0).
     """
     if shards < 1:
         raise ValueError("shards must be positive")
     if replicas < 1:
         raise ValueError("replicas must be positive")
-    if cache_capacity is not None or cache_grid is not None:
-        if cache is not None:
-            raise TypeError(
-                "pass either cache=CacheConfig(...) or the legacy "
-                "cache_capacity/cache_grid, not both")
-        warnings.warn(
-            "cache_capacity/cache_grid are deprecated; pass "
-            "cache=CacheConfig(capacity=..., grid=...) instead "
-            "(removal planned for v2.0)",
-            DeprecationWarning, stacklevel=2)
-        if cache_capacity is not None and cache_capacity < 0:
-            raise ValueError("cache_capacity must be non-negative")
-        if cache_capacity:
-            cache = CacheConfig(capacity=cache_capacity,
-                                grid=cache_grid if cache_grid else 16)
-    if max_workers is not None:
-        if execution is not None:
-            raise TypeError(
-                "pass either execution=ExecutionConfig(...) or the "
-                "legacy max_workers, not both")
-        warnings.warn(
-            "max_workers is deprecated; pass "
-            "execution=ExecutionConfig(workers=...) instead "
-            "(removal planned for v2.0)",
-            DeprecationWarning, stacklevel=2)
-        execution = ExecutionConfig(workers=max_workers)
     if replicas > 1 or replica is not None:
         server = ReplicaSet.from_points(
             points, replicas=replicas, shards=shards, universe=universe,

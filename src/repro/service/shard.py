@@ -48,15 +48,10 @@ cache, tracing, metrics, resilience — composes with it unchanged.
 
 from __future__ import annotations
 
-import atexit
-import functools
 import math
-import multiprocessing
 import os
 import threading
-import warnings
-import weakref
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -86,10 +81,7 @@ from repro.kernel import ExecutionConfig, PointColumns
 from repro.kernel.backends import get_kernel
 from repro.obs.context import attach, current_trace, emit_event
 from repro.obs.context import span as obs_span
-from repro.service.framing import RequestFrame, decode_response, encode_request
-from repro.service.procpool import worker_init, worker_run
 from repro.storage.counters import AccessStats
-from repro.storage.serialize import tree_to_bytes
 
 __all__ = [
     "ShardedServer",
@@ -209,14 +201,6 @@ class ShardedRangeDetail(QueryDetail):
         return _merged_influence(self.shard_details)
 
 
-def _close_at_exit(server_ref: "weakref.ref") -> None:
-    """The atexit hook shutting down a leaked process pool (weakly
-    bound: a server that was garbage-collected needs no cleanup)."""
-    server = server_ref()
-    if server is not None:
-        server.close()
-
-
 def _cut_away(rect: Rect, box: Rect, p) -> Rect:
     """The largest sub-rectangle of ``rect`` containing ``p`` but not
     overlapping ``box``'s span on one axis.
@@ -253,7 +237,6 @@ class ShardedServer:
 
     def __init__(self, shards: Sequence[Shard], universe: Rect,
                  grid: int, capacity: Optional[int] = None,
-                 max_workers: Optional[int] = None,
                  execution: Optional[ExecutionConfig] = None,
                  buffer_fraction: float = 0.0):
         self.universe = universe
@@ -268,17 +251,6 @@ class ShardedServer:
         self._columns = None
         #: The fleet's running I/O total (see :attr:`io_stats`).
         self._io = AccessStats()
-        if max_workers is not None:
-            warnings.warn(
-                "ShardedServer(max_workers=...) is deprecated; pass "
-                "execution=ExecutionConfig(workers=...) instead "
-                "(removal planned for v2.0)",
-                DeprecationWarning, stacklevel=2)
-            if execution is not None:
-                raise TypeError(
-                    "pass either execution= or the deprecated "
-                    "max_workers=, not both")
-            execution = ExecutionConfig(workers=int(max_workers))
         self.execution = (execution if execution is not None
                           else ExecutionConfig())
         self._kernel = get_kernel(self.execution.resolved_kernel())
@@ -286,6 +258,7 @@ class ShardedServer:
             # An explicit config owns kernel selection for every shard.
             for s in self._by_cell.values():
                 s.server.use_kernel(self._kernel)
+        #: LRU buffer share of shards that :meth:`insert_object` creates.
         self._buffer_fraction = float(buffer_fraction)
         workers = self.execution.workers
         if workers is None:
@@ -294,20 +267,16 @@ class ShardedServer:
         self._max_workers = max(1, int(workers))
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
-        self._proc_pool: Optional[ProcessPoolExecutor] = None
-        self._proc_epoch = -1
-        self._atexit_cb = None
-        #: Set by bind_metrics: per-shard work is metered with
-        #: shard/backend (and any extra, e.g. replica) labels.
+        #: Set by bind_metrics: per-shard work is metered with a shard
+        #: label (and any extra, e.g. replica, labels).
         self._metrics = None
         self._metric_labels: Dict[str, str] = {}
 
     def bind_metrics(self, registry, extra_labels=None) -> None:
         """Report per-shard counters into ``registry`` with labels.
 
-        Every shard job — thread-pool or process-pool — increments
-        ``service.shard.queries{shard=,backend=}`` and adds its node
-        accesses to ``service.shard.node_accesses{...}``.
+        Every shard job increments ``service.shard.queries{shard=}`` and
+        adds its node accesses to ``service.shard.node_accesses{shard=}``.
         ``extra_labels`` ride along on every series (a fronting
         :class:`~repro.service.replica.ReplicaSet` adds ``replica``).
         """
@@ -317,8 +286,7 @@ class ShardedServer:
     def _meter_shard(self, sid: int, node_accesses: int) -> None:
         if self._metrics is None:
             return
-        labels = dict(self._metric_labels,
-                      shard=str(sid), backend=self.execution.backend)
+        labels = dict(self._metric_labels, shard=str(sid))
         self._metrics.counter("service.shard.queries", labels=labels).inc()
         if node_accesses:
             self._metrics.counter("service.shard.node_accesses",
@@ -332,15 +300,14 @@ class ShardedServer:
                     universe: Optional[Rect] = None,
                     capacity: Optional[int] = None, fill: float = 0.7,
                     buffer_fraction: float = 0.0,
-                    max_workers: Optional[int] = None,
                     execution: Optional[ExecutionConfig] = None
                     ) -> "ShardedServer":
         """Partition ``(x, y)`` data into a ``grid``×``grid`` fleet.
 
         Object ids are the sequence positions (matching
         :meth:`LocationServer.from_points`), preserved globally across
-        shards.  ``execution`` selects the scatter backend and the
-        geometry kernel every shard server runs.
+        shards.  ``execution`` selects the geometry kernel every shard
+        server runs and the width of the scatter pool.
         """
         if grid < 1:
             raise ValueError("grid must be positive")
@@ -367,8 +334,7 @@ class ShardedServer:
                 server=LocationServer(tree, universe),
             ))
         return cls(shards, universe, grid, capacity=capacity,
-                   max_workers=max_workers, execution=execution,
-                   buffer_fraction=buffer_fraction)
+                   execution=execution, buffer_fraction=buffer_fraction)
 
     # ------------------------------------------------------------------
     # topology
@@ -385,26 +351,16 @@ class ShardedServer:
         return [s for s in self.shards if s.num_points > 0]
 
     def close(self) -> None:
-        """Shut down the scatter-gather worker pools.
+        """Shut down the scatter-gather thread pool.
 
         Idempotent: closing twice (or closing a server that never built
-        a pool) is a no-op.  A process-backend server also registers an
-        ``atexit`` hook when its pool is first built, so fork workers
-        are reaped at interpreter exit even if the owner forgets to
-        close — the hook holds only a weak reference and unregisters
-        itself here, so a closed server is collectable.
+        a pool) is a no-op, and a closed server rebuilds the pool on its
+        next fanned-out query.
         """
         with self._pool_lock:
             if self._pool is not None:
                 self._pool.shutdown(wait=True)
                 self._pool = None
-            if self._proc_pool is not None:
-                self._proc_pool.shutdown(wait=True)
-                self._proc_pool = None
-                self._proc_epoch = -1
-            if self._atexit_cb is not None:
-                atexit.unregister(self._atexit_cb)
-                self._atexit_cb = None
 
     def __enter__(self) -> "ShardedServer":
         return self
@@ -421,6 +377,8 @@ class ShardedServer:
         shard = self._by_cell.get(cell)
         if shard is None:
             tree = RStarTree(capacity=self._capacity)
+            if self._buffer_fraction > 0.0:
+                tree.attach_lru_buffer(self._buffer_fraction)
             sid = 1 + max((s.sid for s in self._by_cell.values()),
                           default=-1)
             shard = Shard(
@@ -527,119 +485,6 @@ class ShardedServer:
         return [f.result() for f in [pool.submit(handoff(job))
                                      for job in jobs]]
 
-    # ------------------------------------------------------------------
-    # process-pool scatter
-    # ------------------------------------------------------------------
-    def _ensure_proc_pool(self) -> ProcessPoolExecutor:
-        """The lazily-built process pool, rebuilt after data updates.
-
-        Workers load every shard's pre-serialized R*-tree exactly once
-        at initialization (``tree_to_bytes`` images through the pool
-        initializer); an epoch bump invalidates the pool, so the next
-        query ships fresh snapshots.
-        """
-        with self._pool_lock:
-            if (self._proc_pool is not None
-                    and self._proc_epoch != self.epoch):
-                self._proc_pool.shutdown(wait=True)
-                self._proc_pool = None
-            if self._proc_pool is None:
-                blobs = {s.sid: tree_to_bytes(s.server.tree)
-                         for s in self._live()}
-                universe = (self.universe.xmin, self.universe.ymin,
-                            self.universe.xmax, self.universe.ymax)
-                try:
-                    mp_ctx = multiprocessing.get_context("fork")
-                except ValueError:  # pragma: no cover - non-POSIX hosts
-                    mp_ctx = multiprocessing.get_context()
-                self._proc_pool = ProcessPoolExecutor(
-                    max_workers=self._max_workers,
-                    mp_context=mp_ctx,
-                    initializer=worker_init,
-                    initargs=(blobs, universe, self._kernel.name,
-                              self._buffer_fraction))
-                self._proc_epoch = self.epoch
-                if self._atexit_cb is None:
-                    # Reap fork workers at interpreter exit; weakly bound
-                    # so the hook never keeps a dropped server alive.
-                    self._atexit_cb = functools.partial(
-                        _close_at_exit, weakref.ref(self))
-                    atexit.register(self._atexit_cb)
-            return self._proc_pool
-
-    def _scatter_process(self, kind: str, params: Tuple,
-                         jobs: List[Tuple[Shard, Tuple]],
-                         budget: Optional[QueryBudget]):
-        """Scatter shard jobs over the process pool.
-
-        Jobs are chunked into one request frame per worker (MINDIST
-        order is preserved); every decoded job result is folded back
-        into the parent's world: the response objects are rebuilt from
-        the frame, the per-phase I/O deltas are merged into the shard's
-        own counters, and the worker's span tree is re-injected into
-        the live trace — shifted by the parent's elapsed time at
-        submission, so process workers render like thread workers.
-
-        Returns ``(shard, response, io)`` triples exactly like
-        :meth:`_metered`.
-        """
-        pool = self._ensure_proc_pool()
-        ctx = current_trace()
-        trace_id = ctx.trace_id if ctx is not None else None
-        deadline = budget.deadline_ms if budget is not None else None
-        max_na = budget.max_node_accesses if budget is not None else None
-        chunks = [jobs[i::self._max_workers]
-                  for i in range(min(self._max_workers, len(jobs)))]
-        chunks = [c for c in chunks if c]
-        shift_ms = ctx.elapsed_ms() if ctx is not None else 0.0
-        futures = []
-        for chunk in chunks:
-            frame = RequestFrame(
-                kind=kind,
-                params=params,
-                jobs=[job for _shard, job in chunk],
-                deadline_ms=deadline,
-                max_node_accesses=max_na,
-                trace_id=trace_id,
-            )
-            futures.append(pool.submit(worker_run, encode_request(frame)))
-        by_sid = {s.sid: s for s in self._live()}
-        out = []
-        for chunk, future in zip(chunks, futures):
-            for job in decode_response(future.result(), self.universe):
-                shard = by_sid[job.sid]
-                io = AccessStats()
-                io.node_accesses.update(job.node_accesses)
-                io.page_faults.update(job.page_faults)
-                shard.server.io_stats.merge(io)
-                if ctx is not None:
-                    self._inject_spans(ctx, job.spans, shift_ms)
-                # The worker's counters merge back here — the one place
-                # process-backend shard work is visible to the registry.
-                self._meter_shard(shard.sid, io.total_node_accesses)
-                out.append((shard, job.response, io))
-        # Preserve the caller's job order (MINDIST order), not the
-        # chunk interleave.
-        rank = {job[0].sid: i for i, job in enumerate(jobs)}
-        out.sort(key=lambda item: rank[item[0].sid])
-        return out
-
-    @staticmethod
-    def _inject_spans(ctx, spans, shift_ms: float) -> None:
-        """Replay a worker's span tree under the active trace context.
-
-        Span ids are process-local, so parent links arrive as indices
-        and are remapped to the fresh ids ``add_span`` assigns; offsets
-        shift from the worker's trace origin to the parent's.
-        """
-        new_ids: Dict[int, str] = {}
-        for i, (name, offset_ms, duration_ms, parent_idx, meta) in (
-                enumerate(spans)):
-            parent_id = new_ids.get(parent_idx)
-            span_ = ctx.add_span(name, offset_ms + shift_ms, duration_ms,
-                                 meta=meta, parent_id=parent_id)
-            new_ids[i] = span_.span_id
-
     def _metered(self, shard: Shard, fn):
         """Run ``fn`` under a per-shard child span; returns ``(shard,
         response, io)`` with ``io`` the per-phase accesses it cost the
@@ -708,19 +553,13 @@ class ShardedServer:
         emit_event("shard", event="shard.scatter", kind="knn",
                    visited=[first.sid] + [s.sid for s in survivors],
                    pruned=[s.sid for s in pruned])
-        if survivors and self.execution.backend == "process":
-            queried.extend(self._scatter_process(
-                "knn", (loc[0], loc[1], vertex_policy),
-                [(s, (s.sid, min(k, s.num_points))) for s in survivors],
-                sub_budget))
-        else:
-            queried.extend(self._run([
-                (lambda s=s: self._metered(
-                    s, lambda: s.server._knn(
-                        loc, k=min(k, s.num_points),
-                        vertex_policy=vertex_policy, budget=sub_budget)))
-                for s in survivors
-            ]))
+        queried.extend(self._run([
+            (lambda s=s: self._metered(
+                s, lambda: s.server._knn(
+                    loc, k=min(k, s.num_points),
+                    vertex_policy=vertex_policy, budget=sub_budget)))
+            for s in survivors
+        ]))
 
         # Gather: global top-k of the candidate union (squared keys —
         # the ordering is the same, sqrt waits until the safety radius).
@@ -786,17 +625,12 @@ class ShardedServer:
         emit_event("shard", event="shard.scatter", kind="window",
                    visited=[s.sid for s in contributing],
                    pruned=[s.sid for s in others])
-        if contributing and self.execution.backend == "process":
-            queried = self._scatter_process(
-                "window", (f[0], f[1], width, height),
-                [(s, (s.sid,)) for s in contributing], sub_budget)
-        else:
-            queried = self._run([
-                (lambda s=s: self._metered(
-                    s, lambda: s.server._window(f, width, height,
-                                                budget=sub_budget)))
-                for s in contributing
-            ])
+        queried = self._run([
+            (lambda s=s: self._metered(
+                s, lambda: s.server._window(f, width, height,
+                                            budget=sub_budget)))
+            for s in contributing
+        ])
 
         rect = self.universe
         for _s, resp, _io in queried:
@@ -851,17 +685,12 @@ class ShardedServer:
         emit_event("shard", event="shard.scatter", kind="range",
                    visited=[s.sid for s in reachable],
                    pruned=[s.sid for s in pruned])
-        if reachable and self.execution.backend == "process":
-            queried = self._scatter_process(
-                "range", (loc[0], loc[1], radius),
-                [(s, (s.sid,)) for s in reachable], sub_budget)
-        else:
-            queried = self._run([
-                (lambda s=s: self._metered(
-                    s, lambda: s.server._range(loc, radius,
-                                               budget=sub_budget)))
-                for s in reachable
-            ])
+        queried = self._run([
+            (lambda s=s: self._metered(
+                s, lambda: s.server._range(loc, radius,
+                                           budget=sub_budget)))
+            for s in reachable
+        ])
 
         validity_radius = math.inf
         for _s, resp, _io in queried:

@@ -44,9 +44,7 @@ def page_size_for(capacity: int) -> int:
 def tree_to_bytes(tree: RStarTree) -> bytes:
     """Serialize ``tree`` to its paged binary image (no file involved).
 
-    This is the byte string :func:`save_tree` writes; the process-pool
-    shard backend ships it to workers so each one can rebuild its shard
-    trees exactly once at initialization.
+    This is the byte string :func:`save_tree` writes.
     """
     page_size = page_size_for(tree.capacity)
     # Assign dense page indices in a deterministic DFS order.

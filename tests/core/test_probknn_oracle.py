@@ -14,7 +14,7 @@ against brute force here:
 
 The battery then drives the same answer through the validity cache,
 the stale-serving path, continuous subscriptions under mutation
-streams, and the sharded thread/process fan-out backends.
+streams, and a sharded server's thread-pool fan-out.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ from __future__ import annotations
 import math
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import CacheConfig, ContinuousConfig, ExecutionConfig, build_service
+from repro import CacheConfig, ContinuousConfig, build_service
 from repro.core.probknn import ProbKNNRequest, compute_probknn_validity
 from repro.core.server import LocationServer
 from repro.service.staleness import Mutation, shrunk_stale_region
@@ -230,24 +229,21 @@ class TestProbKnnOracle:
             service.close()
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_oracle_holds_across_sharded_backends(backend):
+def test_oracle_holds_on_a_sharded_server():
     rnd = random.Random(2718)
     points = [(rnd.random(), rnd.random()) for _ in range(200)]
     live = dict(enumerate(points))
-    service = build_service(points, shards=2,
-                            execution=ExecutionConfig(backend=backend))
+    service = build_service(points, shards=2)
     try:
         next_oid = len(points)
-        for step in range(6):  # few steps: each epoch re-arms the pool
+        for step in range(6):
             next_oid = _mutate(service, live, rnd, next_oid, (0.5, 0.5),
                                spread=0.12)
             resp = service.answer(
                 ProbKNNRequest((0.5, 0.5), uncertainty=0.02, k=3))
             assert _prob_ok(live, (0.5, 0.5), 0.02,
                             {e.oid for e in resp.result}, 3), (
-                f"{backend} step {step}: sharded probabilistic kNN "
-                f"diverged")
+                f"step {step}: sharded probabilistic kNN diverged")
     finally:
         service.close()
 

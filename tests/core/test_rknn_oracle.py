@@ -11,7 +11,7 @@ These properties check the spatial contract against a quadratic
 brute-force oracle — fresh answers, answers served inside the region,
 cached answers, stale-served answers under pending mutation streams,
 continuous-subscription answers under applied mutation streams, and
-the sharded thread/process fan-out backends.
+a sharded server's thread-pool fan-out.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ from __future__ import annotations
 import math
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import CacheConfig, ContinuousConfig, ExecutionConfig, build_service
+from repro import CacheConfig, ContinuousConfig, build_service
 from repro.core.rknn import RKNNRequest, compute_rknn_validity
 from repro.core.server import LocationServer
 from repro.service.staleness import Mutation, shrunk_stale_region
@@ -206,24 +205,22 @@ class TestRknnOracle:
             service.close()
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_oracle_holds_across_sharded_backends(backend):
-    """Reverse-kNN over a 2x2 sharded server on both fan-out backends:
-    snapshot answers must agree with brute force under mutations."""
+def test_oracle_holds_on_a_sharded_server():
+    """Reverse-kNN over a 2x2 sharded server: snapshot answers must
+    agree with brute force under mutations."""
     rnd = random.Random(1337)
     points = [(rnd.random(), rnd.random()) for _ in range(200)]
     live = dict(enumerate(points))
-    service = build_service(points, shards=2,
-                            execution=ExecutionConfig(backend=backend))
+    service = build_service(points, shards=2)
     try:
         next_oid = len(points)
-        for step in range(6):  # few steps: each epoch re-arms the pool
+        for step in range(6):
             next_oid = _mutate(service, live, rnd, next_oid, (0.5, 0.5),
                                spread=0.12)
             resp = service.answer(RKNNRequest((0.5, 0.5), k=3))
             assert _rknn_ok(live, (0.5, 0.5),
                             {e.oid for e in resp.result}, 3), (
-                f"{backend} step {step}: sharded reverse-kNN diverged")
+                f"step {step}: sharded reverse-kNN diverged")
     finally:
         service.close()
 

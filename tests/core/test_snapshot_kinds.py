@@ -258,8 +258,7 @@ def server(request):
         return
     with ShardedServer.from_points(
             _points(), grid=2, universe=UNIT,
-            execution=ExecutionConfig(backend="thread",
-                                      kernel="scalar")) as sharded:
+            execution=ExecutionConfig(kernel="scalar")) as sharded:
         yield sharded
 
 

@@ -1,10 +1,8 @@
-"""Unit tests for the columnar geometry kernels.
+"""Unit tests for the columnar geometry kernel.
 
-The batch primitives must agree exactly with their scalar geometry
-counterparts (``Rect.mindist_sq``, ``HalfPlane.signed_distance``,
-``ConvexPolygon.contains``), and the ``soa`` and ``numpy`` kernels
-must return identical kNN orderings and TPNN influence events — the
-service-level equivalence suite (tests/service/) builds on these
+The ``numpy`` kernel must return brute-force kNN orderings and the
+tree search's TPNN influence events (:func:`repro.queries.tp.tp_knn`)
+— the service-level equivalence suite (tests/service/) builds on these
 guarantees.
 """
 
@@ -15,11 +13,12 @@ import random
 
 import pytest
 
-from repro.geometry import ConvexPolygon, HalfPlane, Point, Rect
+from repro.index.bulk import bulk_load_str
 from repro.index.entry import LeafEntry
 from repro.kernel import ExecutionConfig, PointColumns, available_kernels
 from repro.kernel.backends import get_kernel
-from repro.kernel.config import numpy_enabled, resolve_kernel_name
+from repro.kernel.config import resolve_kernel_name
+from repro.queries.tp import tp_knn
 
 
 def _entries(seed: int, n: int = 200):
@@ -27,59 +26,9 @@ def _entries(seed: int, n: int = 200):
     return [LeafEntry(i, rnd.random(), rnd.random()) for i in range(n)]
 
 
-def _columnar_kernels():
-    kernels = [get_kernel("soa")]
-    if numpy_enabled():
-        kernels.append(get_kernel("numpy"))
-    return kernels
-
-
 @pytest.fixture(scope="module")
 def columns():
     return PointColumns(_entries(11))
-
-
-class TestBatchPrimitives:
-    def test_mindist_sq_matches_rect(self):
-        rnd = random.Random(3)
-        rects = []
-        for _ in range(40):
-            x1, x2 = sorted(rnd.uniform(0, 1) for _ in range(2))
-            y1, y2 = sorted(rnd.uniform(0, 1) for _ in range(2))
-            rects.append(Rect(x1, y1, x2, y2))
-        q = (0.4, 0.7)
-        expected = [r.mindist_sq(q) for r in rects]
-        for kernel in _columnar_kernels():
-            got = kernel.mindist_sq(rects, *q)
-            assert list(got) == pytest.approx(expected), kernel.name
-
-    def test_halfplane_margins_match_signed_distance(self):
-        hp = HalfPlane.make(1.0, 2.0, 0.8)
-        rnd = random.Random(4)
-        xs = [rnd.uniform(-1, 1) for _ in range(50)]
-        ys = [rnd.uniform(-1, 1) for _ in range(50)]
-        expected = [hp.signed_distance(Point(x, y))
-                    for x, y in zip(xs, ys)]
-        for kernel in _columnar_kernels():
-            got = kernel.halfplane_margins(hp, xs, ys)
-            assert list(got) == pytest.approx(expected), kernel.name
-
-    def test_polygon_contains_matches_convex_polygon(self):
-        poly = ConvexPolygon([Point(0.2, 0.2), Point(0.8, 0.3),
-                              Point(0.7, 0.8), Point(0.3, 0.7)])
-        rnd = random.Random(5)
-        xs = [rnd.random() for _ in range(120)]
-        ys = [rnd.random() for _ in range(120)]
-        expected = [poly.contains(Point(x, y)) for x, y in zip(xs, ys)]
-        for kernel in _columnar_kernels():
-            got = kernel.polygon_contains(poly.vertices, xs, ys)
-            assert [bool(v) for v in got] == expected, kernel.name
-
-    def test_polygon_contains_degenerate(self):
-        for kernel in _columnar_kernels():
-            got = kernel.polygon_contains([Point(0, 0), Point(1, 1)],
-                                          [0.5], [0.5])
-            assert list(got) == [False], kernel.name
 
 
 class TestColumnarKNN:
@@ -93,38 +42,36 @@ class TestColumnarKNN:
                 entries,
                 key=lambda e: ((e.x - q[0]) ** 2 + (e.y - q[1]) ** 2,
                                e.oid))[:k]
-            for kernel in _columnar_kernels():
-                got = kernel.knn(columns, q[0], q[1], k)
-                assert [e.oid for _d2, e in got] == \
-                    [e.oid for e in expected], kernel.name
-                for d2, e in got:
-                    assert d2 == pytest.approx(
-                        (e.x - q[0]) ** 2 + (e.y - q[1]) ** 2)
+            got = get_kernel("numpy").knn(columns, q[0], q[1], k)
+            assert [e.oid for _d2, e in got] == [e.oid for e in expected]
+            for d2, e in got:
+                assert d2 == pytest.approx(
+                    (e.x - q[0]) ** 2 + (e.y - q[1]) ** 2)
 
     def test_knn_k_at_least_n(self, columns):
         n = len(columns)
-        for kernel in _columnar_kernels():
-            got = kernel.knn(columns, 0.5, 0.5, n + 10)
-            assert len(got) == n, kernel.name
+        got = get_kernel("numpy").knn(columns, 0.5, 0.5, n + 10)
+        assert len(got) == n
 
-    @pytest.mark.skipif(not numpy_enabled(), reason="numpy masked out")
     def test_tp_probes_agree_across_kernels(self, columns):
-        soa, np_kernel = get_kernel("soa"), get_kernel("numpy")
+        """Numpy TP probes find the scalar tree search's first event."""
+        kernel = get_kernel("numpy")
+        tree = bulk_load_str([(e.x, e.y) for e in columns.entries],
+                             oids=[e.oid for e in columns.entries])
         rnd = random.Random(7)
         for _ in range(6):
             qx, qy = rnd.random(), rnd.random()
-            result = [e for _d2, e in soa.knn(columns, qx, qy, 4)]
-            ctx_a = soa.tp_context(columns, qx, qy, result)
-            ctx_b = np_kernel.tp_context(columns, qx, qy, result)
+            result = [e for _d2, e in kernel.knn(columns, qx, qy, 4)]
+            ctx = kernel.tp_context(columns, qx, qy, result)
             for _ in range(12):
                 angle = rnd.uniform(0.0, 2.0 * math.pi)
                 v = (math.cos(angle), math.sin(angle))
-                ev_a = ctx_a.probe(*v)
-                ev_b = ctx_b.probe(*v)
-                assert ev_a.time == pytest.approx(ev_b.time, abs=1e-9)
-                a_inf = ev_a.influence.oid if ev_a.influence else None
-                b_inf = ev_b.influence.oid if ev_b.influence else None
-                assert a_inf == b_inf
+                expected = tp_knn(tree, (qx, qy), v, result)
+                got = ctx.probe(*v)
+                assert got.time == pytest.approx(expected.time, abs=1e-9)
+                for a, b in ((got.influence, expected.influence),
+                             (got.paired_with, expected.paired_with)):
+                    assert (a.oid if a else None) == (b.oid if b else None)
 
 
 class TestPointColumns:
@@ -135,7 +82,6 @@ class TestPointColumns:
         assert list(cols.oids) == [e.oid for e in entries]
         assert cols.entries[5] is entries[5]
 
-    @pytest.mark.skipif(not numpy_enabled(), reason="numpy masked out")
     def test_as_numpy_is_cached(self):
         cols = PointColumns(_entries(13, n=9))
         xs1, ys1, oids1 = cols.as_numpy()
@@ -146,19 +92,15 @@ class TestPointColumns:
 
 class TestKernelSelection:
     def test_available_and_resolution_agree(self):
-        names = available_kernels()
-        assert "scalar" in names and "soa" in names
-        assert ("numpy" in names) == numpy_enabled()
-        resolved = resolve_kernel_name("auto")
-        assert resolved in names
-        assert get_kernel("auto").name == resolved
+        assert available_kernels() == ("scalar", "numpy")
+        assert resolve_kernel_name("auto") == "numpy"
+        assert get_kernel("auto").name == "numpy"
 
     def test_execution_config_resolves(self):
-        cfg = ExecutionConfig(kernel="soa")
-        assert cfg.resolved_kernel() == "soa"
-        with pytest.raises(ValueError):
-            ExecutionConfig(kernel="vectorized")
-        with pytest.raises(ValueError):
-            ExecutionConfig(backend="fiber")
+        assert ExecutionConfig(kernel="auto").resolved_kernel() == "numpy"
+        assert ExecutionConfig().resolved_kernel() == "scalar"
+        for removed in ("soa", "vectorized"):
+            with pytest.raises(ValueError):
+                ExecutionConfig(kernel=removed)
         with pytest.raises(ValueError):
             ExecutionConfig(workers=0)

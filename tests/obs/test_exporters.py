@@ -26,7 +26,7 @@ def _registry() -> MetricsRegistry:
     m.counter("service.queries", labels={"query_kind": "window"}).inc(2)
     m.counter("service.cache.probes").inc(7)
     m.counter("service.shard.queries",
-              labels={"shard": "3", "backend": "thread"}).inc(4)
+              labels={"shard": "3", "replica": "1"}).inc(4)
     m.counter("service.node_accesses", labels={"phase": "nn"}).inc(11)
     m.gauge("service.fleet.clients").set(16)
     h = m.histogram("service.latency_ms",
@@ -53,7 +53,7 @@ def test_prometheus_golden_lines():
     assert 'repro_service_queries_total{query_kind="window"} 2' in lines
     # Multi-label series render keys sorted.
     assert ('repro_service_shard_queries_total'
-            '{backend="thread",shard="3"} 4') in lines
+            '{replica="1",shard="3"} 4') in lines
     assert 'repro_service_node_accesses_total{phase="nn"} 11' in lines
     assert 'repro_service_cache_probes_total 7' in lines
     assert 'repro_service_fleet_clients 16.0' in lines

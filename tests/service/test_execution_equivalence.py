@@ -1,22 +1,12 @@
-"""Equivalence of execution backends and geometry kernels.
+"""Equivalence of geometry kernels, and sound sharded regions.
 
 The :class:`~repro.kernel.ExecutionConfig` contract is that *how* a
-query executes never changes *what* it answers:
-
-* the ``thread`` and ``process`` shard backends return identical
-  results, identical degraded flags, and identical validity regions —
-  the process workers rebuild every shard tree page-for-page from its
-  serialized image, so even the traversal-dependent tie-breaks agree;
-* the ``scalar``, ``soa`` and ``numpy`` kernels return the same
-  neighbour lists, and each kernel's validity region is *sound*: at
-  random probe points inside it, the brute-force answer equals the
-  cached one (the oracle style of tests/core/test_validity_oracle.py).
-
-The chaos-marked test checks the isolation property of the process
-backend: a fully faulted parent-side disk cannot touch queries whose
-shard jobs all run in pool workers (the workers own private rebuilt
-trees), while the thread backend — probing the same poisoned disks —
-fails.
+query executes never changes *what* it answers: the ``scalar`` and
+``numpy`` kernels return the same neighbour lists, and each kernel's
+validity region is *sound* — at random probe points inside it, the
+brute-force answer equals the cached one (the oracle style of
+tests/core/test_validity_oracle.py).  The same oracle checks a window
+region merged across a thread-pool shard fleet.
 """
 
 from __future__ import annotations
@@ -28,9 +18,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.server import LocationServer
+from repro.geometry import Rect
 from repro.kernel import ExecutionConfig, resolve_kernel_name
 from repro.kernel.backends import get_kernel
-from repro.kernel.config import numpy_enabled
 from repro.service.shard import ShardedServer
 from repro.core.api import KNNRequest, RangeRequest, WindowRequest
 
@@ -48,22 +38,15 @@ def _points(seed: int, n: int = N):
     return [(rnd.random(), rnd.random()) for _ in range(n)]
 
 
-def _kernel_names():
-    names = ["scalar", "soa"]
-    if numpy_enabled():
-        names.append("numpy")
-    return names
-
-
 # ----------------------------------------------------------------------
-# kernels: scalar vs soa vs numpy on a single-tree server
+# kernels: scalar vs numpy on a single-tree server
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def kernel_servers():
     points = _points(101)
     return points, {
         name: LocationServer.from_points(points, universe=UNIT, kernel=name)
-        for name in _kernel_names()
+        for name in ("scalar", "numpy")
     }
 
 
@@ -126,60 +109,19 @@ class TestKernelEquivalence:
 
 
 # ----------------------------------------------------------------------
-# backends: thread vs process on a sharded server
+# a window region merged across a thread-pool shard fleet
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def backend_servers():
+def test_sharded_window_region_soundness():
     points = _points(202, n=600)
-    thread = ShardedServer.from_points(
-        points, grid=3, universe=UNIT,
-        execution=ExecutionConfig(backend="thread", kernel="auto"))
-    process = ShardedServer.from_points(
-        points, grid=3, universe=UNIT,
-        execution=ExecutionConfig(backend="process", kernel="auto"))
-    yield points, thread, process
-    thread.close()
-    process.close()
-
-
-class TestBackendEquivalence:
-    @given(qx=coords, qy=coords, k=ks)
-    @settings(deadline=None, max_examples=15)
-    def test_knn_identical(self, backend_servers, qx, qy, k):
-        _, thread, process = backend_servers
-        a = thread.answer(KNNRequest((qx, qy), k=k))
-        b = process.answer(KNNRequest((qx, qy), k=k))
-        assert [e.oid for e in a.neighbors] == [e.oid for e in b.neighbors]
-        assert a.detail.degraded == b.detail.degraded
-        assert (a.detail.safety_radius or 0.0) == pytest.approx(
-            b.detail.safety_radius or 0.0)
-        assert a.transfer_bytes() == b.transfer_bytes()
-
-    @given(qx=coords, qy=coords)
-    @settings(deadline=None, max_examples=10)
-    def test_window_and_range_identical(self, backend_servers, qx, qy):
-        _, thread, process = backend_servers
-        wa = thread.answer(WindowRequest((qx, qy), 0.2, 0.12))
-        wb = process.answer(WindowRequest((qx, qy), 0.2, 0.12))
-        assert [e.oid for e in wa.result] == [e.oid for e in wb.result]
-        assert wa.detail.conservative_region == wb.detail.conservative_region
-        ra = thread.answer(RangeRequest((qx, qy), 0.08))
-        rb = process.answer(RangeRequest((qx, qy), 0.08))
-        assert [e.oid for e in ra.result] == [e.oid for e in rb.result]
-        assert ra.detail.validity_radius == pytest.approx(
-            rb.detail.validity_radius)
-
-    def test_process_backend_merges_io_deltas(self, backend_servers):
-        _, _, process = backend_servers
-        before = process.io_stats.total_node_accesses
-        process.answer(WindowRequest((0.5, 0.5), 0.3, 0.3))
-        # Worker-side accesses must land in the parent-side counters.
-        assert process.io_stats.total_node_accesses > before
-
-    def test_window_region_soundness_process(self, backend_servers):
-        points, _, process = backend_servers
-        rnd = random.Random(7)
-        response = process.answer(WindowRequest((0.5, 0.5), 0.25, 0.2))
+    rnd = random.Random(7)
+    with ShardedServer.from_points(
+            points, grid=3, universe=UNIT,
+            execution=ExecutionConfig(kernel="auto", workers=2)) as server:
+        # One focus inside a cell, one on a corner where four meet.
+        responses = [server.answer(WindowRequest(focus, 0.25, 0.2))
+                     for focus in ((0.5, 0.5), (0.34, 0.34))]
+    assert responses[1].detail.shards_queried == 4
+    for response in responses:
         rect = response.detail.conservative_region
         cached = sorted(e.oid for e in response.result)
         for _ in range(15):
@@ -189,79 +131,20 @@ class TestBackendEquivalence:
                     or min(probe[1] - rect.ymin, rect.ymax - probe[1])
                     < 1e-9):
                 continue
-            from repro.geometry import Rect
             moved = Rect(probe[0] - 0.125, probe[1] - 0.1,
                          probe[0] + 0.125, probe[1] + 0.1)
             assert brute_window(points, moved) == cached
 
 
 # ----------------------------------------------------------------------
-# auto-kernel resolution and the numpy kill switch
+# auto-kernel resolution
 # ----------------------------------------------------------------------
 class TestKernelResolution:
     def test_auto_resolves_by_availability(self):
-        expected = "numpy" if numpy_enabled() else "soa"
-        assert resolve_kernel_name("auto") == expected
-        assert ExecutionConfig(kernel="auto").resolved_kernel() == expected
-
-    def test_disable_env_forces_stdlib_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_DISABLE_NUMPY", "1")
-        assert not numpy_enabled()
-        assert resolve_kernel_name("auto") == "soa"
-        with pytest.raises(RuntimeError):
-            resolve_kernel_name("numpy")
-        # The stdlib columnar path still answers correctly.
-        points = _points(42, n=120)
-        soa = LocationServer.from_points(points, universe=UNIT,
-                                         kernel="auto")
-        scalar = LocationServer.from_points(points, universe=UNIT)
-        a = soa.answer(KNNRequest((0.4, 0.6), k=4))
-        b = scalar.answer(KNNRequest((0.4, 0.6), k=4))
-        assert [e.oid for e in a.neighbors] == [e.oid for e in b.neighbors]
+        assert resolve_kernel_name("auto") == "numpy"
+        assert ExecutionConfig(kernel="auto").resolved_kernel() == "numpy"
 
     def test_get_kernel_passthrough_and_default(self):
         scalar = get_kernel(None)
         assert scalar.name == "scalar"
         assert get_kernel(scalar) is scalar
-
-
-# ----------------------------------------------------------------------
-# chaos: process workers are isolated from parent-side disk faults
-# ----------------------------------------------------------------------
-@pytest.mark.chaos
-def test_process_pool_survives_parent_disk_faults():
-    from repro.storage import FaultPlan, PageReadError, inject_faults
-
-    points = _points(303, n=400)
-    # Scalar kernel on purpose: columnar kernels answer from in-memory
-    # column snapshots and never touch the simulated disk, so parent-side
-    # faults would be invisible and the isolation property untestable.
-    process = ShardedServer.from_points(
-        points, grid=3, universe=UNIT,
-        execution=ExecutionConfig(backend="process", kernel="scalar"))
-    thread = ShardedServer.from_points(
-        points, grid=3, universe=UNIT,
-        execution=ExecutionConfig(backend="thread"))
-    try:
-        # Warm the pool first: workers snapshot the healthy trees.
-        baseline = process.answer(WindowRequest((0.5, 0.5), 0.3, 0.3))
-        for server in (process, thread):
-            for shard in server.shards:
-                inject_faults(shard.server.tree,
-                              FaultPlan(read_failure_rate=1.0))
-        # Every window job runs in a pool worker against its private
-        # rebuilt tree — the poisoned parent disks are never touched.
-        healthy = process.answer(WindowRequest((0.5, 0.5), 0.3, 0.3))
-        assert ([e.oid for e in healthy.result]
-                == [e.oid for e in baseline.result])
-        # The thread backend probes the parent disks and dies.
-        with pytest.raises(PageReadError):
-            thread.answer(WindowRequest((0.5, 0.5), 0.3, 0.3))
-        # kNN runs its nearest shard inline, parent-side: the fault
-        # surfaces even under the process backend — by design, so
-        # fault-injection tests keep exercising the resilience layer.
-        with pytest.raises(PageReadError):
-            process.answer(KNNRequest((0.5, 0.5), k=3))
-    finally:
-        process.close()
-        thread.close()

@@ -11,9 +11,8 @@ mutation of a random stream, the subscription's authoritative state
   probe the region claims, the brute-force answer equals the served
   result (region containment in the fresh recompute).
 
-The deterministic tail runs the same battery across the thread and
-process fan-out backends over a sharded server, where patches must
-agree with scatter-gather answers.
+The deterministic tail runs the same battery over a sharded server,
+where patches must agree with scatter-gather answers.
 """
 
 from __future__ import annotations
@@ -21,12 +20,10 @@ from __future__ import annotations
 import math
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import (
     ContinuousConfig,
-    ExecutionConfig,
     KNNRequest,
     RangeRequest,
     WindowRequest,
@@ -214,34 +211,32 @@ class TestIncrementalOracle:
             service.close()
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_oracle_holds_across_sharded_backends(backend):
-    """The same battery over a 2x2 sharded server on both fan-out
-    backends: subscription patches must agree with scatter-gather."""
+def test_oracle_holds_on_a_sharded_server():
+    """The same battery over a 2x2 sharded server: subscription
+    patches must agree with scatter-gather."""
     rnd = random.Random(4242)
     points = [(rnd.random(), rnd.random()) for _ in range(200)]
     live = dict(enumerate(points))
-    service = build_service(
-        points, shards=2, continuous=ContinuousConfig(margin=6),
-        execution=ExecutionConfig(backend=backend))
+    service = build_service(points, shards=2,
+                            continuous=ContinuousConfig(margin=6))
     try:
         knn = service.subscribe(KNNRequest((0.5, 0.5), k=3))
         win = service.subscribe(WindowRequest((0.45, 0.55), 0.2, 0.2))
         rng_ = service.subscribe(RangeRequest((0.55, 0.45), 0.12))
         next_oid = len(points)
-        for step in range(8):  # few steps: each epoch re-arms the pool
+        for step in range(8):
             next_oid = _mutate(service, live, rnd, next_oid, (0.5, 0.5),
                                spread=0.12)
             assert _knn_ok(live, (0.5, 0.5),
                            {e.oid for e in _sync(knn, (0.5, 0.5)).result},
-                           3), f"{backend} step {step}: knn diverged"
+                           3), f"step {step}: knn diverged"
             assert (sorted(e.oid for e in
                            _sync(win, (0.45, 0.55)).result)
                     == _window_ids(live, (0.45, 0.55), 0.2, 0.2)), (
-                f"{backend} step {step}: window diverged")
+                f"step {step}: window diverged")
             assert (sorted(e.oid for e in
                            _sync(rng_, (0.55, 0.45)).result)
                     == _range_ids(live, (0.55, 0.45), 0.12)), (
-                f"{backend} step {step}: range diverged")
+                f"step {step}: range diverged")
     finally:
         service.close()

@@ -5,9 +5,9 @@ and the service's ``service.node_accesses{phase=}`` /
 ``service.page_faults{phase=}`` counters are the sum of those charges.
 Queries are the only source of reads (R*-tree inserts and deletes read
 no nodes), so after :meth:`reset_io_stats` the counters must equal the
-server's ``io_stats`` exactly — on a single tree with a buffer, on
-thread- and process-backed shard fleets, and on a lagging replica set,
-where answers computed and then dropped as stale-unserveable land in
+server's ``io_stats`` exactly — on a single tree with a buffer, on a
+shard fleet, and on a lagging replica set, where answers computed and
+then dropped as stale-unserveable land in
 ``service.replica.discarded_*{phase=}`` instead.
 """
 
@@ -31,7 +31,7 @@ from repro.service import CacheConfig, ReplicaConfig
 
 from tests.conftest import UNIT
 
-SCALAR_THREADS = ExecutionConfig(backend="thread", kernel="scalar", workers=2)
+SCALAR_THREADS = ExecutionConfig(kernel="scalar", workers=2)
 
 
 def _points(n: int = 400, seed: int = 3):
@@ -105,11 +105,6 @@ def _build(kind: str):
         return build_service(points, universe=UNIT, shards=3,
                              execution=SCALAR_THREADS,
                              cache=CacheConfig(capacity=64))
-    if kind == "process":
-        return build_service(points, universe=UNIT, shards=2,
-                             execution=ExecutionConfig(
-                                 backend="process", kernel="scalar",
-                                 workers=2))
     return build_service(points, universe=UNIT, shards=2, replicas=2,
                          execution=SCALAR_THREADS,
                          replica=ReplicaConfig(replication_lag=2,
@@ -119,7 +114,6 @@ def _build(kind: str):
 @pytest.mark.parametrize("kind,queries,mutate_every", [
     ("single", 300, 10),
     ("threads", 300, 10),
-    ("process", 60, 30),
     ("replicated", 300, 4),
 ])
 def test_served_reads_add_up_to_io_stats(kind, queries, mutate_every):

@@ -1,32 +1,22 @@
-"""Resource lifecycle tests: close is idempotent at every layer and the
-process-backend pool is reaped at interpreter exit even without close().
+"""Resource lifecycle tests: close is idempotent at every layer.
 
-A leaked fork pool is the classic way a benchmark driver wedges CI —
-the parent exits, the workers linger.  :class:`ShardedServer` registers
-a weakly-bound ``atexit`` hook when the pool is first built; these
-tests pin that hook (via a real subprocess that *forgets* to close),
-the double-close no-op, and the context-manager form, then walk the
-same guarantees up through :class:`ReplicaSet` and
-:class:`QueryService`.
+:class:`ShardedServer` builds its fan-out thread pool on the first
+query that scatters; these tests pin the double-close no-op and the
+context-manager form, then walk the same guarantees up through
+:class:`ReplicaSet` and :class:`QueryService`.
 """
 
 from __future__ import annotations
 
 import random
-import subprocess
-import sys
-from pathlib import Path
 
-import pytest
-
-from repro.core.api import KNNRequest
+from repro.core.api import KNNRequest, WindowRequest
 from repro.geometry import Rect
 from repro.kernel import ExecutionConfig
 from repro.service import QueryService, ReplicaConfig, ReplicaSet
 from repro.service.shard import ShardedServer
 
 UNIT = Rect(0.0, 0.0, 1.0, 1.0)
-SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def _points(n=200, seed=3):
@@ -44,28 +34,13 @@ def test_sharded_double_close_is_noop_thread_backend():
     server.close()
 
 
-def test_sharded_double_close_is_noop_process_backend():
-    execution = ExecutionConfig(backend="process")
-    server = ShardedServer.from_points(_points(), universe=UNIT,
-                                       execution=execution)
-    resp = server.answer(KNNRequest((0.5, 0.5), k=2))
-    assert len(resp.result) == 2
-    assert server._atexit_cb is not None  # hook armed with the pool
-    server.close()
-    assert server._atexit_cb is None  # hook disarmed: server collectable
-    server.close()
-    # A closed server still answers: the pool is rebuilt on demand.
-    resp = server.answer(KNNRequest((0.5, 0.5), k=2))
-    assert len(resp.result) == 2
-    server.close()
-
-
 def test_sharded_context_manager_closes():
     with ShardedServer.from_points(
             _points(), universe=UNIT,
-            execution=ExecutionConfig(backend="process")) as server:
-        server.answer(KNNRequest((0.5, 0.5), k=2))
-    assert server._proc_pool is None
+            execution=ExecutionConfig(workers=2)) as server:
+        server.answer(WindowRequest((0.5, 0.5), 0.6, 0.6))
+        assert server._pool is not None  # the scatter built the pool
+    assert server._pool is None
     server.close()  # close after __exit__ is a no-op
 
 
@@ -74,44 +49,13 @@ def test_close_before_any_query_is_noop():
     server.close()  # no pool was ever built
 
 
-def test_interpreter_exit_reaps_leaked_process_pool():
-    """A script that builds a process-backend server, queries it, and
-    exits WITHOUT closing must still terminate cleanly (rc 0, no
-    traceback): the atexit hook shuts the fork workers down."""
-    script = """
-import random
-from repro.core.api import KNNRequest
-from repro.geometry import Rect
-from repro.kernel import ExecutionConfig
-from repro.service.shard import ShardedServer
-
-rng = random.Random(3)
-points = [(rng.random(), rng.random()) for _ in range(200)]
-server = ShardedServer.from_points(
-    points, universe=Rect(0.0, 0.0, 1.0, 1.0),
-    execution=ExecutionConfig(backend="process"))
-resp = server.answer(KNNRequest((0.5, 0.5), k=2))
-assert len(resp.result) == 2
-assert server._atexit_cb is not None
-print("QUERIED-OK")
-# no close(): interpreter exit must reap the pool
-"""
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin:/usr/local/bin"},
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert "QUERIED-OK" in proc.stdout
-    assert "Traceback" not in proc.stderr
-
-
 # ----------------------------------------------------------------------
 # ReplicaSet and QueryService
 # ----------------------------------------------------------------------
 def test_replica_set_close_cascades_and_is_idempotent():
     rs = ReplicaSet.from_points(_points(), replicas=2, shards=2,
                                 universe=UNIT,
-                                execution=ExecutionConfig(backend="thread"),
+                                execution=ExecutionConfig(),
                                 config=ReplicaConfig())
     rs.answer(KNNRequest((0.5, 0.5), k=2))
     rs.close()

@@ -224,6 +224,23 @@ class TestScatterGatherMechanics:
         assert sharded.delete_object(oid, 0.015, 0.015)
         assert sharded.num_points == len(points)
 
+    def test_inserted_shard_gets_the_fleet_buffer(self):
+        """A shard created for an empty cell buffers its disk like the
+        shards the fleet was built with."""
+        rnd = random.Random(5)
+        points = [(rnd.uniform(0, 0.5), rnd.uniform(0, 0.5))
+                  for _ in range(400)]
+        sharded = ShardedServer.from_points(points, grid=2, universe=UNIT,
+                                            buffer_fraction=0.5)
+        assert [s.sid for s in sharded.shards] == [0]
+        sharded.insert_object(10_000, 0.9, 0.9)
+        new = sharded.shards[1]
+        assert new.server.tree.disk.buffer is not None
+        sharded.answer(KNNRequest((0.9, 0.9), k=1))
+        sharded.answer(KNNRequest((0.9, 0.9), k=1))
+        io = new.server.io_stats
+        assert io.total_page_faults < io.total_node_accesses
+
     def test_global_universe_shared_by_all_shards(self):
         _, _, _, sharded = self._sharded()
         assert all(s.server.universe == UNIT for s in sharded.shards)

@@ -1,18 +1,21 @@
 """Smoke tests for the top-level public API."""
 
 import os
+import re
 import subprocess
 import sys
-import warnings
+from pathlib import Path
 
 import pytest
 
 import repro
 from repro.service import checkapi
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
 
 def test_version():
-    assert repro.__version__ == "1.7.0"
+    assert repro.__version__ == "2.0.0"
 
 
 def test_all_exports_resolve():
@@ -86,30 +89,36 @@ def test_per_type_query_methods_are_removed():
     assert len(response.neighbors) == 1
 
 
-def test_legacy_service_kwargs_warn():
+def test_removed_service_kwargs_raise():
+    """The pre-1.3 spellings are gone in v2.0, not silently ignored."""
     points = repro.uniform_points(300, seed=6)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        with pytest.raises(DeprecationWarning):
-            repro.build_service(points, cache_capacity=8)
-        with pytest.raises(DeprecationWarning):
-            repro.build_service(points, shards=2, max_workers=1)
+    for kwarg in ("cache_capacity", "cache_grid", "max_workers"):
+        with pytest.raises(TypeError):
+            repro.build_service(points, shards=2, **{kwarg: 1})
     with pytest.raises(TypeError):
-        repro.build_service(points, shards=2, max_workers=1,
-                            execution=repro.ExecutionConfig())
+        repro.ShardedServer.from_points(points, grid=2, max_workers=1)
     with pytest.raises(TypeError):
-        repro.build_service(points, cache_capacity=8,
-                            cache=repro.CacheConfig(capacity=8))
+        repro.ShardedServer([], repro.Rect(0, 0, 1, 1), 2, max_workers=1)
 
 
 def test_execution_config_validation():
-    with pytest.raises(ValueError):
-        repro.ExecutionConfig(backend="carrier-pigeon")
+    with pytest.raises(TypeError):
+        repro.ExecutionConfig(backend="thread")
     with pytest.raises(ValueError):
         repro.ExecutionConfig(kernel="fortran")
     with pytest.raises(ValueError):
         repro.ExecutionConfig(workers=0)
-    assert set(repro.available_kernels()) >= {"scalar", "soa"}
+    assert repro.available_kernels() == ("scalar", "numpy")
+
+
+def test_readme_quickstart_runs():
+    """README's first python block runs as written."""
+    block = re.search(r"```python\n(.*?)```", README.read_text(),
+                      re.DOTALL).group(1)
+    namespace = {}
+    exec(compile(block, str(README), "exec"), namespace)
+    namespace["service"].close()
+    assert namespace["client"].stats.cache_answers >= 1
 
 
 def test_module_docstring_example():
