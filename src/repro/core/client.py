@@ -202,10 +202,6 @@ class MobileClient:
         """
         self.stats.position_updates += 1
         self._count("client.position_updates")
-        # The client is the edge of the pipeline: it mints the trace id
-        # the service and every layer below will correlate under.
-        if request.trace_id is None:
-            request = replace(request, trace_id=new_trace_id())
         cached = self._caches.get(kind)
         # Keep a reference to an epoch-stale entry: it cannot answer
         # normally, but it is the fallback if the server fails.
@@ -229,6 +225,7 @@ class MobileClient:
             self.last_served = "cache"
             self.last_staleness = 0
             return cached.entries
+        request = _traced(request)
         try:
             if (self.incremental and cached is not None
                     and cached.key == key and hasattr(request, "as_delta")):
@@ -276,6 +273,7 @@ class MobileClient:
                 self._caches[kind] = None
                 sub = None
         if sub is None:
+            request = _traced(request)
             sub = self.server.subscribe(request)
             self._subs[kind] = (key, sub)
             self._event("client.subscribe", kind=kind,
@@ -291,6 +289,7 @@ class MobileClient:
                 received = sum(u.transfer_bytes for u in updates)
                 self.stats.bytes_received += received
                 self._count("client.bytes_received", received)
+                request = _traced(request)
                 self._caches[kind] = CacheEntry(
                     key=key, response=last.response,
                     entries=list(last.response.result),
@@ -310,7 +309,7 @@ class MobileClient:
         self.stats.subscription_moves += 1
         self._count("client.subscription_moves")
         return self._refresh_subscribed(kind, key, response,
-                                        request.trace_id)
+                                        _traced(request).trace_id)
 
     def _refresh_subscribed(self, kind: str, key: Tuple,
                             response, trace_id) -> List[LeafEntry]:
@@ -372,6 +371,20 @@ class MobileClient:
         events = getattr(self.server, "events", None)
         if events is not None:
             events.emit("client", event=event, trace_id=trace_id, **fields)
+
+
+def _traced(request):
+    """``request`` carrying a trace id, minted here when it has none.
+
+    The client is the edge of the pipeline: it mints the trace id the
+    service and every layer below will correlate under.  It mints one
+    for each request it sends and for each cache entry a push or a
+    subscription move refreshes; an update answered from the cache
+    reports the cached entry's id.
+    """
+    if request.trace_id is None:
+        return replace(request, trace_id=new_trace_id())
+    return request
 
 
 def _point(location) -> Tuple[float, float]:

@@ -18,14 +18,18 @@ Timestamps: every span records a **monotonic** offset/duration
 one wall-clock epoch, so exporters can reconstruct absolute times
 without ever mixing the two clocks.
 
+Every query opens a trace and several spans, so :func:`start_trace`
+and :func:`span` are small slotted classes rather than generator
+functions.
+
 This module is dependency-free (stdlib only) on purpose: the storage
 layer imports it, and it must never import the storage layer back.
 """
 
 from __future__ import annotations
 
-import threading
-import uuid
+import itertools
+import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -54,7 +58,7 @@ PHASE_SPAN_NAMES = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One timed stage of a query's processing.
 
@@ -87,10 +91,16 @@ class Span:
 
 
 class _TraceState:
-    """The shared, thread-safe record of one in-flight trace."""
+    """The shared, thread-safe record of one in-flight trace.
+
+    It needs no lock: taking the next number from an
+    :func:`itertools.count` and appending to a list are each one atomic
+    step under the interpreter lock (the query service numbers its
+    trace ids the same way), and readers sort a copy.
+    """
 
     __slots__ = ("trace_id", "started_at", "origin", "events",
-                 "_lock", "_spans", "_next_id")
+                 "_spans", "_ids")
 
     def __init__(self, trace_id: str, events=None):
         self.trace_id = trace_id
@@ -100,26 +110,25 @@ class _TraceState:
         self.origin = perf_counter()
         #: Duck-typed event sink (see :class:`repro.obs.events.EventLog`).
         self.events = events
-        self._lock = threading.Lock()
         self._spans: List[Span] = []
-        self._next_id = 0
+        self._ids = itertools.count(1)
 
     def next_span_id(self) -> str:
-        with self._lock:
-            self._next_id += 1
-            return f"s{self._next_id}"
+        return f"s{next(self._ids)}"
 
     def add(self, span_: Span) -> None:
-        with self._lock:
-            self._spans.append(span_)
+        self._spans.append(span_)
 
     def spans(self) -> List[Span]:
         """The spans recorded so far, in chronological (start) order."""
-        with self._lock:
-            return sorted(self._spans, key=lambda s: s.offset_ms)
+        return sorted(self._spans, key=_offset)
 
 
-@dataclass(frozen=True)
+def _offset(span_: Span) -> float:
+    return span_.offset_ms
+
+
+@dataclass(frozen=True, slots=True)
 class TraceContext:
     """The active trace and the span new child work hangs under."""
 
@@ -154,13 +163,11 @@ class TraceContext:
                  meta: Optional[Dict[str, object]] = None,
                  parent_id: Optional[str] = None) -> Span:
         """Record a pre-measured span (for after-the-fact accounting)."""
-        span_ = Span(name=name, offset_ms=offset_ms,
-                     duration_ms=duration_ms,
-                     meta=dict(meta) if meta else {},
-                     span_id=self._state.next_span_id(),
-                     parent_id=(parent_id if parent_id is not None
-                                else self.span_id))
-        self._state.add(span_)
+        state = self._state
+        span_ = Span(name, offset_ms, duration_ms,
+                     dict(meta) if meta else {}, state.next_span_id(),
+                     parent_id if parent_id is not None else self.span_id)
+        state.add(span_)
         return span_
 
 
@@ -170,7 +177,7 @@ _CURRENT: ContextVar[Optional[TraceContext]] = ContextVar(
 
 def new_trace_id() -> str:
     """A fresh 16-hex-digit trace id."""
-    return uuid.uuid4().hex[:16]
+    return os.urandom(8).hex()
 
 
 def current_trace() -> Optional[TraceContext]:
@@ -178,53 +185,72 @@ def current_trace() -> Optional[TraceContext]:
     return _CURRENT.get()
 
 
-@contextmanager
-def start_trace(trace_id: Optional[str] = None,
-                events=None) -> Iterator[TraceContext]:
-    """Begin (and activate) a new trace; yields its root context.
+class start_trace:
+    """Begin (and activate) a new trace; ``with`` yields its root context.
 
     Every span opened — by any layer, on any thread holding the
     context — lands in the yielded context's span collection.
     """
-    state = _TraceState(trace_id if trace_id is not None else new_trace_id(),
-                        events=events)
-    ctx = TraceContext(trace_id=state.trace_id, span_id=None, _state=state)
-    token = _CURRENT.set(ctx)
-    try:
-        yield ctx
-    finally:
-        _CURRENT.reset(token)
+
+    __slots__ = ("_trace_id", "_events", "_token")
+
+    def __init__(self, trace_id: Optional[str] = None, events=None):
+        self._trace_id = trace_id
+        self._events = events
+
+    def __enter__(self) -> TraceContext:
+        trace_id = self._trace_id
+        state = _TraceState(trace_id if trace_id is not None
+                            else new_trace_id(), events=self._events)
+        ctx = TraceContext(state.trace_id, None, state)
+        self._token = _CURRENT.set(ctx)
+        return ctx
+
+    def __exit__(self, *exc_info) -> bool:
+        _CURRENT.reset(self._token)
+        return False
 
 
-@contextmanager
-def span(name: str,
-         meta: Optional[Dict[str, object]] = None) -> Iterator[Optional[Span]]:
+class span:
     """Open a child span under the active context (no-op without one).
 
-    Yields the in-flight :class:`Span` so callers can annotate
+    ``with`` yields the in-flight :class:`Span` so callers can annotate
     ``span.meta``; offset and duration are filled in on exit.  Yields
     ``None`` when no trace is active — the zero-overhead fast path.
     """
-    ctx = _CURRENT.get()
-    if ctx is None:
-        yield None
-        return
-    state = ctx._state
-    span_ = Span(name=name, offset_ms=0.0, duration_ms=0.0,
-                 meta=dict(meta) if meta else {},
-                 span_id=state.next_span_id(), parent_id=ctx.span_id)
-    child = TraceContext(trace_id=ctx.trace_id, span_id=span_.span_id,
-                         _state=state)
-    start = perf_counter()
-    token = _CURRENT.set(child)
-    try:
-        yield span_
-    finally:
-        _CURRENT.reset(token)
+
+    __slots__ = ("_name", "_meta", "_span", "_state", "_start", "_token")
+
+    def __init__(self, name: str, meta: Optional[Dict[str, object]] = None):
+        self._name = name
+        self._meta = meta
+
+    def __enter__(self) -> Optional[Span]:
+        ctx = _CURRENT.get()
+        if ctx is None:
+            self._span = None
+            return None
+        state = self._state = ctx._state
+        meta = self._meta
+        span_ = self._span = Span(self._name, 0.0, 0.0,
+                                  dict(meta) if meta else {},
+                                  state.next_span_id(), ctx.span_id)
+        child = TraceContext(ctx.trace_id, span_.span_id, state)
+        self._start = perf_counter()
+        self._token = _CURRENT.set(child)
+        return span_
+
+    def __exit__(self, *exc_info) -> bool:
+        span_ = self._span
+        if span_ is None:
+            return False
+        _CURRENT.reset(self._token)
         end = perf_counter()
-        span_.offset_ms = (start - state.origin) * 1e3
-        span_.duration_ms = (end - start) * 1e3
+        state = self._state
+        span_.offset_ms = (self._start - state.origin) * 1e3
+        span_.duration_ms = (end - self._start) * 1e3
         state.add(span_)
+        return False
 
 
 @contextmanager

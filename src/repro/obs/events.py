@@ -15,6 +15,10 @@ reports emitted / sampled-out / dropped per category.
 
 ``capacity=0`` turns the log into a counting no-op sink: nothing is
 retained, nothing is locked on the hot path beyond one counter update.
+
+The ring holds compact records (a tuple per event); the event dicts
+are built when they are read (:meth:`EventLog.tail`), since most
+retained events are overwritten before anyone reads them.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import json
 import threading
 import time
 from collections import deque
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.obs.context import current_trace
 
@@ -76,30 +80,21 @@ class EventLog:
                 if span_id is None:
                     span_id = ctx.span_id
         with self._lock:
-            self._seq += 1
-            seq = self._seq
-            self._emitted[category] = self._emitted.get(category, 0) + 1
+            seq = self._seq = self._seq + 1
+            emitted = self._emitted[category] = (
+                self._emitted.get(category, 0) + 1)
             keep_nth = self.sample.get(category, 1)
-            if keep_nth > 1 and (self._emitted[category] - 1) % keep_nth:
+            if keep_nth > 1 and (emitted - 1) % keep_nth:
                 self._sampled_out[category] = (
                     self._sampled_out.get(category, 0) + 1)
                 return False
             if self.capacity == 0:
                 self._dropped += 1
                 return False
-            event: Dict[str, object] = {
-                "seq": seq,
-                "ts": _now(),
-                "category": category,
-            }
-            if trace_id is not None:
-                event["trace_id"] = trace_id
-            if span_id is not None:
-                event["span_id"] = span_id
-            event.update(fields)
             if len(self._events) == self.capacity:
                 self._dropped += 1
-            self._events.append(event)
+            self._events.append(
+                (seq, _now(), category, trace_id, span_id, fields))
             return True
 
     # ------------------------------------------------------------------
@@ -110,12 +105,14 @@ class EventLog:
              trace_id: Optional[str] = None) -> List[Dict[str, object]]:
         """The most recent ``n`` retained events (filtered, oldest first)."""
         with self._lock:
-            events = list(self._events)
+            records = list(self._events)
         if category is not None:
-            events = [e for e in events if e["category"] == category]
+            records = [r for r in records if r[2] == category]
         if trace_id is not None:
-            events = [e for e in events if e.get("trace_id") == trace_id]
-        return events if n is None else events[-n:]
+            records = [r for r in records if r[3] == trace_id]
+        if n is not None:
+            records = records[-n:]
+        return [_event(r) for r in records]
 
     def to_jsonl(self, n: Optional[int] = None,
                  category: Optional[str] = None) -> str:
@@ -144,6 +141,18 @@ class EventLog:
     def __len__(self) -> int:
         with self._lock:
             return len(self._events)
+
+
+def _event(record: Tuple) -> Dict[str, object]:
+    """The event dict of one retained record."""
+    seq, ts, category, trace_id, span_id, fields = record
+    event: Dict[str, object] = {"seq": seq, "ts": ts, "category": category}
+    if trace_id is not None:
+        event["trace_id"] = trace_id
+    if span_id is not None:
+        event["span_id"] = span_id
+    event.update(fields)
+    return event
 
 
 def _now() -> float:

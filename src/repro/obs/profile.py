@@ -26,20 +26,26 @@ cardinality stays bounded at fleet width; disable with
 
 from __future__ import annotations
 
+import functools
 import re
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = ["PhaseProfiler", "collapse_trace"]
 
 _NUMBERED = re.compile(r"^(shard|replica)_\d+$")
 
 
-def _frame(name: str, normalize: bool) -> str:
-    if normalize:
-        m = _NUMBERED.match(name)
-        if m:
-            return m.group(1)
+# Span names are a small vocabulary (the stages plus one name per shard
+# and replica), so a bounded memo answers nearly every lookup.
+@functools.lru_cache(maxsize=4096)
+def _normalized(name: str) -> str:
+    """``name`` with a fan-out number dropped (``shard_3`` → ``shard``)."""
+    m = _NUMBERED.match(name)
+    return m.group(1) if m else name
+
+
+def _verbatim(name: str) -> str:
     return name
 
 
@@ -54,31 +60,39 @@ def collapse_trace(trace, normalize: bool = True
     drive it negative).  Trace time
     not covered by any root span is charged to the root frame itself.
     """
-    spans = list(trace.spans)
-    by_id = {s.span_id: s for s in spans if s.span_id is not None}
-    children: Dict[Optional[str], List] = {}
+    spans = trace.spans
+    ids = {s.span_id for s in spans}
+    roots: List = []
+    children: Dict[str, List] = {}
     for s in spans:
-        parent = s.parent_id if s.parent_id in by_id else None
-        children.setdefault(parent, []).append(s)
+        parent = s.parent_id
+        if parent is None or parent not in ids:
+            roots.append(s)
+        else:
+            kids = children.get(parent)
+            if kids is None:
+                children[parent] = [s]
+            else:
+                kids.append(s)
 
-    root = _frame(trace.kind, normalize)
+    frame = _normalized if normalize else _verbatim
+    root = frame(trace.kind)
     stacks: Dict[Tuple[str, ...], float] = {}
-
-    def add(stack: Tuple[str, ...], ms: float) -> None:
-        stacks[stack] = stacks.get(stack, 0.0) + max(ms, 0.0)
-
-    def walk(span, prefix: Tuple[str, ...]) -> None:
-        stack = prefix + (_frame(span.name, normalize),)
-        kids = children.get(span.span_id, []) if span.span_id else []
-        child_ms = sum(k.duration_ms for k in kids)
-        add(stack, span.duration_ms - child_ms)
-        for kid in kids:
-            walk(kid, stack)
-
-    roots = children.get(None, [])
-    for span in roots:
-        walk(span, (root,))
-    add((root,), trace.duration_ms - sum(s.duration_ms for s in roots))
+    # Depth-first, children in span order: the order the stacks are
+    # first seen and their self times summed in, so the profile table
+    # fills (and its float sums round) the same way on every run.
+    todo = [(span, (root,)) for span in reversed(roots)]
+    while todo:
+        span, prefix = todo.pop()
+        stack = (*prefix, frame(span.name))
+        ms = span.duration_ms
+        kids = children.get(span.span_id) if span.span_id else None
+        if kids:
+            ms -= sum([k.duration_ms for k in kids])
+            todo.extend([(kid, stack) for kid in reversed(kids)])
+        stacks[stack] = stacks.get(stack, 0.0) + (0.0 if ms < 0.0 else ms)
+    ms = trace.duration_ms - sum([s.duration_ms for s in roots])
+    stacks[(root,)] = stacks.get((root,), 0.0) + (0.0 if ms < 0.0 else ms)
     return stacks
 
 

@@ -149,6 +149,41 @@ class _WindowCounts:
             self.bad -= bad
 
 
+class _Objective:
+    """One objective's windows plus the tally of its current second.
+
+    Observations within one second land in ``good``/``bad`` only; the
+    tally is folded into every window when the second changes and
+    before every read.  A run of records into the same second is one
+    record: the first appends or extends that second's bucket and
+    prunes, and the rest only add (the pruning floor is the same), so
+    folded windows hold exactly what per-observation recording would,
+    even for out-of-order timestamps.
+    """
+
+    __slots__ = ("cfg", "windows", "sec", "good", "bad", "observed")
+
+    def __init__(self, cfg: SLOConfig):
+        self.cfg = cfg
+        self.windows: Dict[int, _WindowCounts] = {
+            w: _WindowCounts(w) for w in cfg.windows()}
+        self.sec: Optional[int] = None
+        self.good = 0
+        self.bad = 0
+        #: Every folded observation: {"good": n, "bad": n}.
+        self.observed = {"good": 0, "bad": 0}
+
+    def fold(self) -> None:
+        good, bad = self.good, self.bad
+        if not (good or bad):
+            return
+        for counts in self.windows.values():
+            counts.record(self.sec, good, bad)
+        self.observed["good"] += good
+        self.observed["bad"] += bad
+        self.good = self.bad = 0
+
+
 def _window_label(seconds: int) -> str:
     if seconds % 86400 == 0:
         return f"{seconds // 86400}d"
@@ -183,11 +218,8 @@ class SLOEngine:
         self._clock = clock
         self.eval_interval_s = float(eval_interval_s)
         self._lock = threading.Lock()
-        self._windows: Dict[str, Dict[int, _WindowCounts]] = {
-            c.name: {w: _WindowCounts(w) for w in c.windows()}
-            for c in configs}
-        self._observed: Dict[str, Dict[str, int]] = {
-            c.name: {"good": 0, "bad": 0} for c in configs}
+        self._objectives: Tuple[_Objective, ...] = tuple(
+            _Objective(c) for c in configs)
         self._last_eval: Optional[float] = None
         self._level = 0
         self._status: Dict[str, Dict[str, object]] = {}
@@ -199,9 +231,10 @@ class SLOEngine:
                 error: bool = False, staleness: int = 0,
                 ts: Optional[float] = None) -> None:
         """Fold one query outcome into every matching objective."""
-        now_s = self._clock() if ts is None else ts
+        sec = int(self._clock() if ts is None else ts)
         with self._lock:
-            for cfg in self.configs:
+            for obj in self._objectives:
+                cfg = obj.cfg
                 if cfg.query_kind is not None and cfg.query_kind != kind:
                     continue
                 if cfg.objective == "availability":
@@ -213,11 +246,13 @@ class SLOEngine:
                     if error:
                         continue
                     bad = staleness > cfg.max_staleness
-                good_n, bad_n = (0, 1) if bad else (1, 0)
-                for counts in self._windows[cfg.name].values():
-                    counts.record(now_s, good_n, bad_n)
-                tally = self._observed[cfg.name]
-                tally["bad" if bad else "good"] += 1
+                if obj.sec != sec:
+                    obj.fold()
+                    obj.sec = sec
+                if bad:
+                    obj.bad += 1
+                else:
+                    obj.good += 1
 
     # ------------------------------------------------------------------
     # evaluation
@@ -238,8 +273,9 @@ class SLOEngine:
         status: Dict[str, Dict[str, object]] = {}
         with self._lock:
             self._last_eval = now_s
-            for cfg in self.configs:
-                windows = self._windows[cfg.name]
+            for obj in self._objectives:
+                obj.fold()
+                cfg, windows = obj.cfg, obj.windows
                 burn: Dict[int, float] = {}
                 for w, counts in windows.items():
                     good, bad = counts.totals(now_s)
@@ -273,7 +309,7 @@ class SLOEngine:
                     "fast_alert": fast,
                     "slow_alert": slow,
                     "budget_remaining": remaining,
-                    "observed": dict(self._observed[cfg.name]),
+                    "observed": dict(obj.observed),
                     "recommended_level": slo_level,
                 }
             self._level = level

@@ -35,6 +35,11 @@ run to run.  Bucket counts are exact regardless of reservoir overflow;
 percentiles are estimated from the reservoir, and snapshots report
 ``retained_samples`` next to ``count`` so consumers can tell exact
 percentiles (``retained_samples == count``) from estimates.
+
+Reads never sort under a lock: a snapshot copies each histogram's raw
+state (moments, bucket counts, a packed copy of the reservoir) under
+the data lock and sorts the copies after releasing it, so a scrape of
+full reservoirs does not stall the queries that update metrics.
 """
 
 from __future__ import annotations
@@ -113,6 +118,35 @@ def parse_series_key(key: str) -> Tuple[str, Dict[str, str]]:
 
 def _labels_match(labels: Mapping[str, str], match: Mapping[str, object]) -> bool:
     return all(labels.get(k) == str(v) for k, v in match.items())
+
+
+def _nearest_rank(ordered: Sequence[float], p: float) -> float:
+    """The ``p``-th percentile of sorted ``ordered`` (0.0 when empty)."""
+    if not ordered:
+        return 0.0
+    return ordered[min(len(ordered) - 1,
+                       int(round(p / 100.0 * (len(ordered) - 1))))]
+
+
+def _summary(count: int, total: float, lo: Optional[float],
+             hi: Optional[float], samples: Iterable[float]
+             ) -> Dict[str, object]:
+    """The snapshot fields every histogram read reports.
+
+    Sorts ``samples``: callers pass a copy and hold no lock.
+    """
+    ordered = sorted(samples)
+    return {
+        "count": count,
+        "retained_samples": len(ordered),
+        "sum": total,
+        "mean": total / count if count else 0.0,
+        "min": lo if lo is not None else 0.0,
+        "max": hi if hi is not None else 0.0,
+        "p50": _nearest_rank(ordered, 50.0),
+        "p95": _nearest_rank(ordered, 95.0),
+        "p99": _nearest_rank(ordered, 99.0),
+    }
 
 
 class Counter:
@@ -228,16 +262,19 @@ class Histogram:
     def record(self, value: float) -> None:
         value = float(value)
         with self._lock:
-            self.count += 1
+            count = self.count = self.count + 1
             self.total += value
-            self.min = value if self.min is None else min(self.min, value)
-            self.max = value if self.max is None else max(self.max, value)
+            if self.min is None or value < self.min:
+                self.min = value
+            if self.max is None or value > self.max:
+                self.max = value
             if self._bounds is not None:
                 self._bucket_counts[bisect.bisect_left(self._bounds, value)] += 1
-            if len(self._samples) < self._max_samples:
-                self._samples.append(value)
+            samples = self._samples
+            if len(samples) < self._max_samples:
+                samples.append(value)
             else:
-                self._samples[(self.count * _HASH) % self._max_samples] = value
+                samples[(count * _HASH) % self._max_samples] = value
 
     @property
     def mean(self) -> float:
@@ -252,49 +289,39 @@ class Histogram:
         if not 0.0 <= p <= 100.0:
             raise ValueError("percentile must be in [0, 100]")
         with self._lock:
-            if not self._samples:
-                return 0.0
-            ordered = sorted(self._samples)
-        rank = min(len(ordered) - 1, int(round(p / 100.0 * (len(ordered) - 1))))
-        return ordered[rank]
+            samples = self._samples[:]
+        return _nearest_rank(sorted(samples), p)
 
     def snapshot(self) -> Dict[str, object]:
         with self._lock:
-            return self._snapshot_locked()
+            raw = self._raw_locked()
+        return self._snapshot_of(raw)
 
-    def _snapshot_locked(self) -> Dict[str, object]:
-        """Snapshot body; the caller must hold this histogram's lock."""
-        ordered = sorted(self._samples)
-        count, total = self.count, self.total
-        lo, hi = self.min, self.max
+    def _raw_locked(self) -> Tuple:
+        """A copy of the raw state; the caller must hold this
+        histogram's lock.  Copying is a memcpy of the packed reservoir,
+        so the lock is held for microseconds, not for a sort."""
+        counts = (list(self._bucket_counts)
+                  if self._bucket_counts is not None else None)
+        return (self.count, self.total, self.min, self.max, counts,
+                self._samples[:])
 
-        def q(p: float) -> float:
-            if not ordered:
-                return 0.0
-            rank = min(len(ordered) - 1,
-                       int(round(p / 100.0 * (len(ordered) - 1))))
-            return ordered[rank]
-
-        snap: Dict[str, object] = {
-            "count": count,
-            "retained_samples": len(ordered),
-            "sum": total,
-            "mean": total / count if count else 0.0,
-            "min": lo if lo is not None else 0.0,
-            "max": hi if hi is not None else 0.0,
-            "p50": q(50.0),
-            "p95": q(95.0),
-            "p99": q(99.0),
-        }
+    def _snapshot_of(self, raw: Tuple) -> Dict[str, object]:
+        """The snapshot of a :meth:`_raw_locked` copy (no lock needed)."""
+        count, total, lo, hi, counts, samples = raw
+        snap = _summary(count, total, lo, hi, samples)
         if self._bounds is not None:
-            cumulative: Dict[str, int] = {}
-            running = 0
-            for bound, n in zip(self._bounds, self._bucket_counts):
-                running += n
-                cumulative[bucket_bound_str(bound)] = running
-            cumulative["+Inf"] = count
-            snap["buckets"] = cumulative
+            snap["buckets"] = self._cumulative(counts, count)
         return snap
+
+    def _cumulative(self, counts: List[int], count: int) -> Dict[str, int]:
+        cumulative: Dict[str, int] = {}
+        running = 0
+        for bound, n in zip(self._bounds, counts):
+            running += n
+            cumulative[bucket_bound_str(bound)] = running
+        cumulative["+Inf"] = count
+        return cumulative
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Histogram({series_key(self.name, self.labels)}, n={self.count})"
@@ -314,6 +341,15 @@ class MetricsRegistry:
     update can land between reading one metric and the next, and
     derived cross-metric values (hit ratios, per-kind breakdowns) are
     computed over numbers that were all true at the same instant.
+
+    Lookups are memoized per kind, keyed by the family name and the
+    label items in the order they were passed: a repeated lookup is one
+    dict probe, without rendering the series key or taking a lock.  The
+    first lookup of each (family, label order) takes the validating
+    path and fills the memo.  Only label sets whose values are all
+    strings are memoized, because values that compare equal can render
+    differently (``1``, ``1.0`` and ``True`` are one dict key but three
+    series); other values take the validating path every time.
     """
 
     def __init__(self):
@@ -326,31 +362,35 @@ class MetricsRegistry:
         self._histograms: Dict[str, Histogram] = {}
         #: Family name → "counter" | "gauge" | "histogram".
         self._kinds: Dict[str, str] = {}
+        #: Lookup memos: name, or (name, label items as passed) → metric.
+        #: Read without the lock; filled under it.
+        self._counter_memo: Dict[object, Counter] = {}
+        self._gauge_memo: Dict[object, Gauge] = {}
+        self._histogram_memo: Dict[object, Histogram] = {}
 
     # ------------------------------------------------------------------
     # get-or-create accessors
     # ------------------------------------------------------------------
     def counter(self, name: str,
                 labels: Optional[Mapping[str, object]] = None) -> Counter:
-        key = series_key(name, labels)
-        with self._lock:
-            self._check_kind(name, "counter")
-            if key not in self._counters:
-                self._counters[key] = Counter(
-                    name, lock=self._data_lock,
-                    labels={k: str(v) for k, v in (labels or {}).items()})
-            return self._counters[key]
+        try:
+            return self._counter_memo[
+                (name, tuple(labels.items())) if labels else name]
+        except (KeyError, TypeError):  # first lookup, or unhashable labels
+            return self._register(
+                self._counters, self._counter_memo, "counter", name, labels,
+                lambda strs: Counter(name, lock=self._data_lock,
+                                     labels=strs))
 
     def gauge(self, name: str,
               labels: Optional[Mapping[str, object]] = None) -> Gauge:
-        key = series_key(name, labels)
-        with self._lock:
-            self._check_kind(name, "gauge")
-            if key not in self._gauges:
-                self._gauges[key] = Gauge(
-                    name, lock=self._data_lock,
-                    labels={k: str(v) for k, v in (labels or {}).items()})
-            return self._gauges[key]
+        try:
+            return self._gauge_memo[
+                (name, tuple(labels.items())) if labels else name]
+        except (KeyError, TypeError):
+            return self._register(
+                self._gauges, self._gauge_memo, "gauge", name, labels,
+                lambda strs: Gauge(name, lock=self._data_lock, labels=strs))
 
     def histogram(self, name: str, max_samples: int = 65536,
                   labels: Optional[Mapping[str, object]] = None,
@@ -361,15 +401,32 @@ class MetricsRegistry:
         lookups return the existing series unchanged, so every series
         of a family should be created with the same bucket layout.
         """
+        try:
+            return self._histogram_memo[
+                (name, tuple(labels.items())) if labels else name]
+        except (KeyError, TypeError):
+            return self._register(
+                self._histograms, self._histogram_memo, "histogram", name,
+                labels,
+                lambda strs: Histogram(name, max_samples,
+                                       lock=self._data_lock, labels=strs,
+                                       buckets=buckets))
+
+    def _register(self, home: Dict, memo: Dict, kind: str, name: str,
+                  labels: Optional[Mapping[str, object]], make):
+        """The validating get-or-create path behind a memo miss."""
         key = series_key(name, labels)
         with self._lock:
-            self._check_kind(name, "histogram")
-            if key not in self._histograms:
-                self._histograms[key] = Histogram(
-                    name, max_samples, lock=self._data_lock,
-                    labels={k: str(v) for k, v in (labels or {}).items()},
-                    buckets=buckets)
-            return self._histograms[key]
+            self._check_kind(name, kind)
+            metric = home.get(key)
+            if metric is None:
+                metric = home[key] = make(
+                    {k: str(v) for k, v in (labels or {}).items()})
+            if not labels:
+                memo[name] = metric
+            elif all(type(v) is str for v in labels.values()):
+                memo[(name, tuple(labels.items()))] = metric
+            return metric
 
     def _check_kind(self, name: str, kind: str) -> None:
         registered = self._kinds.get(name)
@@ -409,46 +466,28 @@ class MetricsRegistry:
             series = [h for h in self._histograms.values()
                       if h.name == name and _labels_match(h.labels, match)]
         with self._data_lock:
-            samples: List[float] = []
-            count = 0
-            total = 0.0
-            lo: Optional[float] = None
-            hi: Optional[float] = None
-            merged_buckets: Dict[str, int] = {}
-            any_buckets = False
-            for h in series:
-                samples.extend(h._samples)
-                count += h.count
-                total += h.total
-                if h.min is not None:
-                    lo = h.min if lo is None else min(lo, h.min)
-                if h.max is not None:
-                    hi = h.max if hi is None else max(hi, h.max)
-                snap = h._snapshot_locked()
-                if "buckets" in snap:
-                    any_buckets = True
-                    for le, n in snap["buckets"].items():
-                        merged_buckets[le] = merged_buckets.get(le, 0) + n
-        samples.sort()
-
-        def q(p: float) -> float:
-            if not samples:
-                return 0.0
-            rank = min(len(samples) - 1,
-                       int(round(p / 100.0 * (len(samples) - 1))))
-            return samples[rank]
-
-        merged: Dict[str, object] = {
-            "count": count,
-            "retained_samples": len(samples),
-            "sum": total,
-            "mean": total / count if count else 0.0,
-            "min": lo if lo is not None else 0.0,
-            "max": hi if hi is not None else 0.0,
-            "p50": q(50.0),
-            "p95": q(95.0),
-            "p99": q(99.0),
-        }
+            raws = [h._raw_locked() for h in series]
+        samples = array("d")
+        count = 0
+        total = 0.0
+        lo: Optional[float] = None
+        hi: Optional[float] = None
+        merged_buckets: Dict[str, int] = {}
+        any_buckets = False
+        for h, (n, h_total, h_min, h_max, counts, h_samples) in zip(series,
+                                                                    raws):
+            samples.extend(h_samples)
+            count += n
+            total += h_total
+            if h_min is not None:
+                lo = h_min if lo is None else min(lo, h_min)
+            if h_max is not None:
+                hi = h_max if hi is None else max(hi, h_max)
+            if counts is not None:
+                any_buckets = True
+                for le, c in h._cumulative(counts, n).items():
+                    merged_buckets[le] = merged_buckets.get(le, 0) + c
+        merged = _summary(count, total, lo, hi, samples)
         if any_buckets:
             merged["buckets"] = merged_buckets
         return merged
@@ -474,20 +513,23 @@ class MetricsRegistry:
         :func:`parse_series_key`).  All values are read under the
         shared data lock in a single critical section, so the returned
         numbers are mutually consistent (e.g. a hits counter never
-        outruns its probes counter within one snapshot).
+        outruns its probes counter within one snapshot).  That section
+        only copies; histogram reservoirs are sorted after it.
         """
         with self._lock:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
-            histograms = dict(self._histograms)
+            counters = sorted(self._counters.items())
+            gauges = sorted(self._gauges.items())
+            histograms = sorted(self._histograms.items())
         with self._data_lock:
-            return {
-                "counters": {n: c._value
-                             for n, c in sorted(counters.items())},
-                "gauges": {n: g._value for n, g in sorted(gauges.items())},
-                "histograms": {n: h._snapshot_locked()
-                               for n, h in sorted(histograms.items())},
-            }
+            counter_values = {n: c._value for n, c in counters}
+            gauge_values = {n: g._value for n, g in gauges}
+            raws = [h._raw_locked() for _, h in histograms]
+        return {
+            "counters": counter_values,
+            "gauges": gauge_values,
+            "histograms": {n: h._snapshot_of(raw)
+                           for (n, h), raw in zip(histograms, raws)},
+        }
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
@@ -499,3 +541,6 @@ class MetricsRegistry:
             self._gauges.clear()
             self._histograms.clear()
             self._kinds.clear()
+            self._counter_memo.clear()
+            self._gauge_memo.clear()
+            self._histogram_memo.clear()

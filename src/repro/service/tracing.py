@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 from repro.obs.context import PHASE_SPAN_NAMES, Span
 
@@ -170,8 +171,8 @@ class TraceBuffer:
         self.tail = tail
         #: Hook: (kind, duration_ms) -> violated latency-SLO name | None.
         self.violation_check = None
-        self._traces: List[QueryTrace] = []
-        self._pending: List[QueryTrace] = []
+        self._traces: Deque[QueryTrace] = deque(maxlen=capacity or None)
+        self._pending: Deque[QueryTrace] = deque()
         self._lock = threading.Lock()
         self._dropped = 0
         self._healthy_seen = 0
@@ -198,25 +199,23 @@ class TraceBuffer:
             reason = self._decide_locked(trace)
             if reason is not None:
                 trace.retention_reason = reason
-                self._retained_by_reason[reason.split(":")[0]] = (
-                    self._retained_by_reason.get(reason.split(":")[0], 0) + 1)
+                family = reason.split(":")[0]
+                self._retained_by_reason[family] = (
+                    self._retained_by_reason.get(family, 0) + 1)
                 self._annotate_root(trace, reason)
-            self._pending.append(trace)
-            overflow = len(self._pending) - self.tail.decision_window
-            if overflow > 0:
-                decided, self._pending = (self._pending[:overflow],
-                                          self._pending[overflow:])
-                for aged in decided:
-                    if aged.retention_reason is None:
-                        self._downsampled += 1
-                    else:
-                        self._retain_locked(aged)
+            pending = self._pending
+            pending.append(trace)
+            while len(pending) > self.tail.decision_window:
+                aged = pending.popleft()
+                if aged.retention_reason is None:
+                    self._downsampled += 1
+                else:
+                    self._retain_locked(aged)
 
     def _retain_locked(self, trace: QueryTrace) -> None:
+        if len(self._traces) == self._capacity:
+            self._dropped += 1  # the append below evicts the oldest
         self._traces.append(trace)
-        if len(self._traces) > self._capacity:
-            del self._traces[:len(self._traces) - self._capacity]
-            self._dropped += 1
 
     def _decide_locked(self, trace: QueryTrace) -> Optional[str]:
         """The tail verdict: why this finished trace must be kept."""
@@ -264,7 +263,7 @@ class TraceBuffer:
     def recent(self, n: Optional[int] = None) -> List[QueryTrace]:
         """The most recent ``n`` traces (all retained ones by default)."""
         with self._lock:
-            traces = self._traces + self._pending
+            traces = [*self._traces, *self._pending]
         return traces if n is None else traces[-n:]
 
     def sampling_stats(self) -> Dict[str, object]:

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from time import perf_counter
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from repro.obs.context import PHASE_SPAN_NAMES, current_trace
 from repro.obs.context import span as obs_span
@@ -73,8 +72,7 @@ class DiskSimulator:
         self._listener = listener
         return previous
 
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
+    def phase(self, name: str) -> "_PhaseBlock":
         """Attribute enclosed accesses to phase ``name`` (re-entrant).
 
         Under an active trace context (:mod:`repro.obs.context`) the
@@ -82,34 +80,7 @@ class DiskSimulator:
         query's span tree — annotated with the node accesses and page
         faults the phase charged to this disk.
         """
-        if current_trace() is not None:
-            with obs_span(PHASE_SPAN_NAMES.get(name, name),
-                          meta={"phase": name}) as span_:
-                na0 = self.stats.node_accesses[name]
-                pf0 = self.stats.page_faults[name]
-                with self._plain_phase(name):
-                    try:
-                        yield
-                    finally:
-                        span_.meta["node_accesses"] = (
-                            self.stats.node_accesses[name] - na0)
-                        span_.meta["page_faults"] = (
-                            self.stats.page_faults[name] - pf0)
-        else:
-            with self._plain_phase(name):
-                yield
-
-    @contextmanager
-    def _plain_phase(self, name: str) -> Iterator[None]:
-        previous = self._phase
-        self._phase = name
-        start = perf_counter() if self._listener is not None else 0.0
-        try:
-            yield
-        finally:
-            self._phase = previous
-            if self._listener is not None:
-                self._listener(name, perf_counter() - start)
+        return _PhaseBlock(self, name)
 
     def reset_stats(self) -> None:
         """Zero the counters; the buffer contents stay warm."""
@@ -120,3 +91,45 @@ class DiskSimulator:
         self.stats.reset()
         if self._buffer is not None:
             self._buffer.clear()
+
+
+class _PhaseBlock:
+    """One :meth:`DiskSimulator.phase` block: the phase switch, the
+    listener call and, under a trace, the disk span around them."""
+
+    __slots__ = ("_disk", "_name", "_previous", "_start", "_scope",
+                 "_span", "_na0", "_pf0")
+
+    def __init__(self, disk: DiskSimulator, name: str):
+        self._disk = disk
+        self._name = name
+
+    def __enter__(self) -> None:
+        disk, name = self._disk, self._name
+        if current_trace() is not None:
+            self._scope = obs_span(PHASE_SPAN_NAMES.get(name, name),
+                                   meta={"phase": name})
+            self._span = self._scope.__enter__()
+            self._na0 = disk.stats.node_accesses[name]
+            self._pf0 = disk.stats.page_faults[name]
+        else:
+            self._scope = None
+        self._previous = disk._phase
+        disk._phase = name
+        self._start = perf_counter() if disk._listener is not None else 0.0
+
+    def __exit__(self, *exc_info) -> bool:
+        disk, name = self._disk, self._name
+        try:
+            if self._scope is not None:
+                meta = self._span.meta
+                meta["node_accesses"] = (
+                    disk.stats.node_accesses[name] - self._na0)
+                meta["page_faults"] = disk.stats.page_faults[name] - self._pf0
+            disk._phase = self._previous
+            if disk._listener is not None:
+                disk._listener(name, perf_counter() - self._start)
+        finally:
+            if self._scope is not None:
+                self._scope.__exit__(*exc_info)
+        return False

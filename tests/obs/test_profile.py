@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import re
+from typing import Dict, List, Optional, Tuple
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.obs import PhaseProfiler, collapse_trace
 from repro.service import QueryTrace, Span
@@ -131,3 +134,92 @@ class TestProfiler:
             PhaseProfiler(sample_1_in=0)
         with pytest.raises(ValueError):
             PhaseProfiler(max_stacks=0)
+
+
+# ----------------------------------------------------------------------
+# the reference: the recursive walk collapse_trace replaced
+# ----------------------------------------------------------------------
+def _reference_collapse(trace, normalize: bool = True
+                        ) -> Dict[Tuple[str, ...], float]:
+    def frame(name: str) -> str:
+        if normalize:
+            m = re.match(r"^(shard|replica)_\d+$", name)
+            if m:
+                return m.group(1)
+        return name
+
+    spans = list(trace.spans)
+    by_id = {s.span_id: s for s in spans if s.span_id is not None}
+    children: Dict[Optional[str], List] = {}
+    for s in spans:
+        parent = s.parent_id if s.parent_id in by_id else None
+        children.setdefault(parent, []).append(s)
+    root = frame(trace.kind)
+    stacks: Dict[Tuple[str, ...], float] = {}
+
+    def add(stack, ms):
+        stacks[stack] = stacks.get(stack, 0.0) + max(ms, 0.0)
+
+    def walk(span, prefix):
+        stack = prefix + (frame(span.name),)
+        kids = children.get(span.span_id, []) if span.span_id else []
+        add(stack, span.duration_ms - sum(k.duration_ms for k in kids))
+        for kid in kids:
+            walk(kid, stack)
+
+    roots = children.get(None, [])
+    for span in roots:
+        walk(span, (root,))
+    add((root,), trace.duration_ms - sum(s.duration_ms for s in roots))
+    return stacks
+
+
+_NAMES = ["cache_probe", "shard_fanout", "shard_0", "shard_3", "shard_12",
+          "replica_1", "index_descent", "tpnn_probing", "serialization"]
+
+
+@st.composite
+def _span_trees(draw):
+    n = draw(st.integers(0, 16))
+    spans = []
+    for i in range(n):
+        legacy = draw(st.integers(0, 9)) == 0  # a flat span without ids
+        earlier = [f"s{j}" for j in range(1, i + 1)] or [None]
+        # Crowding children under the first few spans makes the sums
+        # of three and more durations whose rounding depends on order.
+        parent = draw(st.one_of(
+            st.none(), st.just("gone"), st.sampled_from(earlier[:3]),
+            st.sampled_from(earlier)))
+        spans.append(Span(
+            draw(st.sampled_from(_NAMES)),
+            draw(st.floats(0.0, 50.0)),
+            draw(st.one_of(st.floats(0.0, 5.0), st.floats(0.0, 500.0))),
+            span_id=None if legacy else f"s{i + 1}",
+            parent_id=parent))
+    spans = draw(st.permutations(spans))
+    return _trace(kind=draw(st.sampled_from(["knn", "shard_2"])),
+                  duration_ms=draw(st.floats(0.0, 600.0)), spans=spans)
+
+
+# 0.1 + 0.2 + 0.3 rounds differently from 0.3 + 0.2 + 0.1: a walk that
+# sums children or roots in another order changes the profile's bits.
+_ORDERED_SUMS = _trace(duration_ms=1.0, spans=[
+    Span("shard_fanout", 0.0, 1.0, span_id="f"),
+    *(Span(f"shard_{i}", 0.0, d, span_id=f"s{i}", parent_id="f")
+      for i, d in enumerate((0.1, 0.2, 0.3)))])
+_ORDERED_ROOTS = _trace(duration_ms=1.0, spans=[
+    Span(name, 0.0, d, span_id=name)
+    for name, d in (("cache_probe", 0.1), ("admission_wait", 0.2),
+                    ("serialization", 0.3))])
+
+
+@settings(deadline=None, max_examples=300)
+@given(_span_trees(), st.booleans())
+@example(_ORDERED_SUMS, True)
+@example(_ORDERED_ROOTS, True)
+def test_iterative_collapse_matches_the_recursive_walk(trace, normalize):
+    """Same stacks, first seen in the same order, with bit-identical
+    self-time sums — so profiles, table order and overflow match."""
+    got = collapse_trace(trace, normalize=normalize)
+    want = _reference_collapse(trace, normalize=normalize)
+    assert list(got.items()) == list(want.items())

@@ -6,7 +6,10 @@ exact and deterministic — no sleeps, no wall time.
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs import SLOConfig, SLOEngine
 from repro.obs.slo import BROWNOUT_NAMES, _window_label
@@ -254,3 +257,147 @@ class TestEvaluationAndExport:
         assert snap["brownout_level"] == 0
         assert set(snap["slos"]) == {"avail"}
         assert snap["evaluated_at"] == 1000.0
+
+
+# ----------------------------------------------------------------------
+# the reference: every observation recorded into every window
+# ----------------------------------------------------------------------
+class _ReferenceWindow:
+    """One rolling window recorded per observation (1-second buckets,
+    pruned on every record and read) — the engine's original shape."""
+
+    def __init__(self, window_s: int):
+        self.window_s = window_s
+        self.buckets = deque()
+        self.good = 0
+        self.bad = 0
+
+    def record(self, now_s: float, good: int, bad: int) -> None:
+        sec = int(now_s)
+        if self.buckets and self.buckets[-1][0] == sec:
+            self.buckets[-1][1] += good
+            self.buckets[-1][2] += bad
+        else:
+            self.buckets.append([sec, good, bad])
+        self.good += good
+        self.bad += bad
+        self.prune(now_s)
+
+    def totals(self, now_s: float):
+        self.prune(now_s)
+        return self.good, self.bad
+
+    def prune(self, now_s: float) -> None:
+        floor = int(now_s) - self.window_s
+        while self.buckets and self.buckets[0][0] <= floor:
+            _, good, bad = self.buckets.popleft()
+            self.good -= good
+            self.bad -= bad
+
+
+class _ReferenceSLO:
+    """Per-observation window recording and the same evaluation rules."""
+
+    def __init__(self, configs):
+        self.configs = configs
+        self.windows = {c.name: {w: _ReferenceWindow(w) for w in c.windows()}
+                        for c in configs}
+        self.observed = {c.name: {"good": 0, "bad": 0} for c in configs}
+
+    def observe(self, kind, latency_ms=None, error=False, staleness=0,
+                ts=0.0):
+        for cfg in self.configs:
+            if cfg.query_kind is not None and cfg.query_kind != kind:
+                continue
+            if cfg.objective == "availability":
+                bad = error
+            elif cfg.objective == "latency":
+                bad = error or (latency_ms is not None
+                                and latency_ms > cfg.threshold_ms)
+            else:
+                if error:
+                    continue
+                bad = staleness > cfg.max_staleness
+            good_n, bad_n = (0, 1) if bad else (1, 0)
+            for counts in self.windows[cfg.name].values():
+                counts.record(ts, good_n, bad_n)
+            self.observed[cfg.name]["bad" if bad else "good"] += 1
+
+    def evaluate(self, now_s):
+        level = 0
+        status = {}
+        for cfg in self.configs:
+            windows = self.windows[cfg.name]
+            burn = {}
+            for w, counts in windows.items():
+                good, bad = counts.totals(now_s)
+                total = good + bad
+                burn[w] = (bad / total if total else 0.0) / cfg.budget
+            fast = (burn[cfg.fast_windows[0]] >= cfg.fast_burn
+                    and burn[cfg.fast_windows[1]] >= cfg.fast_burn)
+            slow = (burn[cfg.slow_windows[0]] >= cfg.slow_burn
+                    and burn[cfg.slow_windows[1]] >= cfg.slow_burn)
+            good, bad = windows[cfg.slow_windows[1]].totals(now_s)
+            total = good + bad
+            remaining = 1.0 - (bad / total if total else 0.0) / cfg.budget
+            slo_level = 0
+            if fast:
+                slo_level = 1
+                if burn[cfg.fast_windows[0]] >= 2.0 * cfg.fast_burn:
+                    slo_level = 2
+                if remaining <= 0.0:
+                    slo_level = 3
+            level = max(level, slo_level)
+            status[cfg.name] = {
+                "objective": cfg.objective,
+                "target": cfg.target,
+                "burn_rate": {_window_label(w): burn[w] for w in sorted(burn)},
+                "fast_alert": fast,
+                "slow_alert": slow,
+                "budget_remaining": remaining,
+                "observed": dict(self.observed[cfg.name]),
+                "recommended_level": slo_level,
+            }
+        return level, status
+
+
+_SHORT = dict(fast_windows=(3, 10), slow_windows=(30, 100))
+_CONFIGS = [
+    SLOConfig("avail", target=0.9, fast_burn=2.0, slow_burn=1.5, **_SHORT),
+    SLOConfig("lat", objective="latency", threshold_ms=5.0, target=0.8,
+              fast_burn=1.5, slow_burn=1.2, **_SHORT),
+    SLOConfig("knn-stale", objective="staleness", max_staleness=1,
+              query_kind="knn", target=0.95, **_SHORT),
+    SLOConfig("default-windows", target=0.99),
+]
+
+_ts = st.one_of(st.integers(-3, 150).map(float),
+                st.floats(-3.0, 150.0, allow_nan=False))
+_observe = st.tuples(st.just("observe"), st.sampled_from(["knn", "window"]),
+                     st.one_of(st.none(), st.floats(0.0, 10.0)),
+                     st.booleans(), st.integers(0, 3), _ts)
+_evaluate = st.tuples(st.just("evaluate"), _ts)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.one_of(_observe, _observe, _observe, _evaluate),
+                max_size=120),
+       _ts)
+def test_folded_windows_match_per_observation_recording(ops, final):
+    """Tallying per second and folding on change (and before reads)
+    reports what recording every observation into every window does:
+    burn rates, alerts, budgets, observed counts and levels, exactly —
+    out-of-order timestamps and interleaved evaluations included."""
+    engine = SLOEngine(_CONFIGS, clock=FakeClock(0.0), eval_interval_s=0.0)
+    reference = _ReferenceSLO(_CONFIGS)
+    for op in ops + [("evaluate", final)]:
+        if op[0] == "observe":
+            _, kind, latency, error, staleness, ts = op
+            engine.observe(kind, latency_ms=latency, error=error,
+                           staleness=staleness, ts=ts)
+            reference.observe(kind, latency_ms=latency, error=error,
+                              staleness=staleness, ts=ts)
+        else:
+            level, status = reference.evaluate(op[1])
+            assert engine.evaluate(op[1]) == level
+            assert engine.snapshot()["slos"] == status

@@ -1,10 +1,13 @@
 """Unit tests for the metrics registry primitives."""
 
+import builtins
 import json
 import threading
+from array import array
 
 import pytest
 
+from repro.service import metrics
 from repro.service.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 
@@ -139,3 +142,98 @@ class TestRegistry:
             t.join()
         total = sum(v for v in reg.snapshot()["counters"].values())
         assert total == 8 * 200
+
+
+class TestLookupMemo:
+    def test_any_label_order_hits_the_same_series(self):
+        reg = MetricsRegistry()
+        a = reg.counter("q", labels={"query_kind": "knn", "shard": "1"})
+        b = reg.counter("q", labels={"shard": "1", "query_kind": "knn"})
+        assert a is b
+        h1 = reg.histogram("lat", labels={"k": "v", "d": "false"})
+        h2 = reg.histogram("lat", labels={"d": "false", "k": "v"})
+        assert h1 is h2
+        assert list(reg.snapshot()["counters"]) == [
+            'q{query_kind="knn",shard="1"}']
+
+    def test_equal_values_that_render_differently_stay_apart(self):
+        # 1, 1.0 and True are one dict key but three label values.
+        reg = MetricsRegistry()
+        for value in ("1", 1, 1.0, True, 1, "1"):
+            reg.counter("c", labels={"v": value}).inc()
+        assert reg.snapshot()["counters"] == {
+            'c{v="1"}': 4, 'c{v="1.0"}': 1, 'c{v="True"}': 1}
+
+    def test_unhashable_label_values_still_resolve(self):
+        reg = MetricsRegistry()
+        reg.gauge("g", labels={"v": [1, 2]}).set(2.0)
+        assert reg.gauge("g", labels={"v": [1, 2]}).value == 2.0
+        assert reg.snapshot()["gauges"] == {'g{v="[1, 2]"}': 2.0}
+
+    def test_kind_collision_rejected_after_a_memoized_lookup(self):
+        reg = MetricsRegistry()
+        reg.counter("x", labels={"a": "1"})
+        reg.counter("x", labels={"a": "1"})
+        with pytest.raises(ValueError):
+            reg.histogram("x", labels={"a": "1"})
+
+    def test_reset_forgets_memoized_series(self):
+        reg = MetricsRegistry()
+        old = reg.counter("x", labels={"a": "1"})
+        old.inc()
+        reg.reset()
+        fresh = reg.counter("x", labels={"a": "1"})
+        assert fresh is not old and fresh.value == 0
+        reg.reset()
+        reg.gauge("x").set(1.0)  # the family may change kind after reset
+        assert reg.snapshot()["gauges"] == {"x": 1.0}
+
+
+_READS = {
+    "registry.snapshot": lambda reg, h: reg.snapshot(),
+    "registry.histogram_merged": lambda reg, h: reg.histogram_merged("lat"),
+    "histogram.snapshot": lambda reg, h: h.snapshot(),
+    "histogram.percentile": lambda reg, h: h.percentile(99),
+}
+
+
+@pytest.mark.parametrize("read", sorted(_READS))
+def test_reads_sort_reservoirs_off_the_data_lock(monkeypatch, read):
+    """A metrics read must not stall the queries updating metrics.
+
+    The quantile step (the reservoir sort) waits for a concurrent
+    ``Counter.inc()``; if the read held the registry's data lock while
+    sorting, the increment could not land and the wait would time out.
+    """
+    reg = MetricsRegistry()
+    h = reg.histogram("lat", buckets=(1.0, 10.0))
+    for v in range(2000):
+        h.record(float(v % 50))
+    counter = reg.counter("service.queries")
+    expected = _READS[read](reg, h)
+    landed = threading.Event()
+    waits = []
+    threads = []
+
+    def sort_waiting_for_an_update(values, *args, **kwargs):
+        if isinstance(values, array) and not waits:
+            t = threading.Thread(
+                target=lambda: (counter.inc(), landed.set()), daemon=True)
+            threads.append(t)
+            t.start()
+            waits.append(landed.wait(timeout=2.0))
+        return builtins.sorted(values, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "sorted", sort_waiting_for_an_update,
+                        raising=False)
+    result = _READS[read](reg, h)
+    for t in threads:
+        t.join(timeout=5.0)
+        assert not t.is_alive()
+    assert waits == [True], "an update blocked behind the reservoir sort"
+    assert counter.value == 1
+    if read == "registry.snapshot":
+        # The increment may land before or after the copy; the
+        # histogram part of the read is unchanged either way.
+        result, expected = (result["histograms"], expected["histograms"])
+    assert result == expected

@@ -12,6 +12,7 @@ suite.
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 
@@ -96,6 +97,46 @@ def test_client_mints_trace_ids_and_logs_cache_answers():
     cache_events = service.events.tail(category="client")
     assert [e["event"] for e in cache_events] == ["client.cache_answer"]
     assert cache_events[0]["trace_id"] == first.trace_id
+
+
+@pytest.mark.parametrize("subscribe", [False, True])
+def test_client_cache_answers_mint_no_trace_ids(monkeypatch, subscribe):
+    from repro.core import client as client_module
+
+    minted = []
+    real = client_module.new_trace_id
+    monkeypatch.setattr(client_module, "new_trace_id",
+                        lambda: minted.append(1) or real())
+    service = build_service(_points(), shards=1)
+    client = MobileClient(service, subscribe=subscribe)
+    client.knn((0.5, 0.5), k=3)
+    assert len(minted) == 1  # the one request that left the client
+    for i in range(20):
+        client.knn((0.5 + i * 1e-9, 0.5), k=3)
+    assert client.stats.cache_answers == 20
+    assert len(minted) == 1
+    # Every cache answer is logged against the originating trace.
+    answers = [e for e in service.events.tail(category="client")
+               if e["event"] == "client.cache_answer"]
+    assert len(answers) == 20
+    assert {e["trace_id"] for e in answers} == {
+        client.cache_entry("knn").trace_id}
+    if subscribe:
+        # A pushed patch refreshes the cache entry under a new id, which
+        # the following cache answer reports.
+        points = _points()
+        nearest = min(range(len(points)), key=lambda i: math.dist(
+            points[i], (0.5, 0.5)))
+        assert service.delete_object(nearest, *points[nearest])
+        client.knn((0.5, 0.5), k=3)
+        assert client.stats.pushes_applied == 1
+        assert client.stats.cache_answers == 21
+        assert len(minted) == 2
+        answer = service.events.tail(category="client")[-1]
+        assert answer["event"] == "client.cache_answer"
+        assert answer["trace_id"] == client.cache_entry("knn").trace_id
+        assert answer["trace_id"] not in {e["trace_id"] for e in answers}
+    client.close()
 
 
 def test_no_trace_context_leaks_out_of_answer():
