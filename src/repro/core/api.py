@@ -30,11 +30,14 @@ from time import perf_counter
 from typing import (
     ClassVar,
     List,
+    NamedTuple,
     Optional,
     Protocol,
     Tuple,
     runtime_checkable,
 )
+
+from repro.index.entry import LeafEntry
 
 __all__ = [
     "QueryRequest",
@@ -45,6 +48,7 @@ __all__ = [
     "QueryBudget",
     "BudgetClock",
     "QueryDetail",
+    "Mutation",
     "QuerySemantics",
     "register_query_type",
     "query_semantics",
@@ -284,6 +288,34 @@ class QueryRequest(Protocol):
     budget: Optional[QueryBudget]
 
 
+@dataclass(frozen=True)
+class Mutation:
+    """One dataset change: what a cache entry, a lagging replica's
+    answer or a subscription must be certified against."""
+
+    op: str  # "insert" | "delete"
+    oid: int
+    x: float
+    y: float
+
+    def __post_init__(self):
+        if self.op not in ("insert", "delete"):
+            raise ValueError(f"unknown mutation op {self.op!r}")
+
+    @property
+    def entry(self) -> LeafEntry:
+        return LeafEntry(self.oid, self.x, self.y)
+
+
+class _Answer(NamedTuple):
+    """A fetched answer's result and detail under its current region
+    (what the default :meth:`QuerySemantics.continuous_apply` certifies)."""
+
+    result: list
+    region: object
+    detail: object
+
+
 # ----------------------------------------------------------------------
 # the query-type registry
 # ----------------------------------------------------------------------
@@ -298,14 +330,18 @@ class QuerySemantics:
       falls back to centralized ``execute`` over the merged dataset,
       so a new type works on both server shapes without a
       scatter-gather merge rule);
-    * ``location`` / ``cache_key`` / ``serve_cached`` /
-      ``cache_survives`` — :class:`~repro.service.cache.ValidityCache`
-      addressing, admissibility and surgical mutation survival;
-    * ``stale_region`` — the replica bounded-staleness shrink
-      (``None`` = this response cannot be served stale);
+    * ``location`` / ``cache_key`` / ``serve_cached`` —
+      :class:`~repro.service.cache.ValidityCache` addressing and
+      admissibility;
+    * ``certify`` — the one mutation certificate: is an answer still
+      exact inside its region after a list of mutations, and if not,
+      what part of the region is left?  The cache keeps an entry iff it
+      returns the entry's own region, a lagging replica serves the
+      region it returns, and a subscription patch ships it;
     * ``subscribe_init`` / ``continuous_apply`` / ``continuous_move`` /
       ``refetch_request`` — continuous-query patching hooks (gated on
-      ``supports_subscriptions``);
+      ``supports_subscriptions``); the defaults fetch, patch through
+      ``certify`` and re-serve while the region holds the client;
     * ``oracle`` — a brute-force reference answer, powering the
       reusable :func:`repro.core.conformance.check_semantics` suite.
 
@@ -352,39 +388,63 @@ class QuerySemantics:
         unchanged when no adaptation is needed."""
         return inner
 
-    def cache_survives(self, entry, op: str, oid: int,
-                       x: float, y: float) -> bool:
-        """Can the cached ``entry`` provably survive this mutation?"""
-        return False
+    # --- the mutation certificate -------------------------------------
+    def certify(self, request, response, mutations, universe):
+        """Where does ``response`` stay exact after ``mutations``?
 
-    # --- replica staleness --------------------------------------------
-    def stale_region(self, request, response, pending, universe):
-        """A region provably valid for the fresh dataset despite the
-        replica's ``pending`` mutation backlog, or ``None`` when the
-        response cannot be served stale."""
-        return None
+        * **Unchanged** — ``response.region`` itself (the same object)
+          when no mutation can change ``response.result`` anywhere in
+          that region;
+        * **shrunk** — otherwise a region inside ``response.region``
+          that still contains the request's location, inside which
+          ``response.result`` is the exact answer on the mutated
+          dataset;
+        * ``None`` — no such region can be certified.
+
+        The region read is the one given (its rectangle, centre,
+        radius, half-planes or MBR); the request's location serves only
+        the final "does the answer still hold here" test.  The default
+        knows no rule: unchanged for no mutations, ``None`` otherwise.
+        """
+        return response.region if not mutations else None
 
     # --- continuous queries -------------------------------------------
     def subscribe_init(self, hub, sub, request) -> None:
-        """Fetch the initial answer and seed ``sub._state``."""
-        raise ValueError(f"cannot subscribe a {self.kind!r} request")
+        """Fetch the answer to ``request`` and install it on ``sub``."""
+        response = hub.owner.answer(
+            self.refetch_request(request, self.location(request)))
+        sub._state = response.detail
+        sub._needs_refresh = False
+        hub._set_response(sub, list(response.result), response.region,
+                          origin="subscribe")
 
     def continuous_apply(self, hub, sub, mutation) -> tuple:
-        """Fold one mutation into the subscription state.
+        """Fold one mutation into the subscription.
 
         Returns ``("skip",)``, ``("exhausted",)`` or
-        ``("patch", result, region)``.
+        ``("patch", result, region)``.  The default keeps the fetched
+        result and ships :meth:`certify`'s region for it.
         """
-        return ("exhausted",)
+        current = sub.response
+        answer = _Answer(current.result, current.region, sub._state)
+        region = self.certify(sub.request, answer, (mutation,),
+                              hub.owner.universe)
+        if region is None:
+            return ("exhausted",)
+        if region is current.region:
+            return ("skip",)
+        return ("patch", list(current.result), region)
 
     def continuous_move(self, hub, sub, location):
         """Relocate the subscription without a re-query, if possible.
 
         Returns ``("patch", result, region)`` to install a repaired
         answer, ``("serve", response)`` to re-serve the current response
-        unchanged (it already covers ``location``), or ``None`` to force
-        the escape-hatch re-fetch.
+        unchanged (the default, while its region holds ``location``),
+        or ``None`` to force the escape-hatch re-fetch.
         """
+        if sub.response.region.contains(location):
+            return ("serve", sub.response)
         return None
 
     def refetch_request(self, request, location):
@@ -405,16 +465,27 @@ class QuerySemantics:
 _REGISTRY: dict = {}
 _BY_TYPE: dict = {}
 _BUILTINS_LOADED = False
+#: Mutation hooks folded into ``certify`` in v3.0.
+_REMOVED_HOOKS = ("cache_survives", "stale_region")
 
 
 def register_query_type(semantics: QuerySemantics) -> QuerySemantics:
     """Register (or replace) the semantics for ``semantics.kind``.
 
     Returns the registered object so the call composes as a statement
-    or decorator-style tail call.
+    or decorator-style tail call.  A semantics still defining a hook
+    removed in v3.0 raises ``TypeError``: its rule belongs in
+    :meth:`QuerySemantics.certify`, and registering it silently would
+    drop that rule.
     """
     if not isinstance(semantics, QuerySemantics):
         raise TypeError(f"not a QuerySemantics: {semantics!r}")
+    removed = [hook for hook in _REMOVED_HOOKS if hasattr(semantics, hook)]
+    if removed:
+        raise TypeError(
+            f"{type(semantics).__name__} defines {', '.join(removed)}, "
+            "removed in v3.0: implement certify(request, response, "
+            "mutations, universe) instead")
     if not semantics.kind:
         raise ValueError("semantics.kind must be a non-empty string")
     if semantics.request_type is None:

@@ -9,14 +9,21 @@ full battery for free:
   registry by kind and by request type;
 * **region soundness** — the answer matches the type's oracle and the
   shipped region contains the query location;
-* **cache round-trip** — cache keys are deterministic, a cached
-  response re-served through :meth:`serve_cached` keeps the result
-  set, and any mutation :meth:`cache_survives` waves through provably
-  leaves the recomputed answer unchanged;
-* **staleness shrink containment** — :meth:`stale_region` only ever
-  *shrinks* (every point of the stale region lies in the original),
-  and a stale region that still covers the query location certifies
-  the stale answer against a full recompute on the mutated dataset.
+* **cache round-trip** — cache keys are deterministic, and a cached
+  response re-served through :meth:`serve_cached` keeps the result set;
+* **the mutation certificate** — :meth:`certify` is tried against
+  mutations aimed at the answer's decision boundaries (inserts on
+  rings just inside and just outside the farthest member's distance,
+  an insert at the query location, a delete of each member) and a few
+  uniform ones.
+  Whatever region it certifies — the original unchanged or a shrunk
+  one — must contain the query location and lie inside the original,
+  and a fresh execute on the mutated dataset must agree with the
+  answer at the location and at probes across the region.
+
+The probes re-ask the request elsewhere through
+:meth:`~repro.core.api.QuerySemantics.refetch_request`, which a kind
+under test must therefore implement.
 
 Use :func:`check_semantics` directly from a test::
 
@@ -29,14 +36,18 @@ import math
 import random
 from typing import Iterable, Optional, Sequence
 
-from repro.core.api import QuerySemantics, query_semantics
+from repro.core.api import Mutation, QuerySemantics, query_semantics
 from repro.core.server import LocationServer
-from repro.service.staleness import Mutation
 
 __all__ = ["check_semantics"]
 
 _EPS = 1e-9
-_PROBES = 64
+_PROBES = 16
+#: Directions of the rings of inserts around the farthest member's
+#: distance: just inside it (the insert joins the answer at the query
+#: location) and just outside it (it may shrink the region).
+_RING = 16
+_RING_SCALES = (0.999, 1.001)
 
 
 def _result_ids(response) -> set:
@@ -54,9 +65,8 @@ def _fresh_server(points, mutations: Sequence[Mutation]) -> LocationServer:
 
 
 def _random_mutations(server: LocationServer, rng: random.Random,
-                      count: int) -> list:
+                      count: int, next_oid: int) -> list:
     entries = list(server.tree.points())
-    next_oid = max((e.oid for e in entries), default=-1) + 1
     universe = server.universe
     muts = []
     for i in range(count):
@@ -70,17 +80,36 @@ def _random_mutations(server: LocationServer, rng: random.Random,
     return muts
 
 
-class _CacheEntryShim:
-    """The attributes ``cache_survives`` reads off a real cache entry."""
+def _targeted_mutations(response, loc, next_oid: int) -> list:
+    """Mutations at the answer's decision boundaries."""
+    qx, qy = float(loc[0]), float(loc[1])
+    muts = [Mutation("insert", next_oid, qx, qy)]
+    reach = max((math.hypot(e.x - qx, e.y - qy) for e in response.result),
+                default=0.0)
+    if reach > 0.0:
+        for scale in _RING_SCALES:
+            for i in range(_RING):
+                angle = 2.0 * math.pi * i / _RING
+                muts.append(Mutation("insert", next_oid + len(muts),
+                                     qx + scale * reach * math.cos(angle),
+                                     qy + scale * reach * math.sin(angle)))
+    muts.extend(Mutation("delete", e.oid, e.x, e.y) for e in response.result)
+    return muts
 
-    __slots__ = ("key", "response", "mbr")
 
-    def __init__(self, key, response, universe):
-        self.key = key
-        self.response = response
-        mbr_of = getattr(response.region, "mbr", None)
-        mbr = mbr_of() if mbr_of is not None else None
-        self.mbr = mbr if mbr is not None else universe
+def _probes(region, universe, rng: random.Random):
+    """Up to ``_PROBES`` random points inside ``region``."""
+    try:
+        box = region.mbr()
+    except (AttributeError, ValueError):
+        box = None
+    if box is None:
+        box = universe
+    for _ in range(_PROBES):
+        p = (box.xmin + rng.random() * (box.xmax - box.xmin),
+             box.ymin + rng.random() * (box.ymax - box.ymin))
+        if region.contains(p):
+            yield p
 
 
 def check_semantics(kind, points: Sequence, requests: Iterable,
@@ -103,7 +132,9 @@ def check_semantics(kind, points: Sequence, requests: Iterable,
     server = LocationServer.from_points(points)
     entries = list(server.tree.points())
     universe = server.universe
-    mutations = _random_mutations(server, rng, num_mutations)
+    next_oid = max((e.oid for e in entries), default=-1) + 1
+    uniform = _random_mutations(server, rng, num_mutations, next_oid)
+    next_oid += num_mutations
 
     for request in requests:
         if sem.request_type is not None:
@@ -134,33 +165,23 @@ def check_semantics(kind, points: Sequence, requests: Iterable,
             assert _result_ids(served) == ids, \
                 f"{sem.kind}: serve_cached changed the result set"
 
-        for m in mutations:
-            mutated = None
-
-            if key is not None:
-                shim = _CacheEntryShim(key, response, universe)
-                if sem.cache_survives(shim, m.op, m.oid, m.x, m.y):
-                    mutated = _fresh_server(points, [m])
-                    fresh = sem.execute(mutated, request)
-                    assert _result_ids(fresh) == ids, \
-                        (f"{sem.kind}: cache_survives kept an entry the "
-                         f"{m.op} of oid {m.oid} invalidates")
-
-            # --- staleness shrink containment ------------------------
-            stale = sem.stale_region(request, response, [m], universe)
-            if stale is None:
+        # --- the mutation certificate --------------------------------
+        assert sem.certify(request, response, (), universe) \
+            is response.region, \
+            f"{sem.kind}: certify changed the region of no mutations"
+        for m in _targeted_mutations(response, loc, next_oid) + uniform:
+            region = sem.certify(request, response, (m,), universe)
+            if region is None:
                 continue
-            for _ in range(_PROBES):
-                px = universe.xmin + rng.random() * universe.width
-                py = universe.ymin + rng.random() * universe.height
-                if stale.contains((px, py)):
-                    assert response.region.contains((px, py), _EPS), \
-                        (f"{sem.kind}: stale region grew beyond the "
-                         f"original under {m.op} of oid {m.oid}")
-            if stale.contains(loc):
-                if mutated is None:
-                    mutated = _fresh_server(points, [m])
-                fresh = sem.execute(mutated, request)
+            what = "kept" if region is response.region else "shrank"
+            label = f"{sem.kind}: certify {what} a region the {m.op} of " \
+                    f"oid {m.oid} at ({m.x:.6g}, {m.y:.6g})"
+            assert region.contains(loc, _EPS), \
+                f"{label} to one excluding the query location"
+            mutated = _fresh_server(points, [m])
+            for p in [loc] + list(_probes(region, universe, rng)):
+                assert response.region.contains(p, _EPS), \
+                    f"{label} to one reaching beyond the original at {p}"
+                fresh = sem.execute(mutated, sem.refetch_request(request, p))
                 assert _result_ids(fresh) == ids, \
-                    (f"{sem.kind}: stale region certifies a wrong answer "
-                     f"under {m.op} of oid {m.oid}")
+                    f"{label} invalidates at {p}"

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Dict, List, Optional, Tuple
+from typing import ClassVar, List, Optional, Tuple
 
 import numpy as np
 
@@ -213,72 +213,50 @@ class ProbKNNSemantics(QuerySemantics):
     def cache_key(self, request) -> Optional[tuple]:
         return ("probknn", request.k, request.uncertainty)
 
-    def cache_survives(self, entry, op, oid, x, y) -> bool:
-        detail: ProbKNNDetail = entry.response.detail
-        slack = self._mutation_slack(detail, op,
-                                     {e.oid for e in entry.response.result},
-                                     oid, x, y)
-        # Surviving in place means the cached region stays sound as-is.
-        return (slack is not None
-                and slack / 2.0 >= detail.safety_radius)
-
     @staticmethod
     def _mutation_slack(detail: ProbKNNDetail, op: str, result_ids,
                         oid: int, x: float, y: float) -> Optional[float]:
         """How far (before halving) the mutated point stays clear of
         every decision boundary, or ``None`` when it crosses one."""
+        if op == "delete" and oid in result_ids:
+            return None  # a candidate vanishes: the result changes
+        # An insert, or a far delete, must stay outside the horizon and
+        # every certain-band count.
         cx, cy = detail.query
         d_m = math.hypot(x - cx, y - cy)
-        horizon = detail.kth_distance + 2.0 * detail.uncertainty
-        if op == "delete":
-            if oid in result_ids:
-                return None  # a candidate vanishes: the result changes
-            # A far delete must stay outside every certain-band count.
-            slack = d_m - horizon
-            for d_o in detail.distances:
-                slack = min(slack, d_m - (d_o + 2.0 * detail.uncertainty))
-            return slack if slack > 0.0 else None
-        slack = d_m - horizon
+        slack = d_m - (detail.kth_distance + 2.0 * detail.uncertainty)
         for d_o in detail.distances:
             slack = min(slack, d_m - (d_o + 2.0 * detail.uncertainty))
         return slack if slack > 0.0 else None
 
-    # --- replica staleness --------------------------------------------
-    def stale_region(self, request, response, pending, universe):
+    # --- the mutation certificate -------------------------------------
+    def certify(self, request, response, mutations, universe):
+        """Each mutation's slack from every decision boundary, halved,
+        caps the annulus's outer radius; one that crosses a boundary
+        gives ``None``.  The annulus given is the one shrunk, so an
+        already shrunk region keeps shrinking."""
+        region = response.region
         detail: ProbKNNDetail = response.detail
         result_ids = {e.oid for e in response.result}
-        rho = detail.safety_radius
-        for m in pending:
+        # A region without an annulus (a brownout composite) lies inside
+        # the fetched one: it can be kept unchanged, never shrunk.
+        outer = getattr(region, "outer", None)
+        bound = detail.safety_radius if outer is None else outer
+        rho = bound
+        for m in mutations:
             slack = self._mutation_slack(detail, m.op, result_ids,
                                          m.oid, m.x, m.y)
             if slack is None:
                 return None
             rho = min(rho, slack / 2.0)
-        if rho == detail.safety_radius:
-            return response.region
-        return AnnulusValidityRegion(detail.query, 0.0, max(rho, 0.0))
+        if rho >= bound:
+            return region
+        if outer is None or rho < region.inner:
+            return None
+        shrunk = AnnulusValidityRegion(region.center, region.inner, rho)
+        return shrunk if shrunk.contains(request.location) else None
 
     # --- continuous ---------------------------------------------------
-    def subscribe_init(self, hub, sub, request) -> None:
-        response = hub.owner.answer(request)
-        sub._state = response.detail
-        sub._needs_refresh = False
-        hub._set_response(sub, list(response.result), response.region,
-                          origin="subscribe")
-
-    def continuous_apply(self, hub, sub, mutation) -> tuple:
-        detail: ProbKNNDetail = sub._state
-        result_ids = {e.oid for e in sub.response.result}
-        slack = self._mutation_slack(detail, mutation.op, result_ids,
-                                     mutation.oid, mutation.x, mutation.y)
-        if slack is None:
-            return ("exhausted",)
-        rho = min(sub.response.region.outer, slack / 2.0)
-        if rho >= sub.response.region.outer:
-            return ("skip",)  # the old region already keeps it clear
-        region = AnnulusValidityRegion(detail.query, 0.0, max(rho, 0.0))
-        return ("patch", list(sub.response.result), region)
-
     def continuous_move(self, hub, sub, location):
         # Stored distances are centre-relative: a new centre means a
         # fresh computation, so every move takes the escape hatch.

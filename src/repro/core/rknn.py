@@ -249,6 +249,52 @@ def _insert_upper_bound(candidates, k: int, x: float, y: float) -> float:
     return math.sqrt(d2[k - 1])
 
 
+def _fold_insert(detail: RKNNDetail, member_knn: Dict[int, List[float]],
+                 candidates: List[LeafEntry], m):
+    """Fold insert ``m`` into the members' competitor lists (in place).
+
+    Returns ``None`` when the insert changes the answer at the query
+    point — it evicts a member there, or it cannot be refuted from
+    joining — and otherwise ``(changed, gap)``: the members whose k-NN
+    radius it shrank, with their new radii, and the distance it keeps
+    from joining.  ``candidates`` grows by the insert, so later
+    refutation bounds count it.
+    """
+    loc = detail.query
+    k = detail.k
+    changed: List[Tuple[LeafEntry, float]] = []
+    for member in detail.members:
+        knn = member_knn[member.oid]
+        d = math.hypot(member.x - m.x, member.y - m.y)
+        if len(knn) >= k and d >= knn[-1]:
+            continue
+        knn.append(d)
+        knn.sort()
+        del knn[k:]
+        if len(knn) >= k:
+            radius = knn[k - 1]
+            if math.hypot(member.x - loc[0], member.y - loc[1]) >= radius:
+                return None  # the insert evicts a member at q
+            changed.append((member, radius))
+    gap = (math.hypot(m.x - loc[0], m.y - loc[1])
+           - _insert_upper_bound(candidates, k, m.x, m.y))
+    if gap <= 0.0:
+        return None  # cannot refute the insert joining the result
+    candidates.append(m.entry)
+    return changed, gap
+
+
+def _shrunk(region, detail: RKNNDetail, changed, gap: float, universe: Rect):
+    """``region`` cut to the shrunk member disks and a safety disk of
+    radius ``gap`` around the query point."""
+    diag = math.hypot(universe.width, universe.height)
+    return CompositeValidityRegion(
+        [region]
+        + [ValidityDisk(member.point, min(radius, diag))
+           for member, radius in changed]
+        + [ValidityDisk(detail.query, min(gap, diag))])
+
+
 class RKNNSemantics(QuerySemantics):
     """Reverse-kNN behind the query-type registry."""
 
@@ -271,48 +317,35 @@ class RKNNSemantics(QuerySemantics):
     def cache_key(self, request) -> Optional[tuple]:
         return ("rknn", request.k)
 
-    # cache_survives stays the base False: a mutation anywhere can flip
-    # an arbitrary object's k-NN threshold, so no surgical test is sound
-    # without re-deriving the member radii (the staleness tier's job).
-
-    # --- replica staleness --------------------------------------------
-    def stale_region(self, request, response, pending, universe):
+    # --- the mutation certificate -------------------------------------
+    def certify(self, request, response, mutations, universe):
+        """Any delete gives ``None`` (thresholds grow: members may
+        join).  Inserts fold into the members' k-NN radii; one that
+        shrinks no radius and keeps at least the safety radius from
+        joining has no effect, the others add member and safety
+        disks."""
+        region = response.region
+        if not mutations:
+            return region
+        if any(m.op == "delete" for m in mutations):
+            return None
         detail: RKNNDetail = response.detail
-        if any(m.op == "delete" for m in pending):
-            return None  # a delete can only grow thresholds: members join
-        loc = detail.query
-        diag = math.hypot(universe.width, universe.height)
-        updated: Dict[int, float] = {}
         member_knn = {oid: list(knn) for oid, knn in detail.member_knn.items()}
+        candidates = list(detail.candidates)
+        radii: Dict[int, Tuple[LeafEntry, float]] = {}
         slack = math.inf
-        for m in pending:
-            for member in detail.members:
-                knn = member_knn[member.oid]
-                d = math.hypot(member.x - m.x, member.y - m.y)
-                if knn and len(knn) >= detail.k and d >= knn[-1]:
-                    continue
-                knn.append(d)
-                knn.sort()
-                del knn[detail.k:]
-                if len(knn) >= detail.k:
-                    radius = knn[detail.k - 1]
-                    if math.hypot(member.x - loc[0],
-                                  member.y - loc[1]) >= radius:
-                        return None  # the insert evicts a member at q
-                    updated[member.oid] = radius
-            bound = _insert_upper_bound(detail.candidates, detail.k,
-                                        m.x, m.y)
-            gap = math.hypot(m.x - loc[0], m.y - loc[1]) - bound
-            if gap <= 0.0:
-                return None  # cannot refute the insert joining the result
+        for m in mutations:
+            folded = _fold_insert(detail, member_knn, candidates, m)
+            if folded is None:
+                return None
+            changed, gap = folded
+            radii.update((member.oid, (member, radius))
+                         for member, radius in changed)
             slack = min(slack, gap)
-        components = [response.region]
-        by_oid = {e.oid: e for e in detail.members}
-        for oid, radius in updated.items():
-            components.append(ValidityDisk(by_oid[oid].point,
-                                           min(radius, diag)))
-        components.append(ValidityDisk(loc, min(slack, diag)))
-        return CompositeValidityRegion(components)
+        if not radii and slack >= detail.safety_radius:
+            return region
+        shrunk = _shrunk(region, detail, radii.values(), slack, universe)
+        return shrunk if shrunk.contains(request.location) else None
 
     # --- continuous ---------------------------------------------------
     def subscribe_init(self, hub, sub, request) -> None:
@@ -326,43 +359,14 @@ class RKNNSemantics(QuerySemantics):
         if mutation.op == "delete":
             return ("exhausted",)  # thresholds grow: members may join
         state: _RknnSubState = sub._state
-        detail = state.detail
-        loc = detail.query
-        diag = math.hypot(hub.owner.universe.width,
-                          hub.owner.universe.height)
-        changed: List[Tuple[LeafEntry, float]] = []
-        for member in detail.members:
-            knn = state.member_knn[member.oid]
-            d = math.hypot(member.x - mutation.x, member.y - mutation.y)
-            if len(knn) >= detail.k and d >= knn[-1]:
-                continue
-            knn.append(d)
-            knn.sort()
-            del knn[detail.k:]
-            if len(knn) >= detail.k:
-                radius = knn[detail.k - 1]
-                if math.hypot(member.x - loc[0],
-                              member.y - loc[1]) >= radius:
-                    return ("exhausted",)  # result changes: re-fetch
-                changed.append((member, radius))
-        bound = _insert_upper_bound(state.candidates, detail.k,
-                                    mutation.x, mutation.y)
-        gap = (math.hypot(mutation.x - loc[0], mutation.y - loc[1])
-               - bound)
-        if gap <= 0.0:
-            return ("exhausted",)
-        state.candidates.append(mutation.entry)
-        region = CompositeValidityRegion(
-            [sub.response.region]
-            + [ValidityDisk(member.point, min(radius, diag))
-               for member, radius in changed]
-            + [ValidityDisk(loc, min(gap, diag))])
+        folded = _fold_insert(state.detail, state.member_knn,
+                              state.candidates, mutation)
+        if folded is None:
+            return ("exhausted",)  # result changes: re-fetch
+        changed, gap = folded
+        region = _shrunk(sub.response.region, state.detail, changed, gap,
+                         hub.owner.universe)
         return ("patch", list(sub.response.result), region)
-
-    def continuous_move(self, hub, sub, location):
-        if sub.response.region.contains(location):
-            return ("serve", sub.response)
-        return None
 
     def refetch_request(self, request, location):
         return replace(request, location=location)

@@ -1,29 +1,64 @@
 """Built-in query semantics: kNN, window and range as registry entries.
 
 Everything the serving stack used to decide with ``isinstance`` ladders
-— how to execute a request, how to key and adapt a cached answer, when
-a cached entry survives a mutation, how to shrink a stale replica
-region, how to patch a continuous subscription — lives here as the
-three built-in :class:`~repro.core.api.QuerySemantics` registrations.
-The service modules (:mod:`repro.service.cache`,
-:mod:`repro.service.staleness`, :mod:`repro.service.continuous`, …)
-look the behaviour up through
+— how to execute a request, how to key and adapt a cached answer, what
+a dataset mutation does to an answer, how to patch a continuous
+subscription — lives here as the three built-in
+:class:`~repro.core.api.QuerySemantics` registrations.  The service
+modules (:mod:`repro.service.cache`, :mod:`repro.service.staleness`,
+:mod:`repro.service.continuous`, …) look the behaviour up through
 :func:`~repro.core.api.query_semantics` and never name a concrete
-request type again, which is what lets reverse-kNN
-(:mod:`repro.core.rknn`), probabilistic kNN
-(:mod:`repro.core.probknn`) and third-party types plug into every tier
-without touching them.
+request type, which is what lets reverse-kNN (:mod:`repro.core.rknn`),
+probabilistic kNN (:mod:`repro.core.probknn`) and third-party types
+plug into every tier without touching them.
 
-Hooks that need service-layer helpers import them lazily inside the
-method body: ``repro.core`` must stay importable without
-``repro.service`` (the dependency edge points the other way).
+The mutation rules live in one hook per kind, ``certify``: the cache,
+the lagging replicas and the subscription patches all derive from it.
+``repro.core`` never imports ``repro.service`` (the dependency edge
+points the other way); the hub reaches these hooks with itself as an
+argument.
+
+kNN subscriptions — the anchor/horizon invariant
+------------------------------------------------
+Subscribing a ``k``-NN query fetches ``k + margin`` neighbours of the
+query point (the *anchor*) in one go and keeps the whole candidate set
+server-side.  With ``horizon`` the distance of the farthest retrieved
+candidate from the anchor, the retrieval guarantees the invariant
+
+    every live non-candidate object is at distance >= horizon
+    from the anchor,
+
+and every mutation preserves it for free: an insert within the horizon
+joins the candidate set, an insert beyond it is a no-op, a delete
+removes at most one candidate.  Serving the top-``k`` at a point ``p``
+purely from the candidates is sound whenever
+
+    d_k(p) + dist(anchor, p) < horizon
+
+(``d_k`` measured over the candidates): by the triangle inequality any
+non-candidate is farther from ``p`` than the k-th candidate.  The
+patched validity region is the intersection of
+
+* the exact bisector half-planes between the ``k`` members and the
+  remaining candidates (the re-ranked influence set — a local order-k
+  cell over the candidate universe), and
+* the safety disk of radius ``(horizon - dist(anchor, p) - d_k(p)) / 2``
+  centred on ``p``, inside which no non-candidate can catch up.
+
+Both pieces are computed from cached state with **zero node accesses**.
+When the condition fails — the margin is exhausted by deletes, or the
+client wandered too close to the horizon — the subscription falls back
+to a full re-query (the soundness escape hatch).  The machine changes
+the result, which ``certify`` never does, so kNN keeps it; window and
+range subscriptions patch through ``certify`` for every mutation that
+leaves their result alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.api import (
     KNNRequest,
@@ -32,7 +67,16 @@ from repro.core.api import (
     WindowRequest,
     register_query_type,
 )
+from repro.core.range_validity import RangeValidityRegion
+from repro.core.validity import (
+    CompositeValidityRegion,
+    NNValidityRegion,
+    ValidityDisk,
+    WindowValidityRegion,
+)
 from repro.geometry import Rect, bisector_halfplane
+from repro.geometry.rect import _cut_away
+from repro.index.entry import LeafEntry
 
 __all__ = [
     "KNNSemantics",
@@ -45,11 +89,112 @@ __all__ = [
 _EPS = 1e-9
 
 
-def _delete_survives(entry, oid: int) -> bool:
-    """A delete is harmless iff the object is not in the cached result:
-    a non-member is beaten everywhere the result is frozen, and
-    removing it promotes nothing."""
-    return all(e.oid != oid for e in entry.response.result)
+def _dist(a, b) -> float:
+    return math.hypot(a[0] - b[0], a[1] - b[1])
+
+
+def _inserts(response, mutations) -> Optional[list]:
+    """The inserts among ``mutations``, or ``None`` when one of them
+    deletes a member of ``response.result``.
+
+    A non-member delete is harmless anywhere in the region: the object
+    is beaten everywhere the result is frozen, and removing it promotes
+    nothing.
+    """
+    inserts = []
+    for m in mutations:
+        if m.op == "insert":
+            inserts.append(m)
+        elif any(e.oid == m.oid for e in response.result):
+            return None
+    return inserts
+
+
+def _by_oid(result) -> List[LeafEntry]:
+    return sorted(result, key=lambda e: e.oid)
+
+
+# ----------------------------------------------------------------------
+# the kNN subscription machine
+# ----------------------------------------------------------------------
+class _KnnState:
+    __slots__ = ("k", "anchor", "horizon", "point", "candidates")
+
+    def __init__(self, k: int, anchor: Tuple[float, float], horizon: float,
+                 point: Tuple[float, float],
+                 candidates: Dict[int, LeafEntry]):
+        self.k = k
+        self.anchor = anchor
+        self.horizon = horizon
+        self.point = point
+        self.candidates = candidates
+
+
+def _knn_served(state: _KnnState, universe: Rect):
+    """Top-k + patched region at ``state.point``, or ``None`` when the
+    margin cannot prove the candidate set covers the true top-k."""
+    point = state.point
+    cands = sorted(state.candidates.values(),
+                   key=lambda e: (_dist(e.point, point), e.oid))
+    k = state.k
+    if len(cands) < k:
+        return None
+    members, rest = cands[:k], cands[k:]
+    d_k = _dist(members[-1].point, point)
+    if math.isinf(state.horizon):
+        # The candidates are the whole dataset: always serveable.
+        slack = math.inf
+    else:
+        slack = state.horizon - _dist(state.anchor, point)
+        if d_k >= slack:
+            return None  # a non-candidate could undercut the k-th member
+    radius = math.inf if math.isinf(slack) else (slack - d_k) / 2.0
+    radius = min(radius, math.hypot(universe.width, universe.height))
+    if radius <= 0.0:
+        return None
+    disk = ValidityDisk(point, radius)
+    if not rest:
+        return members, disk
+    pairs = [(m, r) for m in members for r in rest]
+    try:
+        fences = NNValidityRegion(pairs, universe)
+    except ValueError:  # coincident member/non-member: bisector undefined
+        return None
+    return members, CompositeValidityRegion([fences, disk])
+
+
+def _knn_apply(state: _KnnState, m) -> str:
+    """Fold one mutation into the candidate set (idempotent by oid)."""
+    if m.op == "insert":
+        if m.oid in state.candidates:
+            return "skip"
+        if _dist((m.x, m.y), state.anchor) >= state.horizon:
+            return "skip"  # invariant untouched, old region still sound
+        state.candidates[m.oid] = m.entry
+        return "patch"  # region must shrink against the newcomer
+    if m.oid not in state.candidates:
+        return "skip"
+    was_member = m.oid in {
+        e.oid for e in sorted(
+            state.candidates.values(),
+            key=lambda e: (_dist(e.point, state.point), e.oid))[:state.k]}
+    del state.candidates[m.oid]
+    # A deleted non-member only removes a competitor: the shipped
+    # result and region both stay sound without a push.
+    return "patch" if was_member else "silent"
+
+
+def _walled_off(members, m, corners) -> bool:
+    """Is insert ``m`` beaten by every member at each corner of the
+    region's MBR?  The bisector half-planes are convex, so the corners
+    bound the whole MBR, hence the whole region."""
+    for n in members:
+        if n.x == m.x and n.y == m.y:
+            return False  # coincident: bisector undefined
+        halfplane = bisector_halfplane((n.x, n.y), (m.x, m.y))
+        if not all(map(halfplane.contains, corners)):
+            return False
+    return True
 
 
 class KNNSemantics(QuerySemantics):
@@ -93,31 +238,71 @@ class KNNSemantics(QuerySemantics):
             return inner
         return replace(inner, neighbors=ranked)
 
-    def cache_survives(self, entry, op, oid, x, y) -> bool:
-        if op == "delete":
-            return _delete_survives(entry, oid)
-        if len(entry.response.result) < entry.key[1]:
-            return False  # the insert joins an under-full result
-        corners = entry.mbr.corners()
-        for neighbor in entry.response.result:
-            if neighbor.x == x and neighbor.y == y:
-                return False  # coincident: bisector undefined
-            halfplane = bisector_halfplane(neighbor.point, (x, y))
-            if not all(halfplane.contains(c) for c in corners):
-                return False
-        return True
-
-    # --- replica staleness --------------------------------------------
-    def stale_region(self, request, response, pending, universe):
-        from repro.service.staleness import _knn_stale_region
-        return _knn_stale_region(request, response, pending, universe)
+    # --- the mutation certificate -------------------------------------
+    def certify(self, request, response, mutations, universe):
+        """A deleted member or an insert joining an under-full result
+        gives ``None``.  An insert walled off from the region's MBR by
+        every member's bisector has no effect; the others add their
+        member x insert bisector pairs to the region."""
+        region = response.region
+        inserts = _inserts(response, mutations)
+        if not inserts:
+            return region if inserts is not None else None
+        members = response.result
+        if len(members) < request.k:
+            return None  # the insert joins an under-full result
+        # A degenerate box bounds nothing (an empty clip parks it at the
+        # universe corner): no insert is walled off from it.
+        box = region.mbr()
+        reaching = inserts
+        if box.xmin < box.xmax and box.ymin < box.ymax:
+            corners = ((box.xmin, box.ymin), (box.xmax, box.ymin),
+                       (box.xmax, box.ymax), (box.xmin, box.ymax))
+            reaching = [m for m in inserts
+                        if not _walled_off(members, m, corners)]
+        if not reaching:
+            return region
+        try:
+            closer_than_inserts = NNValidityRegion(
+                [(n, m.entry) for m in reaching for n in members], universe)
+        except ValueError:  # an insert on a member: bisector undefined
+            return None
+        if not closer_than_inserts.contains(request.location):
+            return None  # an insert beats a member at the location itself
+        return CompositeValidityRegion([region, closer_than_inserts])
 
     # --- continuous ---------------------------------------------------
     def subscribe_init(self, hub, sub, request) -> None:
-        hub._init_knn(sub, request)
+        fetch = replace(request, k=request.k + hub.config.margin,
+                        previous_ids=None)
+        response = hub.owner.answer(fetch)
+        cands = list(response.result)
+        anchor = (float(request.location[0]), float(request.location[1]))
+        # Fewer candidates than asked for means the fetch returned the
+        # whole dataset: no non-candidate exists, the horizon is open.
+        horizon = math.inf
+        if len(cands) >= fetch.k:
+            horizon = max(_dist(e.point, anchor) for e in cands)
+        sub._state = _KnnState(k=request.k, anchor=anchor, horizon=horizon,
+                               point=anchor,
+                               candidates={e.oid: e for e in cands})
+        sub._needs_refresh = False
+        served = _knn_served(sub._state, hub.owner.universe)
+        if served is not None:
+            members, region = served
+        elif len(cands) < request.k:
+            # The answer is "everything there is"; the fetched region
+            # (however the server shaped it) bounds that claim.
+            members, region = cands, response.region
+        else:
+            # Distance tie exactly at the horizon: correct here, but
+            # nowhere else provably — serve a point-sized region.
+            members, region = (sorted(
+                cands, key=lambda e: (_dist(e.point, anchor), e.oid))[:request.k],
+                ValidityDisk(anchor, 0.0))
+        hub._set_response(sub, members, region, origin="subscribe")
 
     def continuous_apply(self, hub, sub, mutation) -> tuple:
-        from repro.service.continuous import _knn_apply, _knn_served
         code = _knn_apply(sub._state, mutation)
         if code != "patch":
             return (code,)
@@ -127,7 +312,6 @@ class KNNSemantics(QuerySemantics):
         return ("patch",) + served
 
     def continuous_move(self, hub, sub, location):
-        from repro.service.continuous import _knn_served
         state = sub._state
         previous = state.point
         state.point = location
@@ -154,7 +338,47 @@ class KNNSemantics(QuerySemantics):
         return must, may
 
 
-class WindowSemantics(QuerySemantics):
+class _MembershipPatches(QuerySemantics):
+    """Subscription patches of the set-valued kinds (window, range).
+
+    Two mutations change the result: a member's delete (the region
+    stays — the member was in the answer at every point of it) and an
+    insert that joins the answer (:meth:`_join`).  Every other mutation
+    leaves the result alone and goes to :meth:`certify`.  Patched
+    results are listed in oid order.
+    """
+
+    def _join(self, request, region, m):
+        """``(joins, region)``: does insert ``m`` join the answer, and
+        if so the region of the enlarged answer (``None``: none)."""
+        raise NotImplementedError
+
+    def continuous_apply(self, hub, sub, mutation) -> tuple:
+        current = sub.response
+        member = any(e.oid == mutation.oid for e in current.result)
+        if member:
+            if mutation.op == "insert":
+                return ("skip",)  # the fetch already saw it
+            return ("patch", _by_oid(e for e in current.result
+                                     if e.oid != mutation.oid),
+                    current.region)
+        if mutation.op == "insert":
+            joins, region = self._join(sub.request, current.region, mutation)
+            if joins:
+                if region is None:
+                    return ("exhausted",)
+                return ("patch", _by_oid(list(current.result)
+                                         + [mutation.entry]), region)
+        region = self.certify(sub.request, current, (mutation,),
+                              hub.owner.universe)
+        if region is None:
+            return ("exhausted",)
+        if region is current.region:
+            return ("skip",)
+        return ("patch", _by_oid(current.result), region)
+
+
+class WindowSemantics(_MembershipPatches):
     """The window query centred on the client (paper Section 4)."""
 
     kind = "window"
@@ -187,32 +411,51 @@ class WindowSemantics(QuerySemantics):
             return None
         return ("window", request.width, request.height)
 
-    def cache_survives(self, entry, op, oid, x, y) -> bool:
-        if op == "delete":
-            return _delete_survives(entry, oid)
-        width, height = entry.key[1], entry.key[2]
-        zone = Rect(x - width / 2.0, y - height / 2.0,
-                    x + width / 2.0, y + height / 2.0)
-        return not zone.intersects(entry.mbr)
+    # --- the mutation certificate -------------------------------------
+    @staticmethod
+    def _zone(request, m) -> Rect:
+        """The foci whose query window contains the inserted point."""
+        hw, hh = request.width / 2.0, request.height / 2.0
+        return Rect(m.x - hw, m.y - hh, m.x + hw, m.y + hh)
 
-    # --- replica staleness --------------------------------------------
-    def stale_region(self, request, response, pending, universe):
-        from repro.service.staleness import _window_stale_region
-        return _window_stale_region(request, response, pending)
+    def certify(self, request, response, mutations, universe):
+        """A deleted member gives ``None``; an insert whose zone misses
+        the region has no effect, one whose zone holds the focus gives
+        ``None``, and any other zone is cut away from the rectangle.  A
+        region without a rectangle (a brownout composite) is bounded by
+        its MBR and gives ``None`` on any zone that reaches it."""
+        region = response.region
+        inserts = _inserts(response, mutations)
+        if not inserts:
+            return region if inserts is not None else None
+        focus = request.focus
+        rect = getattr(region, "rect", None)
+        bound = rect
+        if rect is None:
+            get = getattr(region, "mbr", None)
+            bound = get() if get is not None else None
+            if bound is None:
+                return None
+        cut = False
+        for m in inserts:
+            zone = self._zone(request, m)
+            if not zone.intersects(bound):
+                continue
+            if rect is None or zone.contains_point(focus):
+                return None
+            rect = bound = _cut_away(rect, zone, focus)
+            cut = True
+        return WindowValidityRegion(rect) if cut else region
 
     # --- continuous ---------------------------------------------------
-    def subscribe_init(self, hub, sub, request) -> None:
-        hub._init_window(sub, request)
-
-    def continuous_apply(self, hub, sub, mutation) -> tuple:
-        from repro.service.continuous import _window_apply
-        return _window_apply(sub._state, mutation,
-                             sub.response.region if sub.response else None)
-
-    def continuous_move(self, hub, sub, location):
-        if sub.response.region.contains(location):
-            return ("serve", sub.response)
-        return None
+    def _join(self, request, region, m):
+        zone = self._zone(request, m)
+        if not zone.contains_point(request.focus):
+            return False, None
+        rect = getattr(region, "rect", None)
+        shrunk = rect.intersection(zone) if rect is not None else None
+        return True, (WindowValidityRegion(shrunk)
+                      if shrunk is not None else None)
 
     def refetch_request(self, request, location):
         return replace(request, focus=location, previous_ids=None)
@@ -228,7 +471,7 @@ class WindowSemantics(QuerySemantics):
         return must, may
 
 
-class RangeSemantics(QuerySemantics):
+class RangeSemantics(_MembershipPatches):
     """The circular range query (the Section 7 extension)."""
 
     kind = "range"
@@ -252,28 +495,47 @@ class RangeSemantics(QuerySemantics):
             return None
         return ("range", request.radius)
 
-    def cache_survives(self, entry, op, oid, x, y) -> bool:
-        if op == "delete":
-            return _delete_survives(entry, oid)
-        return entry.mbr.mindist((x, y)) > entry.key[1]
-
-    # --- replica staleness --------------------------------------------
-    def stale_region(self, request, response, pending, universe):
-        from repro.service.staleness import _range_stale_region
-        return _range_stale_region(request, response, pending)
+    # --- the mutation certificate -------------------------------------
+    def certify(self, request, response, mutations, universe):
+        """A deleted member gives ``None``.  An insert at distance ``d``
+        from the region's centre has no effect when ``d - radius`` is at
+        least the region's radius, gives ``None`` within ``radius`` of
+        the location, and otherwise caps the region's radius at
+        ``d - radius`` (moving less keeps it out of range)."""
+        region = response.region
+        inserts = _inserts(response, mutations)
+        if not inserts:
+            return region if inserts is not None else None
+        center = getattr(region, "center", None)
+        if center is None:
+            return None  # a brownout composite: no disk to shrink
+        radius = float(request.radius)
+        validity = region.radius
+        loc = request.location
+        for m in inserts:
+            d = _dist((m.x, m.y), center)
+            if d - radius >= validity:
+                continue
+            if _dist((m.x, m.y), loc) <= radius:
+                return None  # the insert is in range at the location
+            validity = d - radius
+        if validity == region.radius:
+            return region
+        shrunk = RangeValidityRegion(center, max(validity, 0.0))
+        return shrunk if shrunk.contains(loc) else None
 
     # --- continuous ---------------------------------------------------
-    def subscribe_init(self, hub, sub, request) -> None:
-        hub._init_range(sub, request)
-
-    def continuous_apply(self, hub, sub, mutation) -> tuple:
-        from repro.service.continuous import _range_apply
-        return _range_apply(sub._state, mutation)
-
-    def continuous_move(self, hub, sub, location):
-        if sub.response.region.contains(location):
-            return ("serve", sub.response)
-        return None
+    def _join(self, request, region, m):
+        # Judged at the region's own centre: the answer was computed
+        # there, whichever point the subscriber asked from.
+        if getattr(region, "center", None) is None:
+            return True, None  # a brownout composite: no disk to judge by
+        radius = float(request.radius)
+        d = _dist((m.x, m.y), region.center)
+        if d > radius:
+            return False, None
+        return True, RangeValidityRegion(
+            region.center, max(min(region.radius, radius - d), 0.0))
 
     def refetch_request(self, request, location):
         return replace(request, location=location, previous_ids=None)

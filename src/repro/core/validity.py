@@ -123,13 +123,14 @@ class NNValidityRegion:
     position is still inside all the half-planes").
     """
 
-    __slots__ = ("_halfplanes", "_pairs", "_universe")
+    __slots__ = ("_halfplanes", "_pairs", "_universe", "_mbr")
 
     def __init__(self, pairs: Sequence[Tuple[LeafEntry, LeafEntry]],
                  universe: Rect):
         """``pairs`` holds (result object, influence object) tuples."""
         self._pairs = tuple(pairs)
         self._universe = universe
+        self._mbr = None
         self._halfplanes: List[HalfPlane] = [
             bisector_halfplane(res.point, inf.point) for res, inf in self._pairs
         ]
@@ -162,13 +163,15 @@ class NNValidityRegion:
 
         Degenerate regions (an empty clip) bound to a zero-area
         rectangle at the universe origin, which no probe point strictly
-        inside a cell ever matches via :meth:`contains` anyway.
+        inside a cell ever matches via :meth:`contains` anyway.  The
+        region is immutable, so the clip runs once.
         """
-        verts = self.polygon().vertices
-        if not verts:
-            return Rect(self._universe.xmin, self._universe.ymin,
-                        self._universe.xmin, self._universe.ymin)
-        return Rect.from_points(verts)
+        if self._mbr is None:
+            verts = self.polygon().vertices
+            self._mbr = (Rect.from_points(verts) if verts else
+                         Rect(self._universe.xmin, self._universe.ymin,
+                              self._universe.xmin, self._universe.ymin))
+        return self._mbr
 
     def transfer_bytes(self) -> int:
         """Network payload: the influence objects (one point each).
@@ -213,12 +216,13 @@ class CompositeValidityRegion:
     (each shard ships its own influence pairs).
     """
 
-    __slots__ = ("components",)
+    __slots__ = ("components", "_mbr")
 
     def __init__(self, components: Sequence):
         if not components:
             raise ValueError("an intersection needs at least one region")
         self.components = tuple(components)
+        self._mbr = None
 
     def contains(self, location, eps: float = 0.0) -> bool:
         return all(c.contains(location, eps) for c in self.components)
@@ -228,7 +232,13 @@ class CompositeValidityRegion:
 
         Components without an ``mbr`` (open half-plane style regions)
         are skipped — the result stays a sound over-approximation.
+        Memoized: the components are immutable.
         """
+        if self._mbr is None:
+            self._mbr = self._bound()
+        return self._mbr
+
+    def _bound(self) -> Rect:
         out = None
         for c in self.components:
             get = getattr(c, "mbr", None)

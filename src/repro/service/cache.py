@@ -23,15 +23,13 @@ structure (the INSQ-style influence-set cache, arXiv:1602.00363):
   accepts, so it changes which entries are *tested*, not which one hits;
 * entries are evicted LRU once ``capacity`` is exceeded;
 * the dataset-mutation hook is **surgical** (:meth:`invalidate_mutation`):
-  a mutation drops only the entries whose region the mutated object can
-  reach — an insert kills a kNN entry only when some corner of its
-  region MBR is closer to the new object than to one of its neighbours
-  (the bisector test), a window entry only when the insert's zone
-  touches its rectangle, a range entry only when the insert lands
-  within ``radius`` of its MBR — and re-stamps every survivor to the
-  new dataset epoch, so hit rates stay high under write traffic.  The
-  pre-existing drop-everything hook (:meth:`invalidate_all`) remains as
-  the ``surgical=False`` baseline.
+  a mutation drops only the entries whose answer it can change
+  somewhere in their region — the kind's mutation certificate
+  (:meth:`~repro.core.api.QuerySemantics.certify`) must return the
+  entry's own region — and re-stamps every survivor to the new dataset
+  epoch, so hit rates stay high under write traffic.  The pre-existing
+  drop-everything hook (:meth:`invalidate_all`) remains as the
+  ``surgical=False`` baseline.
 
 A cache hit costs zero node accesses: the request never reaches the
 index, which is what turns a stream of moving-client queries into
@@ -45,7 +43,12 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.core.api import QueryRequest, QueryResponse, query_semantics
+from repro.core.api import (
+    Mutation,
+    QueryRequest,
+    QueryResponse,
+    query_semantics,
+)
 from repro.geometry import Rect
 
 __all__ = ["CacheConfig", "ValidityCache"]
@@ -81,15 +84,19 @@ _PRETEST_SLACK = 1e-6
 
 
 class _Entry:
-    """One cached response and where its region MBR is registered."""
+    """One cached response, the request that admitted it, and where its
+    region MBR is registered."""
 
-    __slots__ = ("uid", "key", "response", "epoch", "cells", "mbr", "box")
+    __slots__ = ("uid", "key", "request", "response", "epoch", "cells",
+                 "mbr", "box")
 
-    def __init__(self, uid: int, key: Tuple, response: QueryResponse,
-                 epoch: int, cells: Tuple[Tuple[int, int], ...], mbr: Rect,
+    def __init__(self, uid: int, key: Tuple, request: QueryRequest,
+                 response: QueryResponse, epoch: int,
+                 cells: Tuple[Tuple[int, int], ...], mbr: Rect,
                  box: Optional[Tuple[float, float, float, float]]):
         self.uid = uid
         self.key = key
+        self.request = request
         self.response = response
         self.epoch = epoch
         self.cells = cells
@@ -144,19 +151,6 @@ def request_key(request: QueryRequest) -> Optional[Tuple]:
 def request_location(request: QueryRequest) -> Tuple[float, float]:
     """The query point of any typed request."""
     return query_semantics(request).location(request)
-
-
-def _survives(entry: _Entry, op: str, oid: int, x: float, y: float) -> bool:
-    """Can the cached ``entry`` provably be unaffected by the mutation?
-
-    The per-kind survival test is the registered semantics' —
-    ``entry.key[0]`` is the kind tag the key was minted with.
-    """
-    try:
-        sem = query_semantics(entry.key[0])
-    except TypeError:
-        return False
-    return sem.cache_survives(entry, op, oid, x, y)
 
 
 class ValidityCache:
@@ -266,7 +260,8 @@ class ValidityCache:
                       for iy in range(iy0, iy1 + 1))
         with self._lock:
             self._uids += 1
-            entry = _Entry(self._uids, key, response, epoch, cells, mbr, box)
+            entry = _Entry(self._uids, key, request, response, epoch, cells,
+                           mbr, box)
             self._entries[entry.uid] = entry
             for cell in cells:
                 self._grid.setdefault((cell, key), {})[entry.uid] = entry
@@ -294,38 +289,30 @@ class ValidityCache:
                             epoch: int) -> int:
         """Surgically apply one dataset mutation; returns entries dropped.
 
-        ``epoch`` is the dataset epoch *after* the mutation.  Every
-        entry that provably cannot be affected is re-stamped to the new
-        epoch and stays servable; everything else (including entries
-        whose epoch already lagged) is dropped.  The per-kind survival
-        tests are conservative — sound in the only direction that
-        matters (never keep an entry the mutation could touch):
-
-        * **delete** — an entry survives iff the deleted object is not
-          in its result (a non-member is beaten everywhere the result
-          is frozen; removing it promotes nothing);
-        * **insert / kNN** — survives iff every corner of the region
-          MBR is at least as close to each of the k neighbours as to
-          the new object; the bisector half-planes are convex, so the
-          corners bound the whole MBR, hence the whole region;
-        * **insert / window** — survives iff the insert's zone (the
-          query rectangle centred on it) misses the region rectangle;
-        * **insert / range** — survives iff the insert is farther than
-          ``radius`` from every point of the region MBR.
+        ``epoch`` is the dataset epoch *after* the mutation.  An entry
+        survives — re-stamped to the new epoch, still servable — iff its
+        kind's :meth:`~repro.core.api.QuerySemantics.certify` returns the
+        entry's own region for the mutation: no point of the region sees
+        a different answer.  Everything else (a shrunk or uncertifiable
+        region, an entry whose epoch already lagged) is dropped.  The
+        certificates are conservative — sound in the only direction that
+        matters: never keep an entry the mutation could touch.
 
         The walk is a full scan of the (capacity-bounded) entry table:
         a kNN region can be influenced from anywhere, so there is no
         sound cell-local shortcut for it, and the scan is what re-stamps
         survivors in one pass.
         """
-        if op not in ("insert", "delete"):
-            raise ValueError(f"unknown mutation op {op!r}")
-        x, y = float(x), float(y)
+        mutations = (Mutation(op, oid, float(x), float(y)),)
+        universe = self.universe
         dropped = survived = 0
         with self._lock:
             for entry in list(self._entries.values()):
+                response = entry.response
                 if (entry.epoch == epoch - 1
-                        and _survives(entry, op, oid, x, y)):
+                        and query_semantics(entry.request).certify(
+                            entry.request, response, mutations, universe)
+                        is response.region):
                     entry.epoch = epoch
                     survived += 1
                 else:

@@ -7,44 +7,16 @@ that most deaths are repaired with an **O(delta) patch** instead of a
 fresh traversal, and pushes the repaired answer to the client over a
 bounded queue.
 
-kNN maintenance — the anchor/horizon invariant
-----------------------------------------------
-Subscribing a ``k``-NN query fetches ``k + margin`` neighbours of the
-query point (the *anchor*) in one go and keeps the whole candidate set
-server-side.  With ``horizon`` the distance of the farthest retrieved
-candidate from the anchor, the retrieval guarantees the invariant
-
-    every live non-candidate object is at distance >= horizon
-    from the anchor,
-
-and every mutation preserves it for free: an insert within the horizon
-joins the candidate set, an insert beyond it is a no-op, a delete
-removes at most one candidate.  Serving the top-``k`` at a point ``p``
-purely from the candidates is sound whenever
-
-    d_k(p) + dist(anchor, p) < horizon
-
-(``d_k`` measured over the candidates): by the triangle inequality any
-non-candidate is farther from ``p`` than the k-th candidate.  The
-patched validity region is the intersection of
-
-* the exact bisector half-planes between the ``k`` members and the
-  remaining candidates (the re-ranked influence set — a local order-k
-  cell over the candidate universe), and
-* the safety disk of radius ``(horizon - dist(anchor, p) - d_k(p)) / 2``
-  centred on ``p``, inside which no non-candidate can catch up.
-
-Both pieces are computed from cached state with **zero node accesses**.
-When the condition fails — the margin is exhausted by deletes, or the
-client wandered too close to the horizon — the subscription falls back
-to a full re-query (the soundness escape hatch).
-
-Window and range patches reuse the staleness rules of
-:mod:`repro.service.staleness`: an inserted object's *zone* (the foci
-whose window contains it) is intersected in or cut away; a range
-insert at distance ``d`` caps the validity radius at ``d - radius``;
-member deletes drop the entry from the result with the region (window)
-or validity radius (range) untouched.
+Per-kind maintenance
+--------------------
+The per-kind rules live with the kinds in :mod:`repro.core`, reached
+through the registry (``subscribe_init``, ``continuous_apply``,
+``continuous_move``): kNN keeps an anchor/horizon candidate margin
+(:mod:`repro.core.semantics`), the other kinds patch with the mutation
+certificate's region
+(:meth:`~repro.core.api.QuerySemantics.certify`).  When no patch can be
+certified the subscription falls back to a full re-query (the
+soundness escape hatch).
 
 Push semantics
 --------------
@@ -61,26 +33,14 @@ final ``invalidate`` push: there is no silent staleness.
 from __future__ import annotations
 
 import itertools
-import math
 import threading
 from collections import deque
-from dataclasses import dataclass, replace
-from typing import Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional
 
-from repro.core.api import QueryDetail, QueryRequest, query_semantics
-from repro.core.range_validity import RangeValidityRegion
-from repro.core.validity import (
-    POINT_BYTES,
-    CompositeValidityRegion,
-    NNValidityRegion,
-    ValidityDisk,
-    WindowValidityRegion,
-)
-from repro.geometry import Point, Rect
-from repro.index.entry import LeafEntry
+from repro.core.api import Mutation, QueryDetail, QueryRequest, query_semantics
+from repro.core.validity import POINT_BYTES
 from repro.obs.events import EventLog
-from repro.service.shard import _cut_away
-from repro.service.staleness import Mutation
 
 __all__ = [
     "ContinuousConfig",
@@ -163,170 +123,6 @@ class SubscriptionUpdate:
     response: Optional[PatchResponse] = None
     coalesced: int = 0
     transfer_bytes: int = INVALIDATE_BYTES
-
-
-# ----------------------------------------------------------------------
-# per-kind maintained state
-# ----------------------------------------------------------------------
-def _dist(a, b) -> float:
-    return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
-class _KnnState:
-    __slots__ = ("k", "anchor", "horizon", "point", "candidates")
-
-    def __init__(self, k: int, anchor: Tuple[float, float], horizon: float,
-                 point: Tuple[float, float],
-                 candidates: Dict[int, LeafEntry]):
-        self.k = k
-        self.anchor = anchor
-        self.horizon = horizon
-        self.point = point
-        self.candidates = candidates
-
-
-class _WindowState:
-    __slots__ = ("focus", "width", "height", "result", "rect")
-
-    def __init__(self, focus, width: float, height: float,
-                 result: Dict[int, LeafEntry], rect: Optional[Rect]):
-        self.focus = (float(focus[0]), float(focus[1]))
-        self.width = width
-        self.height = height
-        self.result = result
-        self.rect = rect
-
-
-class _RangeState:
-    __slots__ = ("center", "radius", "result", "validity")
-
-    def __init__(self, center, radius: float,
-                 result: Dict[int, LeafEntry], validity: Optional[float]):
-        self.center = (float(center[0]), float(center[1]))
-        self.radius = radius
-        self.result = result
-        self.validity = validity
-
-
-def _knn_served(state: _KnnState, universe: Rect):
-    """Top-k + patched region at ``state.point``, or ``None`` when the
-    margin cannot prove the candidate set covers the true top-k."""
-    point = state.point
-    cands = sorted(state.candidates.values(),
-                   key=lambda e: (_dist(e.point, point), e.oid))
-    k = state.k
-    if len(cands) < k:
-        return None
-    members, rest = cands[:k], cands[k:]
-    d_k = _dist(members[-1].point, point)
-    if math.isinf(state.horizon):
-        # The candidates are the whole dataset: always serveable.
-        slack = math.inf
-    else:
-        slack = state.horizon - _dist(state.anchor, point)
-        if d_k >= slack:
-            return None  # a non-candidate could undercut the k-th member
-    radius = math.inf if math.isinf(slack) else (slack - d_k) / 2.0
-    radius = min(radius, math.hypot(universe.width, universe.height))
-    if radius <= 0.0:
-        return None
-    disk = ValidityDisk(point, radius)
-    if not rest:
-        return members, disk
-    pairs = [(m, r) for m in members for r in rest]
-    try:
-        fences = NNValidityRegion(pairs, universe)
-    except ValueError:  # coincident member/non-member: bisector undefined
-        return None
-    return members, CompositeValidityRegion([fences, disk])
-
-
-def _knn_apply(state: _KnnState, m: Mutation) -> str:
-    """Fold one mutation into the candidate set (idempotent by oid)."""
-    if m.op == "insert":
-        if m.oid in state.candidates:
-            return "skip"
-        if _dist((m.x, m.y), state.anchor) >= state.horizon:
-            return "skip"  # invariant untouched, old region still sound
-        state.candidates[m.oid] = m.entry
-        return "patch"  # region must shrink against the newcomer
-    if m.oid not in state.candidates:
-        return "skip"
-    was_member = m.oid in {
-        e.oid for e in sorted(
-            state.candidates.values(),
-            key=lambda e: (_dist(e.point, state.point), e.oid))[:state.k]}
-    del state.candidates[m.oid]
-    # A deleted non-member only removes a competitor: the shipped
-    # result and region both stay sound without a push.
-    return "patch" if was_member else "silent"
-
-
-def _ordered(result: Dict[int, LeafEntry]) -> List[LeafEntry]:
-    return sorted(result.values(), key=lambda e: e.oid)
-
-
-def _window_apply(state: _WindowState, m: Mutation, old_region):
-    zone = Rect(m.x - state.width / 2.0, m.y - state.height / 2.0,
-                m.x + state.width / 2.0, m.y + state.height / 2.0)
-    if m.op == "insert":
-        if m.oid in state.result:
-            return ("skip",)
-        if zone.contains_point(state.focus):
-            state.result[m.oid] = m.entry
-            if state.rect is None:
-                return ("exhausted",)
-            shrunk = state.rect.intersection(zone)
-            if shrunk is None:
-                return ("exhausted",)
-            state.rect = shrunk
-            return ("patch", _ordered(state.result),
-                    WindowValidityRegion(shrunk))
-        bound = state.rect
-        if bound is None:
-            get = getattr(old_region, "mbr", None)
-            bound = get() if get is not None else None
-        if bound is None or zone.intersects(bound):
-            if state.rect is None:
-                return ("exhausted",)
-            state.rect = _cut_away(state.rect, zone, state.focus)
-            return ("patch", _ordered(state.result),
-                    WindowValidityRegion(state.rect))
-        return ("skip",)
-    if m.oid not in state.result:
-        return ("skip",)
-    del state.result[m.oid]
-    # A member was in the window for every focus in the region, so the
-    # region survives the delete unchanged.
-    region = (WindowValidityRegion(state.rect)
-              if state.rect is not None else old_region)
-    return ("patch", _ordered(state.result), region)
-
-
-def _range_apply(state: _RangeState, m: Mutation):
-    if state.validity is None:
-        return ("exhausted",)
-    if m.op == "insert":
-        if m.oid in state.result:
-            return ("skip",)
-        d = _dist((m.x, m.y), state.center)
-        if d <= state.radius:
-            state.result[m.oid] = m.entry
-            state.validity = min(state.validity, state.radius - d)
-        else:
-            cap = d - state.radius
-            if cap >= state.validity:
-                return ("skip",)
-            state.validity = cap
-    else:
-        if m.oid not in state.result:
-            return ("skip",)
-        # Dropping a member can only loosen the inner bound; keeping
-        # the old validity radius stays sound.
-        del state.result[m.oid]
-    state.validity = max(state.validity, 0.0)
-    return ("patch", _ordered(state.result),
-            RangeValidityRegion(Point(*state.center), state.validity))
 
 
 # ----------------------------------------------------------------------
@@ -529,11 +325,10 @@ class SubscriptionHub:
     def move(self, sub: Subscription, location):
         """Serve ``sub`` at a new ``location``.
 
-        kNN moves are repaired from the candidate margin when the
-        anchor/horizon condition holds (zero node accesses); window and
-        range moves inside the current region re-serve the cached view.
-        Anything else takes the escape hatch: a full re-query that
-        re-anchors the subscription.
+        The kind's ``continuous_move`` repairs the answer from
+        subscription state (zero node accesses) or re-serves it while
+        its region holds ``location``.  Anything else takes the escape
+        hatch: a full re-query that re-anchors the subscription.
         """
         loc = (float(location[0]), float(location[1]))
         with sub._lock:
@@ -564,57 +359,6 @@ class SubscriptionHub:
         sub.request = request
         self._emit("push.refetch", sid=sub.sid, kind=sub.kind)
         return sub.response
-
-    # -- initial / escape-hatch fetches --------------------------------
-    def _init_knn(self, sub: Subscription, request) -> None:
-        fetch = replace(request, k=request.k + self.config.margin,
-                        previous_ids=None)
-        response = self.owner.answer(fetch)
-        cands = list(response.result)
-        anchor = (float(request.location[0]), float(request.location[1]))
-        # Fewer candidates than asked for means the fetch returned the
-        # whole dataset: no non-candidate exists, the horizon is open.
-        horizon = math.inf
-        if len(cands) >= fetch.k:
-            horizon = max(_dist(e.point, anchor) for e in cands)
-        sub._state = _KnnState(k=request.k, anchor=anchor, horizon=horizon,
-                               point=anchor,
-                               candidates={e.oid: e for e in cands})
-        sub._needs_refresh = False
-        served = _knn_served(sub._state, self.owner.universe)
-        if served is not None:
-            members, region = served
-        elif len(cands) < request.k:
-            # The answer is "everything there is"; the fetched region
-            # (however the server shaped it) bounds that claim.
-            members, region = cands, response.region
-        else:
-            # Distance tie exactly at the horizon: correct here, but
-            # nowhere else provably — serve a point-sized region.
-            members, region = (sorted(
-                cands, key=lambda e: (_dist(e.point, anchor), e.oid))[:request.k],
-                ValidityDisk(anchor, 0.0))
-        self._set_response(sub, members, region, origin="subscribe")
-
-    def _init_window(self, sub: Subscription, request) -> None:
-        response = self.owner.answer(replace(request, previous_ids=None))
-        sub._state = _WindowState(
-            request.focus, request.width, request.height,
-            {e.oid: e for e in response.result},
-            getattr(response.region, "rect", None))
-        sub._needs_refresh = False
-        self._set_response(sub, list(response.result), response.region,
-                           origin="subscribe")
-
-    def _init_range(self, sub: Subscription, request) -> None:
-        response = self.owner.answer(request)
-        sub._state = _RangeState(
-            request.location, request.radius,
-            {e.oid: e for e in response.result},
-            getattr(response.region, "radius", None))
-        sub._needs_refresh = False
-        self._set_response(sub, list(response.result), response.region,
-                           origin="subscribe")
 
     # -- push plumbing -------------------------------------------------
     def _set_response(self, sub: Subscription, result, region,

@@ -58,7 +58,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.api import KNNRequest, QueryRequest
+from repro.core.api import KNNRequest, Mutation, QueryRequest
 from repro.core.server import LocationServer
 from repro.geometry import Rect
 from repro.kernel import ExecutionConfig
@@ -67,7 +67,7 @@ from repro.obs.context import span as obs_span
 from repro.service.faults import BreakerConfig, CircuitBreaker, CircuitOpenError
 from repro.service.retry import is_transient
 from repro.service.shard import ShardedServer
-from repro.service.staleness import Mutation, ServedResponse, shrunk_stale_region
+from repro.service.staleness import ServedResponse, shrunk_stale_region
 from repro.storage.counters import AccessDelta, AccessStats
 
 __all__ = [

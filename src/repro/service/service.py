@@ -57,6 +57,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.api import (
     KNNRequest,
+    Mutation,
     QueryBudget,
     QueryRequest,
     QueryResponse,
@@ -77,7 +78,6 @@ from repro.service.continuous import (
     Subscription,
     SubscriptionHub,
 )
-from repro.service.staleness import Mutation
 from repro.service.admission import (
     LEVEL_CACHE_ONLY,
     LEVEL_NAMES,

@@ -74,6 +74,7 @@ from repro.core.validity import (
     WindowValidityRegion,
 )
 from repro.geometry import Point, Rect
+from repro.geometry.rect import _cut_away
 from repro.index.bulk import bulk_load_str
 from repro.index.entry import LeafEntry
 from repro.index.rstar import RStarTree
@@ -199,31 +200,6 @@ class ShardedRangeDetail(QueryDetail):
     @property
     def influence_set(self) -> List[LeafEntry]:
         return _merged_influence(self.shard_details)
-
-
-def _cut_away(rect: Rect, box: Rect, p) -> Rect:
-    """The largest sub-rectangle of ``rect`` containing ``p`` but not
-    overlapping ``box``'s span on one axis.
-
-    ``p`` must lie outside ``box``, so at least one axis side separates
-    them; the cut keeping the most area wins.
-    """
-    candidates = []
-    if p[0] < box.xmin:
-        candidates.append(Rect(rect.xmin, rect.ymin,
-                               min(rect.xmax, box.xmin), rect.ymax))
-    if p[0] > box.xmax:
-        candidates.append(Rect(max(rect.xmin, box.xmax), rect.ymin,
-                               rect.xmax, rect.ymax))
-    if p[1] < box.ymin:
-        candidates.append(Rect(rect.xmin, rect.ymin,
-                               rect.xmax, min(rect.ymax, box.ymin)))
-    if p[1] > box.ymax:
-        candidates.append(Rect(rect.xmin, max(rect.ymin, box.ymax),
-                               rect.xmax, rect.ymax))
-    if not candidates:
-        return rect
-    return max(candidates, key=Rect.area)
 
 
 class ShardedServer:

@@ -8,80 +8,30 @@ with one crucial strengthening: a stale answer is only served when it
 can be made **provably correct for the fresh dataset**, by shrinking
 its validity region against the replica's pending-mutation backlog.
 
-:func:`shrunk_stale_region` implements the per-query-type rules.  With
-``R`` the stale result and ``V`` its (stale-dataset) validity region:
-
-* **kNN** — a pending *delete* of a result member makes the answer
-  unserveable (the fresh kNN set differs at the query point itself).
-  Every pending *insert* ``m`` contributes bisector halfplanes "closer
-  to each neighbour than to ``m``" (the PR-3
-  :class:`~repro.core.validity.NNValidityRegion` machinery): inside
-  their intersection every insert is farther than the k-th neighbour,
-  so the fresh top-k equals ``R``.  Deletes of non-members are harmless
-  anywhere in ``V`` — a non-member is outside the top-k everywhere the
-  stale set is frozen, and removing it cannot promote anything.
-* **window** — a pending delete of a result member: unserveable.  Each
-  pending insert ``m`` defines the *zone* of foci whose window contains
-  ``m`` (the query rectangle centred on ``m``); a focus inside the zone
-  is unserveable, otherwise the zone is cut away from the validity
-  rectangle with the scatter-gather axis-cut
-  (:func:`repro.service.shard._cut_away`).
-* **range** — a pending delete of a result member: unserveable.  A
-  pending insert within ``radius`` of the query point: unserveable.
-  Otherwise each insert at distance ``d`` caps the validity-disk radius
-  at ``d - radius`` (moving less than that keeps the insert outside).
-
-In every case the shrunk region is a subset of ``V`` in which the
-stale result equals the fresh result — the answer is valid for the
-**primary** epoch at serve time, which is what makes admitting it to
-the :class:`~repro.service.cache.ValidityCache` sound.  Returning
-``None`` means "unserveable from this replica": the caller fails over
-to a fresher one.
+:func:`shrunk_stale_region` is the query kind's mutation certificate,
+:meth:`~repro.core.api.QuerySemantics.certify`, applied to the backlog:
+the rules per kind live with the kind in :mod:`repro.core`.  The region
+it returns is a subset of the stale region in which the stale result
+equals the fresh result — the answer is valid for the **primary** epoch
+at serve time, which is what makes admitting it to the
+:class:`~repro.service.cache.ValidityCache` sound.  Returning ``None``
+means "unserveable from this replica": the caller fails over to a
+fresher one.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from repro.core.api import (
-    KNNRequest,
+    Mutation,
     QueryRequest,
     QueryResponse,
-    RangeRequest,
-    WindowRequest,
     query_semantics,
 )
-from repro.core.range_validity import RangeValidityRegion
-from repro.core.validity import (
-    CompositeValidityRegion,
-    NNValidityRegion,
-    WindowValidityRegion,
-)
-from repro.geometry import Point, Rect
-from repro.index.entry import LeafEntry
-from repro.service.shard import _cut_away
+from repro.geometry import Rect
 
 __all__ = ["Mutation", "ServedResponse", "shrunk_stale_region"]
-
-
-@dataclass(frozen=True)
-class Mutation:
-    """One primary-side data change awaiting application on a replica."""
-
-    op: str  # "insert" | "delete"
-    oid: int
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if self.op not in ("insert", "delete"):
-            raise ValueError(f"unknown mutation op {self.op!r}")
-
-    @property
-    def entry(self) -> LeafEntry:
-        return LeafEntry(self.oid, self.x, self.y)
 
 
 class ServedResponse:
@@ -165,65 +115,5 @@ def shrunk_stale_region(request: QueryRequest, response: QueryResponse,
     provably equals the fresh result, or ``None`` when no such region
     containing the query point exists (the answer is unserveable stale).
     """
-    if not pending:
-        return response.region
-    return query_semantics(request).stale_region(
-        request, response, pending, universe)
-
-
-def _deleted_member(response: QueryResponse,
-                    pending: Sequence[Mutation]) -> bool:
-    result_ids = {e.oid for e in response.result}
-    return any(m.op == "delete" and m.oid in result_ids for m in pending)
-
-
-def _knn_stale_region(request: KNNRequest, response: QueryResponse,
-                      pending: Sequence[Mutation], universe: Rect):
-    if _deleted_member(response, pending):
-        return None
-    inserts = [m for m in pending if m.op == "insert"]
-    if not inserts:
-        return response.region
-    q = (float(request.location[0]), float(request.location[1]))
-    pairs = [(neighbor, m.entry)
-             for m in inserts for neighbor in response.result]
-    closer_than_inserts = NNValidityRegion(pairs, universe)
-    if not closer_than_inserts.contains(q):
-        return None  # an insert beats a current neighbour at q itself
-    return CompositeValidityRegion([response.region, closer_than_inserts])
-
-
-def _window_stale_region(request: WindowRequest, response: QueryResponse,
-                         pending: Sequence[Mutation]):
-    if _deleted_member(response, pending):
-        return None
-    f = (float(request.focus[0]), float(request.focus[1]))
-    hw, hh = request.width / 2.0, request.height / 2.0
-    rect = response.region.rect
-    for m in pending:
-        if m.op != "insert":
-            continue
-        # Foci whose query window would contain the inserted point.
-        zone = Rect(m.x - hw, m.y - hh, m.x + hw, m.y + hh)
-        if zone.contains_point(f):
-            return None
-        if zone.intersects(rect):
-            rect = _cut_away(rect, zone, f)
-    return WindowValidityRegion(rect)
-
-
-def _range_stale_region(request: RangeRequest, response: QueryResponse,
-                        pending: Sequence[Mutation]):
-    if _deleted_member(response, pending):
-        return None
-    qx, qy = float(request.location[0]), float(request.location[1])
-    radius = float(request.radius)
-    validity = response.region.radius
-    for m in pending:
-        if m.op != "insert":
-            continue
-        d = math.hypot(m.x - qx, m.y - qy)
-        if d <= radius:
-            return None  # the insert is in range at q itself
-        validity = min(validity, d - radius)
-    return RangeValidityRegion(Point(qx, qy), max(validity, 0.0))
+    return query_semantics(request).certify(request, response, pending,
+                                            universe)

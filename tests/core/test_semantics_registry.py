@@ -6,7 +6,9 @@ battery pins the registry mechanics (lookup by kind, by request type,
 by duck-typed ``kind`` attribute), runs the reusable conformance suite
 over all five builtin kinds, registers a brand-new toy query type end
 to end (service answer, validity cache, conformance — with zero
-changes to any service module), checks delta-protocol parity for
+changes to any service module), shows the conformance suite catching
+unsound mutation certificates and the registry refusing the hooks
+``certify`` replaced, checks delta-protocol parity for
 window/range requests, and enforces the refactor invariant itself: no
 ``isinstance(request, ...)`` dispatch ladder anywhere in
 ``repro.service``.
@@ -25,6 +27,7 @@ import pytest
 
 import repro.service as service_pkg
 from repro import CacheConfig, build_service
+from repro.core import api as api_module
 from repro.core.api import (
     KNNRequest,
     QueryDetail,
@@ -39,7 +42,9 @@ from repro.core.api import (
 from repro.core.conformance import check_semantics
 from repro.core.probknn import ProbKNNRequest
 from repro.core.rknn import RKNNRequest
+from repro.core.semantics import KNNSemantics
 from repro.core.validity import AnnulusValidityRegion, POINT_BYTES
+from repro.geometry import bisector_halfplane
 
 
 def _points(seed: int = 9, n: int = 150):
@@ -147,16 +152,23 @@ class NearCountSemantics(QuerySemantics):
     def cache_key(self, request):
         return ("nearcount", request.radius)
 
-    def stale_region(self, request, response, pending, universe):
-        rho = response.detail.safety_radius
-        cx, cy = request.location
+    def certify(self, request, response, mutations, universe):
+        region = response.region
+        rho = region.outer
         ids = {e.oid for e in response.result}
-        for m in pending:
-            if m.op == "delete" and m.oid in ids:
-                return None
-            rho = min(rho, abs(math.hypot(m.x - cx, m.y - cy)
-                               - request.radius))
-        return AnnulusValidityRegion((cx, cy), 0.0, rho)
+        for m in mutations:
+            if m.op == "delete":
+                if m.oid in ids:
+                    return None  # a member vanishes
+                continue  # a non-member is out of range all over
+            d = math.hypot(m.x - region.center[0], m.y - region.center[1])
+            if d <= request.radius:
+                return None  # the insert joins the count
+            rho = min(rho, d - request.radius)
+        if rho >= region.outer:
+            return region
+        shrunk = AnnulusValidityRegion(region.center, 0.0, rho)
+        return shrunk if shrunk.contains(request.location) else None
 
     def refetch_request(self, request, location):
         return replace(request, location=(float(location[0]),
@@ -216,6 +228,70 @@ class TestThirdPartyType:
                 service.answer_many([KNNRequest((0.5, 0.5), k=1), object()])
         finally:
             service.close()
+
+
+class TestMutationCertificate:
+    """``certify`` is the one mutation hook; the conformance suite aims
+    mutations at decision boundaries, so it catches the rules that the
+    uniform mutations of earlier versions let through."""
+
+    @pytest.mark.parametrize("hook", ["cache_survives", "stale_region"])
+    def test_registering_a_removed_hook_raises(self, hook):
+        legacy = type("LegacyNearCount", (NearCountSemantics,), {
+            "kind": "nearcount-legacy",
+            hook: lambda self, *args: None})
+        with pytest.raises(TypeError, match="certify"):
+            register_query_type(legacy())
+        assert "nearcount-legacy" not in registered_query_kinds()
+
+    @staticmethod
+    def _swap(monkeypatch, sem):
+        monkeypatch.setitem(api_module._REGISTRY, sem.kind, sem)
+        monkeypatch.setitem(api_module._BY_TYPE, sem.request_type, sem)
+
+    def test_suite_catches_a_certified_in_radius_insert(self, monkeypatch):
+        class InRadius(NearCountSemantics):
+            """The rule before v3.0: an insert anywhere caps the radius
+            at its distance from the circle, inside it too."""
+
+            def certify(self, request, response, mutations, universe):
+                region = response.region
+                rho = region.outer
+                ids = {e.oid for e in response.result}
+                for m in mutations:
+                    if m.op == "delete" and m.oid in ids:
+                        return None
+                    rho = min(rho, abs(math.dist((m.x, m.y), region.center)
+                                       - request.radius))
+                return (region if rho >= region.outer else
+                        AnnulusValidityRegion(region.center, 0.0, rho))
+
+        self._swap(monkeypatch, InRadius())
+        with pytest.raises(AssertionError, match="invalidates"):
+            check_semantics("nearcount", _points(),
+                            [NearCountRequest((0.5, 0.5), radius=0.12)])
+
+    def test_suite_catches_a_corner_test_of_the_first_neighbour(
+            self, monkeypatch):
+        class FirstNeighbour(KNNSemantics):
+            """A corner generator shared by every neighbour: only the
+            first neighbour's bisector sees the corners."""
+
+            def certify(self, request, response, mutations, universe):
+                (m,) = mutations or (None,)
+                if m is None or m.op == "delete":
+                    return super().certify(request, response, mutations,
+                                           universe)
+                corners = response.region.mbr().corners()
+                for n in response.result:
+                    halfplane = bisector_halfplane(n.point, (m.x, m.y))
+                    if not all(halfplane.contains(c) for c in corners):
+                        return None
+                return response.region
+
+        self._swap(monkeypatch, FirstNeighbour())
+        with pytest.raises(AssertionError, match="invalidates"):
+            check_semantics("knn", _points(), [KNNRequest((0.4, 0.6), k=3)])
 
 
 class TestDeltaParity:

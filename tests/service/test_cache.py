@@ -16,7 +16,13 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro import KNNRequest, RangeRequest, WindowRequest, build_service
+from repro import (
+    KNNRequest,
+    RangeRequest,
+    RKNNRequest,
+    WindowRequest,
+    build_service,
+)
 from repro.core.server import LocationServer
 from repro.geometry import Rect
 from repro.index import bulk_load_str
@@ -261,6 +267,48 @@ class TestSurgicalInvalidation:
                                   epoch=server.epoch)
         assert cache.probe(near, server.epoch) is None  # held the victim
         assert cache.probe(far, server.epoch) is not None
+
+    def test_insert_beating_a_later_neighbour_drops_the_entry(self):
+        """Every neighbour's bisector is tested against every corner of
+        the region's MBR: a corner generator shared across neighbours
+        once tested only the first and kept this entry, so the probe
+        served [79, 115, 141] where the fresh answer is [115, 141, 150]."""
+        rnd = random.Random(9)
+        points = [(rnd.random(), rnd.random()) for _ in range(150)]
+        server = LocationServer.from_points(points)
+        cache = ValidityCache(server.universe, CacheConfig(capacity=8))
+        request = KNNRequest((0.4, 0.6), k=3)
+        cache.admit(request, server.answer(request), server.epoch)
+        x, y = 0.37354628137317775, 0.6638649262840761
+        server.insert_object(150, x, y)
+        assert cache.invalidate_mutation("insert", 150, x, y,
+                                         epoch=server.epoch) == 1
+        assert cache.probe(request, server.epoch) is None
+        assert sorted(e.oid for e in server.answer(request).result) == [
+            115, 141, 150]
+
+    def test_rknn_survives_an_insert_it_can_refute(self):
+        """A reverse-kNN entry is kept through an insert that shrinks no
+        member's k-NN radius and stays a safety radius away from joining
+        (it used to be evicted by every mutation); a member's delete
+        still evicts it."""
+        _, server = self._server()
+        cache = ValidityCache(UNIT, CacheConfig(capacity=8))
+        request = RKNNRequest((0.3, 0.3), k=2)
+        cached = server.answer(request)
+        cache.admit(request, cached, server.epoch)
+        server.insert_object(9_001, 0.95, 0.95)
+        cache.invalidate_mutation("insert", 9_001, 0.95, 0.95,
+                                  epoch=server.epoch)
+        hit = cache.probe(request, server.epoch)
+        assert hit is cached
+        assert ([e.oid for e in hit.result]
+                == [e.oid for e in server.answer(request).result])
+        victim = cached.result[0]
+        server.delete_object(victim.oid, victim.x, victim.y)
+        cache.invalidate_mutation("delete", victim.oid, victim.x, victim.y,
+                                  epoch=server.epoch)
+        assert cache.probe(request, server.epoch) is None
 
     def test_window_survival_is_zone_overlap(self):
         _, server = self._server()

@@ -96,8 +96,8 @@ class _ReferenceCache(ValidityCache):
                       for iy in range(iy0, iy1 + 1))
         with self._lock:
             self._uids += 1
-            entry = _Entry(self._uids, key, response, epoch, cells, mbr,
-                           None)
+            entry = _Entry(self._uids, key, request, response, epoch, cells,
+                           mbr, None)
             self._entries[entry.uid] = entry
             for cell in cells:
                 self._grid.setdefault(cell, {})[entry.uid] = entry

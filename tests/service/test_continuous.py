@@ -18,6 +18,7 @@ import random
 import pytest
 
 from repro import (
+    CacheConfig,
     ContinuousConfig,
     KNNRequest,
     RangeRequest,
@@ -256,6 +257,50 @@ class TestWindowAndRangePatches:
         update = sub.poll()
         assert update.kind == "patch"
         assert len(points) in {e.oid for e in update.response.result}
+        service.close()
+
+
+    def test_range_patch_keeps_the_cached_disk_centre(self):
+        """A subscription whose first answer is a cache hit computed at
+        another point keeps that disk's own centre in every patch; a
+        disk re-centred on the subscriber overhangs the side of the
+        object that bounds it, where the answer is wrong."""
+        rnd = random.Random(3)
+        points = [(rnd.random(), rnd.random()) for _ in range(400)]
+        radius = 0.1
+        service = build_service(points, cache=CacheConfig(capacity=64))
+        cached = service.answer(RangeRequest((0.5, 0.5), radius))
+        disk, detail = cached.region, cached.detail
+        center = (disk.center[0], disk.center[1])
+        # Step 0.9 of the disk radius towards the object that bounds it
+        # (away from it when it is inside the range).
+        slacks = [(radius - math.dist(e.point, center), e, -1.0)
+                  for e in [detail.inner_influence] if e is not None]
+        slacks += [(math.dist(e.point, center) - radius, e, 1.0)
+                   for e in [detail.outer_influence] if e is not None]
+        _slack, bound, sign = min(slacks, key=lambda t: t[0])
+        step = sign * 0.9 * disk.radius / math.dist(bound.point, center)
+        at = (center[0] + step * (bound.x - center[0]),
+              center[1] + step * (bound.y - center[1]))
+        hits = service.cache.hits
+        sub = service.subscribe(RangeRequest(at, radius))
+        assert service.cache.hits == hits + 1  # the first answer is cached
+        live = _live(points)
+        victim = sub.response.result[0]
+        service.delete_object(victim.oid, victim.x, victim.y)
+        del live[victim.oid]
+        update = sub.drain()[-1]
+        region = update.response.region
+        assert (region.center[0], region.center[1]) == center
+        served = {e.oid for e in update.response.result}
+        probes = random.Random(0)
+        for _ in range(500):
+            angle = 2.0 * math.pi * probes.random()
+            rho = region.radius * math.sqrt(probes.random())
+            p = (center[0] + rho * math.cos(angle),
+                 center[1] + rho * math.sin(angle))
+            assert served == {i for i, q in live.items()
+                              if math.dist(q, p) <= radius}, p
         service.close()
 
 

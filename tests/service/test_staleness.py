@@ -19,8 +19,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.core.api import KNNRequest, RangeRequest, WindowRequest
-from repro.core.server import LocationServer
+from repro.core.server import KNNResponse, LocationServer
+from repro.core.validity import NNValidityRegion
 from repro.geometry import Rect
+from repro.index.entry import LeafEntry
 from repro.service.staleness import Mutation, ServedResponse, shrunk_stale_region
 
 UNIT = Rect(0.0, 0.0, 1.0, 1.0)
@@ -215,6 +217,33 @@ def test_pending_insert_in_range_is_unserveable(small_server):
     request = RangeRequest((0.5, 0.5), 0.2)
     response = small_server.answer(request)
     pending = [Mutation("insert", 99, 0.6, 0.5)]
+    assert shrunk_stale_region(request, response, pending, UNIT) is None
+
+
+def test_underfull_knn_answer_with_a_pending_insert_is_unserveable():
+    """Fewer than k objects means every insert joins the answer: the
+    third neighbour of the fresh dataset is the pending insert, however
+    far it lands."""
+    server = LocationServer.from_points([(0.2, 0.2), (0.3, 0.25)],
+                                        universe=UNIT)
+    request = KNNRequest((0.25, 0.22), k=3)
+    response = server.answer(request)
+    assert len(response.result) == 2
+    pending = [Mutation("insert", 99, 0.9, 0.9)]
+    assert shrunk_stale_region(request, response, pending, UNIT) is None
+
+
+def test_insert_near_an_empty_clip_knn_region_is_unserveable():
+    """An empty clip parks its MBR at the universe corner, yet its
+    ``contains`` accepts the bisector line: the corner test proves
+    nothing about it, so a pending insert beside the query point must
+    still be caught."""
+    a, b = LeafEntry(0, 0.4, 0.5), LeafEntry(1, 0.6, 0.5)
+    region = NNValidityRegion([(a, b), (b, a)], UNIT)  # the line x = 0.5
+    request = KNNRequest((0.5, 0.9), k=1)
+    response = KNNResponse(neighbors=[a], region=region, detail=None)
+    assert region.contains(request.location)
+    pending = [Mutation("insert", 2, 0.5, 0.88)]
     assert shrunk_stale_region(request, response, pending, UNIT) is None
 
 
