@@ -58,6 +58,7 @@ from repro.mobility import (
 from repro.kernel import ExecutionConfig, available_kernels
 from repro.obs import (
     EventLog,
+    MetricsRegistry,
     PhaseProfiler,
     SLOConfig,
     SLOEngine,
@@ -77,7 +78,6 @@ from repro.service import (
     ClientFleet,
     ContinuousConfig,
     FleetConfig,
-    MetricsRegistry,
     QueryService,
     ReplicaConfig,
     ReplicaSet,
@@ -92,7 +92,7 @@ from repro.service import (
     build_service,
 )
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 #: The canonical public surface (docs/API.md documents every name;
 #: ``python -m repro.service.checkapi`` fails CI when the two drift).

@@ -106,7 +106,7 @@ class MobileClient:
     """A location-aware client talking to a :class:`LocationServer`.
 
     ``metrics`` optionally names a metrics registry (duck-typed; see
-    :class:`repro.service.metrics.MetricsRegistry`) into which the
+    :class:`repro.obs.metrics.MetricsRegistry`) into which the
     client reports ``client.*`` counters alongside its local
     :class:`ClientStats`.
     """

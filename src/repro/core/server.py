@@ -302,10 +302,6 @@ class LocationServer:
     def page_faults_by_phase(self) -> Dict[str, int]:
         return self.io_stats.page_faults_by_phase()
 
-    def set_phase_listener(self, listener):
-        """Install (or clear) the disk phase listener; returns the old one."""
-        return self.tree.disk.set_phase_listener(listener)
-
     def disk_snapshot(self) -> Dict[str, object]:
         """JSON-serializable disk + buffer state (the snapshot format)."""
         disk = self.tree.disk

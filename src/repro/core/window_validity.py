@@ -119,6 +119,8 @@ def compute_window_validity(tree: RStarTree, focus, width: float, height: float,
     if universe is None:
         universe = tree.root.mbr
     focus = Point(float(focus[0]), float(focus[1]))
+    # A focus outside the universe still gets a region holding it.
+    universe = universe.extended(focus)
     window = Rect.around(focus, width, height)
 
     with tree.disk.phase(result_phase):

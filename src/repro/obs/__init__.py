@@ -13,12 +13,17 @@ instead of a flat list of service-side timings.
 The pieces:
 
 * :mod:`repro.obs.context` — :class:`TraceContext`, ``start_trace`` /
-  ``span`` / ``attach`` / ``current_trace``: propagation itself.
+  ``span`` / ``attach`` / ``current_trace``: propagation itself, and
+  :class:`QueryTrace`, the one record per query that ``start_trace``
+  opens and the service keeps.
+* :mod:`repro.obs.metrics` — :class:`MetricsRegistry`: labelled
+  counters, gauges and histograms in one thread-safe registry every
+  layer reports into, keyed by :func:`series_key`.
 * :mod:`repro.obs.events` — :class:`EventLog`, a bounded, thread-safe,
   per-category-sampled structured event sink (JSONL).
 * :mod:`repro.obs.exporters` — Prometheus text exposition for a
-  :class:`~repro.service.metrics.MetricsRegistry`, the Chrome
-  ``trace_event`` (Perfetto-loadable) exporter, and ``span_tree``.
+  :class:`MetricsRegistry`, the Chrome ``trace_event``
+  (Perfetto-loadable) exporter, and ``span_tree``.
 * :mod:`repro.obs.http` — :class:`ObservabilityServer`, a stdlib
   ``http.server`` endpoint serving ``/metrics``, ``/traces/<id>``,
   ``/events``, ``/slo``, ``/profile/flame``, ``/healthz``/``/readyz``
@@ -31,11 +36,15 @@ The pieces:
 * :mod:`repro.obs.profile` — :class:`PhaseProfiler`: span trees folded
   into per-phase self-time tables and collapsed-stack flamegraphs.
 
+``repro.obs`` imports no other ``repro`` package: the storage layer,
+the core and the service tier all build on it.
+
 See docs/OBSERVABILITY.md for the trace-context model, the event
 schema, and how to open an exported trace in Perfetto.
 """
 
 from repro.obs.context import (
+    QueryTrace,
     Span,
     TraceContext,
     attach,
@@ -46,6 +55,14 @@ from repro.obs.context import (
     start_trace,
 )
 from repro.obs.events import EventLog
+from repro.obs.metrics import (
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+    parse_series_key,
+    series_key,
+)
 from repro.obs.exporters import (
     chrome_trace,
     prometheus_text,
@@ -56,6 +73,7 @@ from repro.obs.profile import PhaseProfiler, collapse_trace
 from repro.obs.slo import SLOConfig, SLOEngine
 
 __all__ = [
+    "QueryTrace",
     "Span",
     "TraceContext",
     "attach",
@@ -65,6 +83,12 @@ __all__ = [
     "span",
     "start_trace",
     "EventLog",
+    "Counter",
+    "Gauge",
+    "Histogram",
+    "MetricsRegistry",
+    "series_key",
+    "parse_series_key",
     "chrome_trace",
     "prometheus_text",
     "span_tree",

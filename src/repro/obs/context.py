@@ -13,6 +13,11 @@ submitting and re-activates it in each worker with :func:`attach` — the
 explicit handoff that keeps per-shard spans parented under the query's
 fan-out span.
 
+One query, one record: :func:`start_trace` opens a :class:`QueryTrace`
+(``ctx.trace``), every closing span appends itself to it, and the query
+service fills in the outcome and keeps that same object — it is what
+``/traces/<id>`` serves.
+
 Timestamps: every span records a **monotonic** offset/duration
 (``perf_counter`` relative to the trace's origin) while the trace keeps
 one wall-clock epoch, so exporters can reconstruct absolute times
@@ -34,12 +39,13 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from time import perf_counter, time
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "Span",
+    "QueryTrace",
     "TraceContext",
-    "PHASE_SPAN_NAMES",
+    "PHASE_SPANS",
     "current_trace",
     "start_trace",
     "span",
@@ -50,7 +56,7 @@ __all__ = [
 
 #: Disk phase name → trace span name (the stage vocabulary the paper's
 #: processing pipeline uses; unknown phases surface under their own name).
-PHASE_SPAN_NAMES = {
+PHASE_SPANS = {
     "nn": "index_descent",
     "result": "index_descent",
     "tpnn": "tpnn_probing",
@@ -90,38 +96,123 @@ class Span:
         return out
 
 
-class _TraceState:
-    """The shared, thread-safe record of one in-flight trace.
+@dataclass(slots=True)
+class QueryTrace:
+    """The record of one query: opened by :func:`start_trace`, filled in
+    while the query runs, finished and kept by the service.
 
-    It needs no lock: taking the next number from an
-    :func:`itertools.count` and appending to a list are each one atomic
-    step under the interpreter lock (the query service numbers its
-    trace ids the same way), and readers sort a copy.
+    Every span any layer closes under the trace appends itself to
+    :attr:`spans`; :meth:`finish` stamps the duration and puts the spans
+    in start order.  The record needs no lock: taking the next number
+    from an :func:`itertools.count` and appending to a list are each one
+    atomic step under the interpreter lock.  Traces are plain data —
+    :meth:`as_dict` is JSON-serializable.
     """
 
-    __slots__ = ("trace_id", "started_at", "origin", "events",
-                 "_spans", "_ids")
+    trace_id: str
+    kind: str
+    #: Unix timestamp the query arrived (wall clock).
+    started_at: float
+    #: ``perf_counter()`` value span offsets are measured against; with
+    #: ``started_at`` this yields correct absolute span timestamps.
+    monotonic_origin: float = 0.0
+    duration_ms: float = 0.0
+    spans: List[Span] = field(default_factory=list)
+    #: Node accesses this query caused, by disk phase.
+    node_accesses: Dict[str, int] = field(default_factory=dict)
+    #: Page faults this query caused, by disk phase.
+    page_faults: Dict[str, int] = field(default_factory=dict)
+    transfer_bytes: int = 0
+    result_size: int = 0
+    #: Set when the request failed; the exception text.
+    error: Optional[str] = None
+    #: Transparent retries the service performed for this query.
+    retries: int = 0
+    #: True when the response shipped a degraded (shrunk) validity
+    #: region because the query budget ran out.
+    degraded: bool = False
+    #: Why the tail sampler kept this trace ("error" / "degraded" /
+    #: "slow" / "slo:<name>" / "sampled"); None without tail sampling.
+    retention_reason: Optional[str] = None
+    #: Duck-typed event sink (see :class:`repro.obs.events.EventLog`).
+    events: object = field(default=None, init=False, repr=False,
+                           compare=False)
+    _ids: Iterator[int] = field(default_factory=lambda: itertools.count(1),
+                                init=False, repr=False, compare=False)
 
-    def __init__(self, trace_id: str, events=None):
-        self.trace_id = trace_id
-        #: Wall-clock epoch the trace started (for absolute timestamps).
-        self.started_at = time()
-        #: Monotonic origin every span offset is measured against.
-        self.origin = perf_counter()
-        #: Duck-typed event sink (see :class:`repro.obs.events.EventLog`).
-        self.events = events
-        self._spans: List[Span] = []
-        self._ids = itertools.count(1)
+    @property
+    def total_node_accesses(self) -> int:
+        return sum(self.node_accesses.values())
 
-    def next_span_id(self) -> str:
-        return f"s{next(self._ids)}"
+    def finish(self) -> "QueryTrace":
+        """Stamp the duration and sort the spans by start offset, in place.
 
-    def add(self, span_: Span) -> None:
-        self._spans.append(span_)
+        Call it once the query has returned or raised: every span has
+        closed by then (a shard fan-out returns, or re-raises, only
+        after all of its jobs ended).
+        """
+        self.duration_ms = (perf_counter() - self.monotonic_origin) * 1e3
+        self.spans.sort(key=_offset)
+        return self
 
-    def spans(self) -> List[Span]:
-        """The spans recorded so far, in chronological (start) order."""
-        return sorted(self._spans, key=_offset)
+    def span(self, name: str) -> Optional[Span]:
+        """The first span called ``name``, if any."""
+        for s in self.spans:
+            if s.name == name:
+                return s
+        return None
+
+    def tree(self) -> Tuple[List[Span], Dict[str, List[Span]]]:
+        """The span tree: ``(roots, children by parent span id)``.
+
+        A root is a span with no parent, or with a parent that is not in
+        this trace.  Both keep span order.
+        """
+        spans = self.spans
+        ids = {s.span_id for s in spans}
+        roots: List[Span] = []
+        children: Dict[str, List[Span]] = {}
+        for s in spans:
+            parent = s.parent_id
+            if parent is None or parent not in ids:
+                roots.append(s)
+            else:
+                kids = children.get(parent)
+                if kids is None:
+                    children[parent] = [s]
+                else:
+                    kids.append(s)
+        return roots, children
+
+    def children(self, parent: Optional[Span]) -> List[Span]:
+        """The direct children of ``parent`` (trace-root spans for None)."""
+        roots, children = self.tree()
+        if parent is None or parent.span_id is None:
+            return roots
+        return children.get(parent.span_id, [])
+
+    def as_dict(self) -> Dict[str, object]:
+        out = {
+            "trace_id": self.trace_id,
+            "kind": self.kind,
+            "started_at": self.started_at,
+            "monotonic_origin": self.monotonic_origin,
+            "duration_ms": self.duration_ms,
+            "spans": [s.as_dict() for s in self.spans],
+            "node_accesses": dict(self.node_accesses),
+            "page_faults": dict(self.page_faults),
+            "transfer_bytes": self.transfer_bytes,
+            "result_size": self.result_size,
+        }
+        if self.error is not None:
+            out["error"] = self.error
+        if self.retries:
+            out["retries"] = self.retries
+        if self.degraded:
+            out["degraded"] = True
+        if self.retention_reason is not None:
+            out["retention_reason"] = self.retention_reason
+        return out
 
 
 def _offset(span_: Span) -> float:
@@ -136,38 +227,30 @@ class TraceContext:
     #: The current span (parent of children opened under this context);
     #: ``None`` at the trace root.
     span_id: Optional[str]
-    _state: _TraceState
+    #: The record every span under this context lands in.
+    trace: QueryTrace = field(repr=False, compare=False)
 
     @property
     def started_at(self) -> float:
         """Wall-clock epoch of the trace start."""
-        return self._state.started_at
-
-    @property
-    def origin(self) -> float:
-        """``perf_counter()`` value at the trace start."""
-        return self._state.origin
-
-    @property
-    def events(self):
-        return self._state.events
+        return self.trace.started_at
 
     def elapsed_ms(self) -> float:
-        return (perf_counter() - self._state.origin) * 1e3
+        return (perf_counter() - self.trace.monotonic_origin) * 1e3
 
     def spans(self) -> List[Span]:
         """All spans recorded on this trace so far (start order)."""
-        return self._state.spans()
+        return sorted(self.trace.spans, key=_offset)
 
     def add_span(self, name: str, offset_ms: float, duration_ms: float,
                  meta: Optional[Dict[str, object]] = None,
                  parent_id: Optional[str] = None) -> Span:
         """Record a pre-measured span (for after-the-fact accounting)."""
-        state = self._state
+        trace = self.trace
         span_ = Span(name, offset_ms, duration_ms,
-                     dict(meta) if meta else {}, state.next_span_id(),
+                     dict(meta) if meta else {}, f"s{next(trace._ids)}",
                      parent_id if parent_id is not None else self.span_id)
-        state.add(span_)
+        trace.spans.append(span_)
         return span_
 
 
@@ -188,21 +271,26 @@ def current_trace() -> Optional[TraceContext]:
 class start_trace:
     """Begin (and activate) a new trace; ``with`` yields its root context.
 
-    Every span opened — by any layer, on any thread holding the
-    context — lands in the yielded context's span collection.
+    The trace is a :class:`QueryTrace` of ``kind`` (``ctx.trace``):
+    every span opened — by any layer, on any thread holding the
+    context — lands in its :attr:`~QueryTrace.spans`.
     """
 
-    __slots__ = ("_trace_id", "_events", "_token")
+    __slots__ = ("_trace_id", "_events", "_kind", "_token")
 
-    def __init__(self, trace_id: Optional[str] = None, events=None):
+    def __init__(self, trace_id: Optional[str] = None, events=None,
+                 kind: str = ""):
         self._trace_id = trace_id
         self._events = events
+        self._kind = kind
 
     def __enter__(self) -> TraceContext:
         trace_id = self._trace_id
-        state = _TraceState(trace_id if trace_id is not None
-                            else new_trace_id(), events=self._events)
-        ctx = TraceContext(state.trace_id, None, state)
+        if trace_id is None:
+            trace_id = new_trace_id()
+        trace = QueryTrace(trace_id, self._kind, time(), perf_counter())
+        trace.events = self._events
+        ctx = TraceContext(trace_id, None, trace)
         self._token = _CURRENT.set(ctx)
         return ctx
 
@@ -219,7 +307,7 @@ class span:
     ``None`` when no trace is active — the zero-overhead fast path.
     """
 
-    __slots__ = ("_name", "_meta", "_span", "_state", "_start", "_token")
+    __slots__ = ("_name", "_meta", "_span", "_trace", "_start", "_token")
 
     def __init__(self, name: str, meta: Optional[Dict[str, object]] = None):
         self._name = name
@@ -230,12 +318,12 @@ class span:
         if ctx is None:
             self._span = None
             return None
-        state = self._state = ctx._state
+        trace = self._trace = ctx.trace
         meta = self._meta
         span_ = self._span = Span(self._name, 0.0, 0.0,
                                   dict(meta) if meta else {},
-                                  state.next_span_id(), ctx.span_id)
-        child = TraceContext(ctx.trace_id, span_.span_id, state)
+                                  f"s{next(trace._ids)}", ctx.span_id)
+        child = TraceContext(ctx.trace_id, span_.span_id, trace)
         self._start = perf_counter()
         self._token = _CURRENT.set(child)
         return span_
@@ -246,10 +334,10 @@ class span:
             return False
         _CURRENT.reset(self._token)
         end = perf_counter()
-        state = self._state
-        span_.offset_ms = (self._start - state.origin) * 1e3
+        trace = self._trace
+        span_.offset_ms = (self._start - trace.monotonic_origin) * 1e3
         span_.duration_ms = (end - self._start) * 1e3
-        state.add(span_)
+        trace.spans.append(span_)
         return False
 
 
@@ -279,7 +367,7 @@ def emit_event(category: str, **fields) -> None:
     ctx = _CURRENT.get()
     if ctx is None:
         return
-    events = ctx._state.events
+    events = ctx.trace.events
     if events is None:
         return
     events.emit(category, trace_id=ctx.trace_id, span_id=ctx.span_id,

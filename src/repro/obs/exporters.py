@@ -3,7 +3,7 @@
 Two dialects out of one telemetry pipeline:
 
 * :func:`prometheus_text` renders a
-  :class:`~repro.service.metrics.MetricsRegistry` snapshot in the
+  :class:`~repro.obs.metrics.MetricsRegistry` snapshot in the
   Prometheus text exposition format (version 0.0.4) — counters become
   ``_total`` series, gauges stay plain, histograms with bucket bounds
   surface as native Prometheus histograms (cumulative ``_bucket{le=}``
@@ -11,9 +11,11 @@ Two dialects out of one telemetry pipeline:
   summaries with ``quantile`` labels.  The registry is dimensional:
   snapshot keys are canonical series keys
   (``service.queries{query_kind="knn"}``), so labels pass straight
-  through to the exposition — no metric-name suffix folding.
+  through to the exposition — parsed and re-rendered with the
+  registry's own :func:`~repro.obs.metrics.parse_series_key` and
+  :func:`~repro.obs.metrics.series_key`.
 
-* :func:`chrome_trace` converts a :class:`~repro.service.tracing.QueryTrace`
+* :func:`chrome_trace` converts a :class:`~repro.obs.context.QueryTrace`
   span tree into the Chrome ``trace_event`` JSON format, loadable in
   Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.  Span
   timestamps combine the trace's wall-clock epoch with each span's
@@ -29,7 +31,9 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
+
+from repro.obs.metrics import parse_series_key, series_key
 
 __all__ = ["prometheus_text", "chrome_trace", "write_chrome_trace",
            "span_tree"]
@@ -38,42 +42,12 @@ __all__ = ["prometheus_text", "chrome_trace", "write_chrome_trace",
 # ----------------------------------------------------------------------
 # Prometheus text exposition
 # ----------------------------------------------------------------------
-#: Matches one ``key="value"`` pair inside a canonical series key (the
-#: value may contain escaped quotes/backslashes/newlines).  Mirrors
-#: :func:`repro.service.metrics.series_key`; kept local so ``repro.obs``
-#: stays importable without the service layer.
-_SERIES_LABEL = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
-
 _QUANTILES = (("p50", "0.5"), ("p95", "0.95"), ("p99", "0.99"))
-
-
-def _family(key: str) -> Tuple[str, Dict[str, str]]:
-    """Split a canonical series key into (family, labels)."""
-    brace = key.find("{")
-    if brace < 0:
-        return key, {}
-    family = key[:brace]
-    body = key[brace + 1:key.rfind("}")]
-    labels = {m.group(1): (m.group(2).replace(r"\n", "\n")
-                           .replace(r'\"', '"').replace(r"\\", "\\"))
-              for m in _SERIES_LABEL.finditer(body)}
-    return family, labels
 
 
 def _metric_name(family: str, namespace: str) -> str:
     mangled = re.sub(r"[^a-zA-Z0-9_]", "_", family)
     return f"{namespace}_{mangled}" if namespace else mangled
-
-
-def _label_str(labels: Dict[str, str]) -> str:
-    if not labels:
-        return ""
-    parts = []
-    for key in sorted(labels):
-        value = (str(labels[key]).replace("\\", r"\\")
-                 .replace('"', r'\"').replace("\n", r"\n"))
-        parts.append(f'{key}="{value}"')
-    return "{" + ",".join(parts) + "}"
 
 
 def _value_str(value) -> str:
@@ -87,7 +61,7 @@ def _value_str(value) -> str:
 def prometheus_text(metrics, namespace: str = "repro") -> str:
     """Render a metrics registry in Prometheus text exposition format.
 
-    ``metrics`` is a :class:`~repro.service.metrics.MetricsRegistry`
+    ``metrics`` is a :class:`~repro.obs.metrics.MetricsRegistry`
     (or anything with its ``snapshot()`` shape); the whole exposition
     is produced from **one** consistent snapshot, so cross-metric
     invariants (hits never ahead of probes) hold inside one scrape.
@@ -100,7 +74,7 @@ def prometheus_text(metrics, namespace: str = "repro") -> str:
         # HELP/TYPE header regardless of how many label sets it has.
         families: Dict[str, List[Tuple[Dict[str, str], object]]] = {}
         for key in sorted(values):
-            family, labels = _family(key)
+            family, labels = parse_series_key(key)
             families.setdefault(family, []).append((labels, values[key]))
         return families
 
@@ -112,17 +86,17 @@ def prometheus_text(metrics, namespace: str = "repro") -> str:
             lines.append(f"# HELP {metric} {family} ({kind_name})")
             lines.append(f"# TYPE {metric} {prom_type}")
             for labels, value in series:
-                lines.append(f"{metric}{_label_str(labels)} "
+                lines.append(f"{series_key(metric, labels)} "
                              f"{_value_str(value)}")
 
     def emit_summary(metric, labels, hist):
         for key, quantile in _QUANTILES:
             q_labels = dict(labels, quantile=quantile)
-            lines.append(f"{metric}{_label_str(q_labels)} "
+            lines.append(f"{series_key(metric, q_labels)} "
                          f"{_value_str(hist[key])}")
-        lines.append(f"{metric}_sum{_label_str(labels)} "
+        lines.append(f"{series_key(metric + '_sum', labels)} "
                      f"{_value_str(hist['sum'])}")
-        lines.append(f"{metric}_count{_label_str(labels)} "
+        lines.append(f"{series_key(metric + '_count', labels)} "
                      f"{_value_str(hist['count'])}")
 
     def emit_buckets(metric, labels, hist):
@@ -131,11 +105,11 @@ def prometheus_text(metrics, namespace: str = "repro") -> str:
                          key=lambda s: float("inf") if s == "+Inf"
                          else float(s)):
             b_labels = dict(labels, le=le)
-            lines.append(f"{metric}_bucket{_label_str(b_labels)} "
+            lines.append(f"{series_key(metric + '_bucket', b_labels)} "
                          f"{_value_str(buckets[le])}")
-        lines.append(f"{metric}_sum{_label_str(labels)} "
+        lines.append(f"{series_key(metric + '_sum', labels)} "
                      f"{_value_str(hist['sum'])}")
-        lines.append(f"{metric}_count{_label_str(labels)} "
+        lines.append(f"{series_key(metric + '_count', labels)} "
                      f"{_value_str(hist['count'])}")
 
     def render_histograms(values):
@@ -163,62 +137,52 @@ def prometheus_text(metrics, namespace: str = "repro") -> str:
 # ----------------------------------------------------------------------
 # span trees and Chrome trace events
 # ----------------------------------------------------------------------
+def _by_offset(spans) -> list:
+    return sorted(spans, key=lambda s: s.offset_ms)
+
+
 def span_tree(trace) -> Dict[str, object]:
     """A trace's spans nested parent → children (the ``/traces/<id>`` shape).
 
     Spans without a ``parent_id`` (including legacy flat spans) are
     children of the trace root.  Children are ordered by start offset.
     """
-    ordered = sorted(trace.spans, key=lambda s: s.offset_ms)
-    by_id: Dict[str, Dict[str, object]] = {}
-    node_list: List[Tuple[object, Dict[str, object]]] = []
-    for s in ordered:
-        node = s.as_dict()
-        node["children"] = []
-        node_list.append((s, node))
-        if s.span_id is not None:
-            by_id[s.span_id] = node
-    roots: List[Dict[str, object]] = []
-    for s, node in node_list:
-        parent = by_id.get(s.parent_id) if s.parent_id is not None else None
-        if parent is None:
-            roots.append(node)
-        else:
-            parent["children"].append(node)
+    roots, children = trace.tree()
+
+    def node(s) -> Dict[str, object]:
+        out = s.as_dict()
+        kids = children.get(s.span_id) if s.span_id is not None else None
+        out["children"] = [node(k) for k in _by_offset(kids)] if kids else []
+        return out
+
     return {
         "trace_id": trace.trace_id,
         "kind": trace.kind,
         "started_at": trace.started_at,
         "duration_ms": trace.duration_ms,
         "node_accesses": dict(trace.node_accesses),
-        "spans": roots,
+        "spans": [node(s) for s in _by_offset(roots)],
     }
 
 
 _SHARD_SPAN = re.compile(r"^shard_(\d+)$")
 
 
-def _assign_tracks(spans) -> List[int]:
+def _assign_tracks(trace) -> List[int]:
     """tid per span (by position): shard subtrees get their own track,
     everything else renders on tid 1."""
-    by_id = {s.span_id: s for s in spans if s.span_id is not None}
-    cache: Dict[str, int] = {}
-
-    def track(s) -> int:
-        if s.span_id is not None and s.span_id in cache:
-            return cache[s.span_id]
+    roots, children = trace.tree()
+    tracks: Dict[int, int] = {}
+    todo = [(s, 1) for s in roots]
+    while todo:
+        s, tid = todo.pop()
         m = _SHARD_SPAN.match(s.name)
         if m:
             tid = 2 + int(m.group(1))
-        elif s.parent_id is not None and s.parent_id in by_id:
-            tid = track(by_id[s.parent_id])
-        else:
-            tid = 1
+        tracks[id(s)] = tid
         if s.span_id is not None:
-            cache[s.span_id] = tid
-        return tid
-
-    return [track(s) for s in spans]
+            todo.extend((kid, tid) for kid in children.get(s.span_id, ()))
+    return [tracks.get(id(s), 1) for s in trace.spans]
 
 
 def chrome_trace(trace) -> Dict[str, object]:
@@ -235,7 +199,7 @@ def chrome_trace(trace) -> Dict[str, object]:
          "args": {"name": "service"}},
     ]
     spans = list(trace.spans)
-    tracks = _assign_tracks(spans)
+    tracks = _assign_tracks(trace)
     named_tracks = {}
     for s, tid in zip(spans, tracks):
         m = _SHARD_SPAN.match(s.name)

@@ -1,6 +1,6 @@
 """Phase profiling: span trees folded into self-time tables and flames.
 
-Every finished :class:`~repro.service.tracing.QueryTrace` already
+Every finished :class:`~repro.obs.context.QueryTrace` already
 carries a span tree — ``cache_probe``, ``shard_fanout`` and its
 per-shard workers, ``disk_read`` phase blocks, kernel batches.  The
 :class:`PhaseProfiler` is a sampling hook over that stream: traces are
@@ -58,23 +58,11 @@ def collapse_trace(trace, normalize: bool = True
     time is its duration minus its direct children's durations,
     clamped at zero (children overlapping their parent's end never
     drive it negative).  Trace time
-    not covered by any root span is charged to the root frame itself.
+    not covered by any root span is charged to the root frame itself,
+    so when no clamp fires — every sequential trace — the values sum to
+    ``trace.duration_ms``; overlapping parallel shard spans exceed it.
     """
-    spans = trace.spans
-    ids = {s.span_id for s in spans}
-    roots: List = []
-    children: Dict[str, List] = {}
-    for s in spans:
-        parent = s.parent_id
-        if parent is None or parent not in ids:
-            roots.append(s)
-        else:
-            kids = children.get(parent)
-            if kids is None:
-                children[parent] = [s]
-            else:
-                kids.append(s)
-
+    roots, children = trace.tree()
     frame = _normalized if normalize else _verbatim
     root = frame(trace.kind)
     stacks: Dict[Tuple[str, ...], float] = {}

@@ -197,7 +197,7 @@ def _window_label(seconds: int) -> str:
 class SLOEngine:
     """Observes query outcomes, tracks budgets, recommends brownouts.
 
-    ``metrics`` (a :class:`~repro.service.metrics.MetricsRegistry`, or
+    ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`, or
     None) receives ``slo.*`` gauges on every evaluation; the query
     service assigns its own registry when the engine is attached
     without one.  ``eval_interval_s`` rate-limits

@@ -1,9 +1,8 @@
-"""The service layer: instrumentation, resilience and concurrency.
+"""The service layer: resilience, serving tiers and concurrency.
 
-* :mod:`repro.service.metrics` — counters, gauges and latency
-  histograms in one thread-safe registry every layer reports into.
-* :mod:`repro.service.tracing` — structured per-query traces with
-  timed spans and phase-attributed node accesses.
+* :mod:`repro.service.tracing` — :class:`TraceBuffer`, the bounded
+  ring the service keeps finished query traces in, with optional
+  tail-based sampling (:class:`TailSamplingConfig`).
 * :mod:`repro.service.retry` — capped exponential backoff with full
   jitter for transient failures, plus the service-wide
   :class:`RetryBudget` against retry storms.
@@ -35,26 +34,15 @@
 * :mod:`repro.service.checkapi` — the API-drift check CI runs
   (``python -m repro.service.checkapi``).
 
-The propagation layer itself — trace contexts, the structured
+The telemetry types themselves — the per-query :class:`QueryTrace`
+and its spans, the :class:`MetricsRegistry`, the structured
 :class:`~repro.obs.events.EventLog`, the Prometheus / Chrome-trace
-exporters and the HTTP endpoint — lives in :mod:`repro.obs`; the
-service opens a trace per query and every layer below reports into it.
+exporters and the HTTP endpoint — live in :mod:`repro.obs`; the
+service opens a trace per query, every layer below reports into it,
+and the service keeps that same record.
 """
 
-from repro.service.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    parse_series_key,
-    series_key,
-)
-from repro.service.tracing import (
-    QueryTrace,
-    Span,
-    TailSamplingConfig,
-    TraceBuffer,
-)
+from repro.service.tracing import TailSamplingConfig, TraceBuffer
 from repro.service.retry import (
     RetryBudget,
     RetryBudgetConfig,
@@ -97,14 +85,6 @@ from repro.service.service import QueryService, ResilienceConfig, build_service
 from repro.service.fleet import ClientFleet, FleetConfig, FleetReport
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "series_key",
-    "parse_series_key",
-    "QueryTrace",
-    "Span",
     "TraceBuffer",
     "TailSamplingConfig",
     "RetryPolicy",

@@ -613,14 +613,6 @@ class ReplicaSet:
     def page_faults_by_phase(self) -> Dict[str, int]:
         return self.io_stats.page_faults_by_phase()
 
-    def set_phase_listener(self, listener):
-        previous = None
-        for i, r in enumerate(self.replicas):
-            old = r.server.set_phase_listener(listener)
-            if i == 0:
-                previous = old
-        return previous
-
     def disk_snapshot(self) -> Dict[str, object]:
         """Aggregated disk state plus the per-replica breakdown."""
         out = {

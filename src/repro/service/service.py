@@ -6,13 +6,13 @@ query runs under a propagated trace context
 (:func:`repro.obs.context.start_trace`): the service opens the trace,
 the layers below — cache probe, scatter-gather shard workers, the
 R*-tree's simulated disk — attach their own child spans to it, and the
-finished span *tree* is retained as a structured
-:class:`~repro.service.tracing.QueryTrace`.  Alongside the trace, each
+record the trace opened, a :class:`~repro.obs.context.QueryTrace`, is
+finished and retained with its span *tree*.  Alongside the trace, each
 stage emits structured events into the service's
 :class:`~repro.obs.events.EventLog` (query start/finish, cache
 hit/miss, shard scatter, retries, breaker transitions, disk faults),
 and counters and latency/bytes histograms land in one
-:class:`~repro.service.metrics.MetricsRegistry` shared by every layer.
+:class:`~repro.obs.metrics.MetricsRegistry` shared by every layer.
 
 Concurrency model: the service accepts requests from any number of
 threads; the index/disk portion of each query runs under the service
@@ -37,8 +37,8 @@ The service quacks like a :class:`LocationServer` where it matters
 :class:`~repro.core.client.MobileClient` can be pointed straight at it
 and every query it issues is traced and metered.  It talks to the
 server only through the narrow instrumentation interface
-(``answer`` / ``io_stats`` / ``set_phase_listener`` / ``disk_snapshot``
-/ ``num_points``), so any server implementing it — the single-tree
+(``answer`` / ``io_stats`` / ``disk_snapshot`` / ``num_points``), so
+any server implementing it — the single-tree
 :class:`LocationServer` or the sharded scatter-gather fleet — slots in
 unchanged; :func:`build_service` assembles the whole stack from raw
 points.
@@ -69,8 +69,14 @@ from repro.core.server import DeltaResponse, LocationServer
 from repro.core.validity import CompositeValidityRegion, ValidityDisk
 from repro.geometry import Rect
 from repro.kernel import ExecutionConfig
-from repro.obs.context import TraceContext, emit_event, start_trace
+from repro.obs.context import (
+    QueryTrace,
+    TraceContext,
+    emit_event,
+    start_trace,
+)
 from repro.obs.events import EventLog
+from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS_MS, MetricsRegistry
 from repro.obs.profile import PhaseProfiler
 from repro.obs.slo import SLOEngine
 from repro.service.continuous import (
@@ -90,7 +96,6 @@ from repro.service.admission import (
 )
 from repro.service.cache import CacheConfig, ValidityCache
 from repro.service.faults import BreakerConfig, CircuitBreaker, CircuitOpenError
-from repro.service.metrics import DEFAULT_LATENCY_BUCKETS_MS, MetricsRegistry
 from repro.service.replica import ReplicaConfig, ReplicaSet
 from repro.service.retry import (
     RetryBudget,
@@ -100,12 +105,7 @@ from repro.service.retry import (
 )
 from repro.service.shard import ShardedServer
 from repro.service.staleness import ServedResponse
-from repro.service.tracing import (
-    QueryTrace,
-    TailSamplingConfig,
-    TraceBuffer,
-    now,
-)
+from repro.service.tracing import TailSamplingConfig, TraceBuffer
 
 __all__ = ["QueryService", "ResilienceConfig", "build_service"]
 
@@ -200,7 +200,7 @@ class QueryService:
         self._hub: Optional[SubscriptionHub] = None
         self._hub_lock = threading.Lock()
         self._ids = itertools.count(1)
-        self._started_at = now()
+        self._started_at = time.time()
 
     # ------------------------------------------------------------------
     # the LocationServer surface clients rely on
@@ -303,7 +303,7 @@ class QueryService:
         kind = getattr(request, "kind", type(request).__name__)
         trace_id = (getattr(request, "trace_id", None)
                     or f"q-{next(self._ids)}")
-        with start_trace(trace_id=trace_id, events=self.events) as ctx:
+        with start_trace(trace_id, events=self.events, kind=kind) as ctx:
             return self._answer_traced(request, kind, ctx)
 
     def _answer_traced(self, request: QueryRequest, kind: str,
@@ -313,15 +313,11 @@ class QueryService:
         The service records only its own stages (cache probe, retry
         backoff, serialization) on the context; the layers below attach
         their own child spans — per-shard fan-out workers, the disk's
-        phase blocks — through the same propagated context.
+        phase blocks — through the same propagated context, into the
+        one record the service finishes and keeps (``ctx.trace``).
         """
-        trace = QueryTrace(
-            trace_id=ctx.trace_id,
-            kind=kind,
-            started_at=ctx.started_at,
-            monotonic_origin=ctx.origin,
-        )
-        t0 = ctx.origin
+        trace = ctx.trace
+        t0 = trace.monotonic_origin
         emit_event("query", event="query.start", kind=kind)
 
         # Admission first: the brownout level is sampled once per query
@@ -331,7 +327,7 @@ class QueryService:
             level = self.admission.level()
             self.metrics.gauge("service.admission.level").set(level)
             if level >= LEVEL_REJECT:
-                self._shed(trace, ctx, kind, AdmissionRejectedError(
+                self._shed(trace, kind, AdmissionRejectedError(
                     "brownout: shedding all load"))
 
         # The cache front door: a hit never touches the server, the
@@ -365,7 +361,7 @@ class QueryService:
             # A miss under a cache-only brownout never executes — that
             # is the whole point of the level: the disk is saturated.
             if level >= LEVEL_CACHE_ONLY:
-                self._shed(trace, ctx, kind, AdmissionRejectedError(
+                self._shed(trace, kind, AdmissionRejectedError(
                     "brownout: cache-only, request missed"))
             acquired = False
             exec_start = t0
@@ -380,7 +376,7 @@ class QueryService:
                     self.metrics.histogram(
                         "service.admission.reject_ms").record(
                             (perf_counter() - gate_start) * 1e3)
-                    self._shed(trace, ctx, kind, exc)
+                    self._shed(trace, kind, exc)
                 acquired = True
             retry = (self.resilience.retry
                      if self.resilience is not None else None)
@@ -409,7 +405,7 @@ class QueryService:
                                 "service.breaker.rejections").inc()
                             emit_event("breaker", event="breaker.reject",
                                        kind=kind)
-                            self._fail(trace, ctx, kind, exc)
+                            self._fail(trace, kind, exc)
                     try:
                         (response, node_accesses, page_faults,
                          epoch) = self._execute_once(request)
@@ -465,7 +461,7 @@ class QueryService:
                                 self._sleep(delay)
                             attempt += 1
                             continue
-                        self._fail(trace, ctx, kind, exc)
+                        self._fail(trace, kind, exc)
                     else:
                         if self.breaker is not None:
                             recoveries_before = self.breaker.recoveries
@@ -487,11 +483,15 @@ class QueryService:
         trace.page_faults = page_faults
         clip_seconds = getattr(response.detail, "clip_seconds", 0.0)
         if clip_seconds:
-            ctx.add_span(
-                "bisector_clipping",
-                offset_ms=0.0,  # interleaved with tpnn_probing
-                duration_ms=clip_seconds * 1e3,
-            )
+            # Clipping runs between TPNN probes, so its time is part of
+            # the (last attempt's) probing span; a cache hit has none.
+            probing = next((s for s in reversed(trace.spans)
+                            if s.name == "tpnn_probing"), None)
+            if probing is not None:
+                ctx.add_span("bisector_clipping",
+                             offset_ms=probing.offset_ms,
+                             duration_ms=clip_seconds * 1e3,
+                             parent_id=probing.span_id)
 
         # Serialization: size the payload that would go on the wire.
         ser_start = perf_counter()
@@ -510,11 +510,7 @@ class QueryService:
         trace.degraded = bool(getattr(response.detail, "degraded", False))
         if trace.degraded:
             emit_event("degraded", event="query.degraded", kind=kind)
-        trace.duration_ms = (perf_counter() - t0) * 1e3
-        trace.spans = ctx.spans()
-        self.traces.append(trace)
-        if self.profiler is not None:
-            self.profiler.record(trace)
+        self._keep(trace)
         self._record(kind, trace,
                      delta=getattr(request, "previous_ids", None) is not None,
                      detail=response.detail, response=response)
@@ -546,7 +542,7 @@ class QueryService:
     # ------------------------------------------------------------------
     # admission plumbing
     # ------------------------------------------------------------------
-    def _shed(self, trace: QueryTrace, ctx: TraceContext, kind: str,
+    def _shed(self, trace: QueryTrace, kind: str,
               exc: AdmissionRejectedError) -> None:
         """Record an admission rejection and raise it — never queued."""
         self.metrics.counter("service.admission.rejected").inc()
@@ -554,7 +550,7 @@ class QueryService:
                              labels={"query_kind": kind}).inc()
         emit_event("admission", event="admission.reject", kind=kind,
                    reason=exc.reason)
-        self._fail(trace, ctx, kind, exc)
+        self._fail(trace, kind, exc)
 
     def _brownout_budget(self, request: QueryRequest,
                          kind: str) -> QueryRequest:
@@ -661,15 +657,17 @@ class QueryService:
                 response = self.server.answer(request)
         return response, io.node_accesses, io.page_faults, epoch
 
-    def _fail(self, trace: QueryTrace, ctx: TraceContext, kind: str,
-              exc: Exception) -> None:
-        """Record a failed query and re-raise its error."""
-        trace.duration_ms = ctx.elapsed_ms()
-        trace.error = f"{type(exc).__name__}: {exc}"
-        trace.spans = ctx.spans()
+    def _keep(self, trace: QueryTrace) -> None:
+        """Finish a query's trace, retain it and feed the profiler."""
+        trace.finish()
         self.traces.append(trace)
         if self.profiler is not None:
             self.profiler.record(trace)
+
+    def _fail(self, trace: QueryTrace, kind: str, exc: Exception) -> None:
+        """Record a failed query and re-raise its error."""
+        trace.error = f"{type(exc).__name__}: {exc}"
+        self._keep(trace)
         self.metrics.counter("service.errors").inc()
         self.metrics.counter("service.errors",
                              labels={"query_kind": kind}).inc()
@@ -829,7 +827,7 @@ class QueryService:
         out = {
             "service": {
                 "started_at": self._started_at,
-                "uptime_seconds": now() - self._started_at,
+                "uptime_seconds": time.time() - self._started_at,
                 "queries": queries,
                 "bytes_on_wire": counters.get("service.bytes_on_wire", 0),
                 "cache_hit_ratio": hits / updates if updates else 0.0,

@@ -42,8 +42,8 @@ safe disk.
 
 The class implements the same narrow instrumentation interface as
 :class:`LocationServer` (``answer``, ``io_stats``, ``num_points``,
-``set_phase_listener``, ``disk_snapshot``, …), so the service layer —
-cache, tracing, metrics, resilience — composes with it unchanged.
+``disk_snapshot``, …), so the service layer — cache, tracing, metrics,
+resilience — composes with it unchanged.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -440,7 +440,10 @@ class ShardedServer:
 
         Pool threads do not inherit the caller's trace context, so it
         is captured here and explicitly re-attached inside each worker
-        — per-shard spans stay parented under the query's trace.
+        — per-shard spans stay parented under the query's trace.  When
+        a job fails, the error surfaces only after every job has ended,
+        so no worker of a failed query keeps reading a shard disk (into
+        a retry's reads) or adds spans to a trace already kept.
         """
         if self._max_workers <= 1 or len(jobs) <= 1:
             return [job() for job in jobs]
@@ -458,8 +461,12 @@ class ShardedServer:
                     return job()
             return run
 
-        return [f.result() for f in [pool.submit(handoff(job))
-                                     for job in jobs]]
+        futures = [pool.submit(handoff(job)) for job in jobs]
+        try:
+            return [f.result() for f in futures]
+        except Exception:
+            wait(futures)
+            raise
 
     def _metered(self, shard: Shard, fn):
         """Run ``fn`` under a per-shard child span; returns ``(shard,
@@ -608,7 +615,7 @@ class ShardedServer:
             for s in contributing
         ])
 
-        rect = self.universe
+        rect = self.universe.extended(f)
         for _s, resp, _io in queried:
             overlap = rect.intersection(resp.region.rect)
             if overlap is None:  # numerically disjoint: collapse to f
@@ -736,20 +743,6 @@ class ShardedServer:
 
     def page_faults_by_phase(self) -> Dict[str, int]:
         return self.io_stats.page_faults_by_phase()
-
-    def set_phase_listener(self, listener):
-        """Install (or clear) the listener on every shard's disk.
-
-        Shard queries run on pool threads, so a listener observing a
-        sharded server must be thread-safe.  Returns the listener it
-        replaced on the first shard (they are installed uniformly).
-        """
-        previous = None
-        for i, s in enumerate(self.shards):
-            old = s.server.set_phase_listener(listener)
-            if i == 0:
-                previous = old
-        return previous
 
     def disk_snapshot(self) -> Dict[str, object]:
         """Aggregated disk state plus the per-shard breakdown."""

@@ -1,121 +1,23 @@
-"""Structured per-query tracing.
+"""Trace retention: the bounded ring the service keeps finished traces in.
 
-A :class:`QueryTrace` records everything one query did inside the
-service: the span **tree** of each processing stage (cache probe,
-per-shard scatter-gather children, index descent, TPNN vertex probing,
-bisector clipping, serialization…), the phase-attributed node accesses
-and page faults the simulated disk charged to it, the payload it
-shipped, and the result size.  Traces are plain data —
-:meth:`QueryTrace.as_dict` is JSON-serializable — and the service
-retains the most recent ones in a bounded ring buffer with id lookup
-(:meth:`TraceBuffer.find`), the store behind the ``/traces/<id>``
-endpoint.
-
-Spans are produced by the :mod:`repro.obs.context` propagation layer
-(the :class:`~repro.obs.context.Span` class is re-exported here for
-back-compat); :data:`SPAN_NAMES` normalizes the disk-level phase
-vocabulary ("nn", "tpnn", "result", "influence") onto the stage names
-the paper's processing pipeline uses.
-
-Clocks: span offsets/durations are **monotonic** (``perf_counter``
-relative to :attr:`QueryTrace.monotonic_origin`) while
-:attr:`QueryTrace.started_at` is a wall-clock epoch; exporters combine
-the two to reconstruct absolute timestamps without mixing clocks.
+Each query's record is the :class:`~repro.obs.context.QueryTrace` that
+:func:`~repro.obs.context.start_trace` opened for it; once the query
+finishes the service appends it to a :class:`TraceBuffer`, a bounded
+ring with id lookup (:meth:`TraceBuffer.find`) and optional tail-based
+sampling (:class:`TailSamplingConfig`) — the store behind the
+``/traces/<id>`` endpoint.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional
 
-from repro.obs.context import PHASE_SPAN_NAMES, Span
+from repro.obs.context import QueryTrace
 
-__all__ = ["Span", "QueryTrace", "SPAN_NAMES", "TailSamplingConfig",
-           "TraceBuffer"]
-
-#: Disk phase name → trace span name (shared with :mod:`repro.obs`).
-SPAN_NAMES = PHASE_SPAN_NAMES
-
-
-@dataclass
-class QueryTrace:
-    """The full record of one query through the service."""
-
-    trace_id: str
-    kind: str
-    #: Unix timestamp the query arrived (wall clock).
-    started_at: float
-    #: ``perf_counter()`` value span offsets are measured against; with
-    #: ``started_at`` this yields correct absolute span timestamps.
-    monotonic_origin: float = 0.0
-    duration_ms: float = 0.0
-    spans: List[Span] = field(default_factory=list)
-    #: Node accesses this query caused, by disk phase.
-    node_accesses: Dict[str, int] = field(default_factory=dict)
-    #: Page faults this query caused, by disk phase.
-    page_faults: Dict[str, int] = field(default_factory=dict)
-    transfer_bytes: int = 0
-    result_size: int = 0
-    #: Set when the request failed; the exception text.
-    error: Optional[str] = None
-    #: Transparent retries the service performed for this query.
-    retries: int = 0
-    #: True when the response shipped a degraded (shrunk) validity
-    #: region because the query budget ran out.
-    degraded: bool = False
-    #: Why the tail sampler kept this trace ("error" / "degraded" /
-    #: "slow" / "slo:<name>" / "sampled"); None without tail sampling.
-    retention_reason: Optional[str] = None
-
-    @property
-    def total_node_accesses(self) -> int:
-        return sum(self.node_accesses.values())
-
-    def span(self, name: str) -> Optional[Span]:
-        """The first span called ``name``, if any."""
-        for s in self.spans:
-            if s.name == name:
-                return s
-        return None
-
-    def children(self, parent: Optional[Span]) -> List[Span]:
-        """The direct children of ``parent`` (trace-root spans for None)."""
-        parent_id = parent.span_id if parent is not None else None
-        ids = {s.span_id for s in self.spans if s.span_id is not None}
-        out = []
-        for s in self.spans:
-            if parent_id is None:
-                if s.parent_id is None or s.parent_id not in ids:
-                    out.append(s)
-            elif s.parent_id == parent_id:
-                out.append(s)
-        return out
-
-    def as_dict(self) -> Dict[str, object]:
-        out = {
-            "trace_id": self.trace_id,
-            "kind": self.kind,
-            "started_at": self.started_at,
-            "monotonic_origin": self.monotonic_origin,
-            "duration_ms": self.duration_ms,
-            "spans": [s.as_dict() for s in self.spans],
-            "node_accesses": dict(self.node_accesses),
-            "page_faults": dict(self.page_faults),
-            "transfer_bytes": self.transfer_bytes,
-            "result_size": self.result_size,
-        }
-        if self.error is not None:
-            out["error"] = self.error
-        if self.retries:
-            out["retries"] = self.retries
-        if self.degraded:
-            out["degraded"] = True
-        if self.retention_reason is not None:
-            out["retention_reason"] = self.retention_reason
-        return out
+__all__ = ["TailSamplingConfig", "TraceBuffer"]
 
 
 @dataclass(frozen=True)
@@ -239,11 +141,9 @@ class TraceBuffer:
 
     @staticmethod
     def _annotate_root(trace: QueryTrace, reason: str) -> None:
-        ids = {s.span_id for s in trace.spans if s.span_id is not None}
-        for s in trace.spans:
-            if s.parent_id is None or s.parent_id not in ids:
-                s.meta["retention_reason"] = reason
-                break
+        roots, _children = trace.tree()
+        if roots:
+            roots[0].meta["retention_reason"] = reason
 
     def find(self, trace_id: str) -> Optional[QueryTrace]:
         """The retained trace with ``trace_id`` (newest wins), or None.
@@ -281,7 +181,3 @@ class TraceBuffer:
     def __len__(self) -> int:
         return len(self._traces) + len(self._pending)
 
-
-def now() -> float:
-    """Unix time — a hook point so tests can avoid real clocks."""
-    return time.time()

@@ -2,19 +2,14 @@
 
 from __future__ import annotations
 
-from time import perf_counter
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.obs.context import PHASE_SPAN_NAMES, current_trace
+from repro.obs.context import PHASE_SPANS, current_trace
 from repro.obs.context import span as obs_span
 from repro.storage.buffer import LRUBufferPool
 from repro.storage.counters import AccessStats
 
 DEFAULT_PHASE = "default"
-
-#: Signature of a phase listener: ``(phase_name, elapsed_seconds)``,
-#: called once per completed :meth:`DiskSimulator.phase` block.
-PhaseListener = Callable[[str, float], None]
 
 
 class DiskSimulator:
@@ -23,12 +18,12 @@ class DiskSimulator:
     The index calls :meth:`read` for every node it touches.  Experiments
     wrap query executions in :meth:`phase` blocks so costs can be
     attributed ("nn" vs "tpnn", "result" vs "influence"), and size the
-    buffer with :meth:`set_buffer`.  The service layer installs a
-    :data:`PhaseListener` to turn those same blocks into wall-clock
-    trace spans.
+    buffer with :meth:`set_buffer`.  Under an active trace context
+    (:mod:`repro.obs.context`) those same blocks become the disk-level
+    spans of the query's trace.
     """
 
-    __slots__ = ("stats", "_buffer", "_phase", "_listener")
+    __slots__ = ("stats", "_buffer", "_phase")
 
     def __init__(self, buffer_pages: int = 0):
         self.stats = AccessStats()
@@ -36,7 +31,6 @@ class DiskSimulator:
             LRUBufferPool(buffer_pages) if buffer_pages > 0 else None
         )
         self._phase = DEFAULT_PHASE
-        self._listener: Optional[PhaseListener] = None
 
     # ------------------------------------------------------------------
     # configuration
@@ -65,13 +59,6 @@ class DiskSimulator:
     # ------------------------------------------------------------------
     # phases and lifecycle
     # ------------------------------------------------------------------
-    def set_phase_listener(self, listener: Optional[PhaseListener]
-                           ) -> Optional[PhaseListener]:
-        """Install (or clear) the phase listener; returns the previous one."""
-        previous = self._listener
-        self._listener = listener
-        return previous
-
     def phase(self, name: str) -> "_PhaseBlock":
         """Attribute enclosed accesses to phase ``name`` (re-entrant).
 
@@ -94,11 +81,11 @@ class DiskSimulator:
 
 
 class _PhaseBlock:
-    """One :meth:`DiskSimulator.phase` block: the phase switch, the
-    listener call and, under a trace, the disk span around them."""
+    """One :meth:`DiskSimulator.phase` block: the phase switch and,
+    under a trace, the disk span around it."""
 
-    __slots__ = ("_disk", "_name", "_previous", "_start", "_scope",
-                 "_span", "_na0", "_pf0")
+    __slots__ = ("_disk", "_name", "_previous", "_scope", "_span", "_na0",
+                 "_pf0")
 
     def __init__(self, disk: DiskSimulator, name: str):
         self._disk = disk
@@ -107,7 +94,7 @@ class _PhaseBlock:
     def __enter__(self) -> None:
         disk, name = self._disk, self._name
         if current_trace() is not None:
-            self._scope = obs_span(PHASE_SPAN_NAMES.get(name, name),
+            self._scope = obs_span(PHASE_SPANS.get(name, name),
                                    meta={"phase": name})
             self._span = self._scope.__enter__()
             self._na0 = disk.stats.node_accesses[name]
@@ -116,7 +103,6 @@ class _PhaseBlock:
             self._scope = None
         self._previous = disk._phase
         disk._phase = name
-        self._start = perf_counter() if disk._listener is not None else 0.0
 
     def __exit__(self, *exc_info) -> bool:
         disk, name = self._disk, self._name
@@ -127,8 +113,6 @@ class _PhaseBlock:
                     disk.stats.node_accesses[name] - self._na0)
                 meta["page_faults"] = disk.stats.page_faults[name] - self._pf0
             disk._phase = self._previous
-            if disk._listener is not None:
-                disk._listener(name, perf_counter() - self._start)
         finally:
             if self._scope is not None:
                 self._scope.__exit__(*exc_info)

@@ -182,7 +182,6 @@ def inject_faults(tree, plan: FaultPlan,
     faulty.stats = old.stats
     faulty._buffer = old.buffer
     faulty._phase = old._phase
-    faulty._listener = old._listener
     faulty.replaced = old
     tree.disk = faulty
     return faulty

@@ -6,9 +6,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import WindowRequest, build_service, check_semantics
 from repro.geometry import Rect
 from repro.index import bulk_load_str
-from repro.core import compute_window_validity
+from repro.core import LocationServer, compute_window_validity
 from tests.conftest import brute_window
 
 UNIT = Rect(0.0, 0.0, 1.0, 1.0)
@@ -212,6 +213,45 @@ class TestValidation:
         assert region.contains((0.5, 0.5))
         assert region.area() == res.conservative_region.area()
         assert region.transfer_bytes() == 32
+
+
+class TestFocusOutsideTheUniverse:
+    """A server built from points takes their MBR as its universe; a
+    focus beyond it must still lie in its own region, or no client or
+    cache could ever reuse the answer."""
+
+    def test_repro_passes_the_semantics_contract(self):
+        rng = random.Random(31)
+        pts = [(0.8 * rng.random(), 0.8 * rng.random()) for _ in range(23)]
+        request = WindowRequest((0.87, 0.88), 0.4, 0.33)
+        response = LocationServer.from_points(pts).answer(request)
+        assert response.region.contains(request.focus)
+        check_semantics("window", pts, [request])
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_regions_hold_their_focus_and_the_oracle(self, shards):
+        rnd = random.Random(5)
+        missed = wrong = 0
+        for _ in range(8):
+            pts = [(0.8 * rnd.random(), 0.8 * rnd.random())
+                   for _ in range(60)]
+            service = build_service(pts, shards=shards)
+            for _ in range(15):
+                f = (rnd.uniform(-0.3, 1.1), rnd.uniform(-0.3, 1.1))
+                w, h = rnd.uniform(0.05, 0.5), rnd.uniform(0.05, 0.5)
+                response = service.answer(WindowRequest(f, w, h))
+                region = response.region
+                missed += not region.contains(f)
+                base = {e.oid for e in response.result}
+                assert base == result_set(pts, f, w, h)
+                r = region.rect
+                for _ in range(8):
+                    g = (rnd.uniform(r.xmin, r.xmax),
+                         rnd.uniform(r.ymin, r.ymax))
+                    wrong += result_set(pts, g, w, h) != base
+            service.close()
+        assert missed == 0
+        assert wrong == 0
 
 
 class TestPropertyBased:

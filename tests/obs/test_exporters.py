@@ -9,7 +9,7 @@ import pytest
 
 from repro.obs import chrome_trace, prometheus_text, span_tree, \
     write_chrome_trace
-from repro.service import MetricsRegistry, QueryTrace, Span
+from repro.obs import MetricsRegistry, QueryTrace, Span
 
 # One sample line of the text exposition format (version 0.0.4):
 # metric name, optional {labels}, a value.
@@ -74,6 +74,13 @@ def test_prometheus_golden_lines():
     # (nearest-rank p50 of [1,2,3,4] is 3.0).
     assert 'repro_service_batch_size{quantile="0.5"} 3.0' in lines
     assert 'repro_service_batch_size_sum 10.0' in lines
+    # Label values are escaped (quote, backslash, newline) exactly as
+    # the registry keys them; a registry of its own, because the
+    # exposition regex below admits no escaped quotes.
+    escaped = MetricsRegistry()
+    escaped.counter("svc.x", labels={"path": 'a"b\\c\nd'}).inc(2)
+    assert (r'repro_svc_x_total{path="a\"b\\c\nd"} 2'
+            in prometheus_text(escaped).splitlines())
 
 
 def test_prometheus_exposition_parses():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.obs import PhaseProfiler, collapse_trace
-from repro.service import QueryTrace, Span
+from repro.obs import QueryTrace, Span
 
 pytestmark = pytest.mark.obs
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.obs import SLOConfig, SLOEngine
 from repro.obs.slo import BROWNOUT_NAMES, _window_label
-from repro.service import MetricsRegistry
+from repro.obs import MetricsRegistry
 
 pytestmark = pytest.mark.obs
 

@@ -17,9 +17,9 @@ import pytest
 
 from repro.core import LocationServer
 from repro.core.api import KNNRequest, QueryBudget, RangeRequest, WindowRequest
+from repro.obs import MetricsRegistry
 from repro.service import (
     BreakerConfig,
-    MetricsRegistry,
     QueryService,
     ResilienceConfig,
     RetryPolicy,

@@ -7,8 +7,8 @@ from array import array
 
 import pytest
 
-from repro.service import metrics
-from repro.service.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs import metrics
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 
 class TestCounter:

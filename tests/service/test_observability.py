@@ -21,10 +21,15 @@ import pytest
 from repro import CacheConfig, KNNRequest, build_service
 from repro.core import LocationServer, MobileClient
 from repro.geometry import Rect
-from repro.obs import EventLog, current_trace, prometheus_text
+from repro.obs import (
+    EventLog,
+    MetricsRegistry,
+    QueryTrace,
+    current_trace,
+    prometheus_text,
+)
 from repro.service import (
     BreakerConfig,
-    MetricsRegistry,
     QueryService,
     ResilienceConfig,
     RetryPolicy,
@@ -66,6 +71,23 @@ def test_sharded_query_builds_one_tree_client_to_disk():
     # Span accounting agrees with the disk counters.
     assert sum(s.meta.get("node_accesses", 0) for s in shard_spans) == \
         trace.total_node_accesses > 0
+
+
+def test_the_trace_start_trace_opens_is_the_one_kept():
+    service = build_service(_points(), shards=1)
+    opened = []
+    answer = service.server.answer
+
+    def spy(request):
+        opened.append(current_trace().trace)
+        return answer(request)
+
+    service.server.answer = spy
+    service.answer(KNNRequest((0.5, 0.5), k=2, trace_id="t-one"))
+    [trace] = opened
+    assert service.recent_traces()[-1] is trace
+    assert service.traces.find("t-one") is trace
+    assert trace.duration_ms > 0 and trace.spans
 
 
 def test_query_events_are_correlated_and_ordered():
@@ -150,7 +172,6 @@ def test_no_trace_context_leaks_out_of_answer():
 # ----------------------------------------------------------------------
 def test_trace_buffer_find_newest_wins():
     buffer = TraceBuffer(capacity=8)
-    from repro.service import QueryTrace
     buffer.append(QueryTrace("dup", "knn", 1.0, duration_ms=1.0))
     buffer.append(QueryTrace("dup", "knn", 2.0, duration_ms=2.0))
     assert buffer.find("dup").duration_ms == 2.0

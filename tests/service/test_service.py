@@ -13,7 +13,8 @@ from repro.core import (
     WindowRequest,
 )
 from repro.geometry import Rect
-from repro.service import ClientFleet, FleetConfig, MetricsRegistry, QueryService
+from repro.obs import MetricsRegistry
+from repro.service import ClientFleet, FleetConfig, QueryService
 
 UNIT = Rect(0.0, 0.0, 1.0, 1.0)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 import pytest
 
@@ -29,6 +30,7 @@ from repro.service.shard import (
     ShardedServer,
     ShardedWindowDetail,
 )
+from repro.storage import FaultPlan, PageReadError, inject_faults
 
 from tests.conftest import UNIT, brute_window
 from tests.core.test_validity_oracle import EPS, _knn_set_unchanged
@@ -276,5 +278,28 @@ class TestScatterGatherMechanics:
             wa = inline.answer(WindowRequest(query, 0.3, 0.3))
             wb = pooled.answer(WindowRequest(query, 0.3, 0.3))
             assert [e.oid for e in wa.result] == [e.oid for e in wb.result]
+        finally:
+            pooled.close()
+
+    def test_a_failed_fanout_returns_after_every_shard_job(self):
+        """One shard failing at once must not leave the others reading
+        their disks (and adding spans to the query's trace) after the
+        error reached the caller."""
+        points, _, _, _ = self._sharded()
+        pooled = ShardedServer.from_points(
+            points, grid=2, universe=UNIT,
+            execution=ExecutionConfig(workers=4))
+        disks = [inject_faults(s.server.tree,
+                               FaultPlan(fail_reads=(1,)) if s.sid == 0
+                               else FaultPlan(seed=s.sid,
+                                              latency_mean_s=0.002))
+                 for s in pooled.shards]
+        try:
+            with pytest.raises(PageReadError):
+                pooled.answer(WindowRequest((0.5, 0.5), 0.9, 0.9))
+            reads = [d.reads_attempted for d in disks]
+            time.sleep(0.2)
+            assert [d.reads_attempted for d in disks] == reads
+            assert all(n > 1 for n in reads[1:])  # the others ran to the end
         finally:
             pooled.close()

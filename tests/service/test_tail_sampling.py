@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.service import QueryTrace, Span, TailSamplingConfig, TraceBuffer
+from repro.obs import QueryTrace, Span
+from repro.service import TailSamplingConfig, TraceBuffer
 
 pytestmark = pytest.mark.obs
 

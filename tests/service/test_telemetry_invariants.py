@@ -7,6 +7,10 @@ queries.  Four client threads drive one fully instrumented
 SLO engine, tail sampling, profiler) with every query kind, while
 injected disk faults and admission pressure produce failures and
 sheds; afterwards the accounts must agree exactly.
+
+Within one sequential trace the spans account for the trace's time:
+every span's self-time (its duration minus its children's) and the
+root's uncovered time sum to the trace duration.
 """
 
 from __future__ import annotations
@@ -21,10 +25,12 @@ import pytest
 from repro import (
     AdmissionConfig,
     CacheConfig,
+    ExecutionConfig,
     KNNRequest,
     ProbKNNRequest,
     RKNNRequest,
     RangeRequest,
+    ReplicaConfig,
     ResilienceConfig,
     SLOConfig,
     SLOEngine,
@@ -32,6 +38,7 @@ from repro import (
     WindowRequest,
     build_service,
 )
+from repro.obs import collapse_trace
 from repro.service import BreakerConfig, RetryPolicy
 from repro.storage import FaultPlan, inject_faults
 
@@ -158,3 +165,52 @@ def test_telemetry_accounts_agree_under_four_client_threads():
     # One query.start and one query.finish or query.error per request.
     emitted = service.events.stats()["emitted"]
     assert emitted["query"] == 2 * traced
+
+
+#: Two sequential stacks: the paper's scalar single tree with a 10% LRU
+#: buffer, and a 4x4-shard fan-out run inline (one worker) behind a
+#: validity cache and two replicas lagging two mutations.
+SEQUENTIAL_STACKS = {
+    "single": dict(buffer_fraction=0.1),
+    "sharded": dict(shards=4, execution=ExecutionConfig(workers=1),
+                    cache=CacheConfig(capacity=64),
+                    replica=ReplicaConfig(replication_lag=2), replicas=2),
+}
+
+
+@pytest.mark.parametrize("stack", sorted(SEQUENTIAL_STACKS))
+def test_span_self_times_sum_to_the_trace_duration(stack):
+    """Clipping runs inside TPNN probing, so its span nests there: a
+    root-level clip span would count that time twice."""
+    rnd = random.Random(3)
+    points = [(rnd.random(), rnd.random()) for _ in range(1500)]
+    service = build_service(points, trace_capacity=1024,
+                            **SEQUENTIAL_STACKS[stack])
+    with service:
+        for i in range(40):
+            pos = (rnd.random(), rnd.random())
+            for request in (KNNRequest(pos, k=1 + i % 3),
+                            WindowRequest(pos, 0.05, 0.04),
+                            RangeRequest(pos, 0.03),
+                            RKNNRequest(pos, k=2),
+                            ProbKNNRequest(pos, uncertainty=0.01, k=2)):
+                service.answer(request)
+            if i % 10 == 9:
+                service.insert_object(10_000 + i, rnd.random(), rnd.random())
+    traces = service.recent_traces()
+    assert len(traces) == 200
+    assert {t.kind for t in traces} == {
+        "knn", "window", "range", "rknn", "probknn"}
+    over = [(t.trace_id, t.kind) for t in traces
+            if abs(sum(collapse_trace(t, normalize=False).values())
+                   - t.duration_ms) > 1e-6 * t.duration_ms]
+    assert over == []
+    clips = [(t, s) for t in traces for s in t.spans
+             if s.name == "bisector_clipping"]
+    if stack == "single":
+        assert clips  # the scalar kNN path clips between probes
+    for trace, clip in clips:
+        probing = next(s for s in trace.spans if s.span_id == clip.parent_id)
+        assert probing.name == "tpnn_probing"
+        assert clip.offset_ms == probing.offset_ms
+        assert clip.duration_ms <= probing.duration_ms
