@@ -90,7 +90,7 @@ def _calibrated_read_rate(points, rng, queries: int = 40) -> float:
     probe = LocationServer.from_points(points, universe=UNIT, capacity=128)
     for _ in range(queries):
         probe.answer(KNNRequest((rng.random(), rng.random()), k=K))
-    reads = sum(probe.node_accesses_by_phase().values())
+    reads = sum(probe.io_stats.node_accesses_by_phase().values())
     avg = max(1.0, reads / queries)
     return 1.0 - (1.0 - FAULT_INCIDENCE) ** (1.0 / avg)
 

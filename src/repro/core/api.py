@@ -325,11 +325,12 @@ class QuerySemantics:
     One instance per query ``kind`` bundles the per-type behaviour that
     used to live as ``isinstance`` ladders across the service tiers:
 
-    * ``execute`` / ``shard_execute`` — answer the request against a
-      single-tree or sharded server (the default ``shard_execute``
-      falls back to centralized ``execute`` over the merged dataset,
-      so a new type works on both server shapes without a
-      scatter-gather merge rule);
+    * ``execute`` — the full answer to the request on any server
+      shape, a :class:`~repro.core.server.LocationServer` or a
+      :class:`~repro.service.shard.ShardedServer` (both expose
+      ``_knn``/``_window``/``_range`` and ``dataset_columns()``); the
+      server itself turns it into a §7 delta when the request carries
+      ``previous_ids``;
     * ``location`` / ``cache_key`` / ``serve_cached`` —
       :class:`~repro.service.cache.ValidityCache` addressing and
       admissibility;
@@ -358,17 +359,9 @@ class QuerySemantics:
 
     # --- execution ----------------------------------------------------
     def execute(self, server, request):
-        """Answer ``request`` against a single-tree server."""
+        """The full (never delta) answer to ``request`` on ``server``,
+        single-tree or sharded; ``previous_ids`` is not read here."""
         raise NotImplementedError
-
-    def shard_execute(self, server, request):
-        """Answer against a :class:`~repro.service.shard.ShardedServer`.
-
-        The default runs the centralized :meth:`execute` over the
-        sharded server's merged dataset snapshot — correct, if not
-        scatter-gathered.
-        """
-        return self.execute(server, request)
 
     # --- cache addressing / admissibility -----------------------------
     def location(self, request) -> Tuple[float, float]:
@@ -465,27 +458,34 @@ class QuerySemantics:
 _REGISTRY: dict = {}
 _BY_TYPE: dict = {}
 _BUILTINS_LOADED = False
-#: Mutation hooks folded into ``certify`` in v3.0.
-_REMOVED_HOOKS = ("cache_survives", "stale_region")
+_CERTIFY = ("removed in v3.0: implement certify(request, response, "
+            "mutations, universe) instead")
+#: Hooks a semantics may no longer define, and what replaced each.
+_REMOVED_HOOKS = {
+    "cache_survives": _CERTIFY,
+    "stale_region": _CERTIFY,
+    "shard_execute": ("removed in v5.0: implement execute(server, "
+                      "request), which runs on every server shape"),
+}
 
 
 def register_query_type(semantics: QuerySemantics) -> QuerySemantics:
     """Register (or replace) the semantics for ``semantics.kind``.
 
     Returns the registered object so the call composes as a statement
-    or decorator-style tail call.  A semantics still defining a hook
-    removed in v3.0 raises ``TypeError``: its rule belongs in
-    :meth:`QuerySemantics.certify`, and registering it silently would
-    drop that rule.
+    or decorator-style tail call.  A semantics still defining a removed
+    hook raises ``TypeError`` naming its replacement
+    (:meth:`QuerySemantics.certify` for the v3.0 mutation hooks,
+    :meth:`QuerySemantics.execute` for ``shard_execute``): registering
+    it silently would drop the rule it holds.
     """
     if not isinstance(semantics, QuerySemantics):
         raise TypeError(f"not a QuerySemantics: {semantics!r}")
-    removed = [hook for hook in _REMOVED_HOOKS if hasattr(semantics, hook)]
+    removed = [f"{hook}, {why}" for hook, why in _REMOVED_HOOKS.items()
+               if hasattr(semantics, hook)]
     if removed:
         raise TypeError(
-            f"{type(semantics).__name__} defines {', '.join(removed)}, "
-            "removed in v3.0: implement certify(request, response, "
-            "mutations, universe) instead")
+            f"{type(semantics).__name__} defines {'; '.join(removed)}")
     if not semantics.kind:
         raise ValueError("semantics.kind must be a non-empty string")
     if semantics.request_type is None:
@@ -496,14 +496,19 @@ def register_query_type(semantics: QuerySemantics) -> QuerySemantics:
 
 
 def _ensure_builtins() -> None:
-    """Load the built-in semantics lazily (avoids import cycles)."""
+    """Load the built-in semantics lazily (avoids import cycles).
+
+    The flag is set only once the imports have returned: a thread whose
+    first lookup arrives while another thread is importing them blocks
+    on that module's import lock instead of finding the registry empty.
+    """
     global _BUILTINS_LOADED
     if _BUILTINS_LOADED:
         return
-    _BUILTINS_LOADED = True
     from repro.core import semantics as _builtin  # noqa: F401
     from repro.core import rknn as _rknn          # noqa: F401
     from repro.core import probknn as _probknn    # noqa: F401
+    _BUILTINS_LOADED = True
 
 
 def query_semantics(request_or_kind) -> QuerySemantics:

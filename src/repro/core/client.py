@@ -13,16 +13,16 @@ paper's Section 7 on re-queries: the server ships only the objects
 added and the ids removed relative to the cached result, which the
 client applies locally — same answers, fewer bytes.
 
-With ``subscribe=True`` (and a server exposing ``subscribe``, such as
-:class:`~repro.service.service.QueryService` or
-:class:`~repro.service.replica.ReplicaSet`) the client registers each
-query kind as a **continuous query**: the server pushes O(delta)
-patches or invalidations over the subscription's bounded queue
-whenever the dataset mutates, and the client drains them on every
-position update — so mutations refresh the cache instead of killing
-it.  Leaving the validity region calls ``move()`` on the subscription,
-which the server repairs from its retained candidate margin whenever
-that is provably sound, again without touching the index.
+With ``subscribe=True`` (and a server exposing ``subscribe``: a
+:class:`~repro.service.service.QueryService`, over any server shape)
+the client registers each query kind as a **continuous query**: the
+server pushes O(delta) patches or invalidations over the
+subscription's bounded queue whenever the dataset mutates, and the
+client drains them on every position update — so mutations refresh
+the cache instead of killing it.  Leaving the validity region calls
+``move()`` on the subscription, which the server repairs from its
+retained candidate margin whenever that is provably sound, again
+without touching the index.
 
 With ``max_stale`` set, the client degrades gracefully when the server
 fails transiently (simulated page-read errors, an open circuit
@@ -119,7 +119,7 @@ class MobileClient:
         if subscribe and not hasattr(server, "subscribe"):
             raise ValueError(
                 "subscribe=True needs a server with a subscribe() method "
-                "(a QueryService or ReplicaSet)")
+                "(a QueryService)")
         self.server = server
         self.incremental = incremental
         self.subscribed = subscribe

@@ -206,22 +206,9 @@ class KNNSemantics(QuerySemantics):
 
     # --- execution ----------------------------------------------------
     def execute(self, server, request):
-        if request.previous_ids is not None:
-            return server._knn_delta(request.location, request.k,
-                                     request.previous_ids,
-                                     budget=request.budget)
         return server._knn(request.location, k=request.k,
                            vertex_policy=request.vertex_policy,
                            budget=request.budget)
-
-    def shard_execute(self, server, request):
-        full = server._knn(request.location, k=request.k,
-                           vertex_policy=request.vertex_policy,
-                           budget=request.budget)
-        if request.previous_ids is not None:
-            from repro.core.server import delta_response
-            return delta_response(full, full.result, request.previous_ids)
-        return full
 
     # --- cache --------------------------------------------------------
     def cache_key(self, request) -> Optional[tuple]:
@@ -387,20 +374,8 @@ class WindowSemantics(_MembershipPatches):
 
     # --- execution ----------------------------------------------------
     def execute(self, server, request):
-        if request.previous_ids is not None:
-            return server._window_delta(request.focus, request.width,
-                                        request.height, request.previous_ids,
-                                        budget=request.budget)
         return server._window(request.focus, request.width, request.height,
                               budget=request.budget)
-
-    def shard_execute(self, server, request):
-        full = server._window(request.focus, request.width, request.height,
-                              budget=request.budget)
-        if request.previous_ids is not None:
-            from repro.core.server import delta_response
-            return delta_response(full, full.result, request.previous_ids)
-        return full
 
     # --- cache --------------------------------------------------------
     def location(self, request) -> Tuple[float, float]:
@@ -480,14 +455,8 @@ class RangeSemantics(_MembershipPatches):
 
     # --- execution ----------------------------------------------------
     def execute(self, server, request):
-        full = server._range(request.location, request.radius,
+        return server._range(request.location, request.radius,
                              budget=request.budget)
-        if request.previous_ids is not None:
-            from repro.core.server import delta_response
-            return delta_response(full, full.result, request.previous_ids)
-        return full
-
-    shard_execute = execute
 
     # --- cache --------------------------------------------------------
     def cache_key(self, request) -> Optional[tuple]:

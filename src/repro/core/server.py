@@ -27,7 +27,12 @@ from repro.geometry import Rect
 from repro.index.entry import LeafEntry
 from repro.index.rstar import RStarTree
 from repro.index.bulk import bulk_load_str
-from repro.core.api import BudgetClock, QueryBudget, QueryRequest
+from repro.core.api import (
+    BudgetClock,
+    QueryBudget,
+    QueryRequest,
+    query_semantics,
+)
 from repro.core.nn_validity import NNValidityResult, compute_nn_validity
 from repro.core.range_validity import (
     RangeValidityRegion,
@@ -205,19 +210,13 @@ class LocationServer:
         """Answer any registered query request (see :mod:`repro.core.api`).
 
         Dispatch goes through the :class:`~repro.core.api.QuerySemantics`
-        registry, so third-party query types answered here need no
-        server changes.  Requests carrying ``previous_ids`` are answered
-        incrementally (a :class:`DeltaResponse`); all responses satisfy
-        the :class:`~repro.core.api.QueryResponse` protocol.
+        registry (see :func:`execute`), so third-party query types
+        answered here need no server changes.  Requests carrying
+        ``previous_ids`` are answered incrementally (a
+        :class:`DeltaResponse`); all responses satisfy the
+        :class:`~repro.core.api.QueryResponse` protocol.
         """
-        from repro.core.api import query_semantics
-        return query_semantics(request).execute(self, request)
-
-    def dataset_entries(self) -> List[LeafEntry]:
-        """A point-in-time list of every data entry (no simulated I/O):
-        a copy of :meth:`dataset_columns`' entries, for query types that
-        iterate entries rather than columns."""
-        return list(self.dataset_columns().entries)
+        return execute(self, request)
 
     def _start_clock(self, budget: Optional[QueryBudget]
                      ) -> Optional[BudgetClock]:
@@ -267,16 +266,6 @@ class LocationServer:
             detail=detail,
         )
 
-    def _knn_delta(self, location, k: int, previous_ids,
-                   budget: Optional[QueryBudget] = None) -> DeltaResponse:
-        full = self._knn(location, k=k, budget=budget)
-        return _delta(full, full.neighbors, previous_ids)
-
-    def _window_delta(self, focus, width: float, height: float, previous_ids,
-                      budget: Optional[QueryBudget] = None) -> DeltaResponse:
-        full = self._window(focus, width, height, budget=budget)
-        return _delta(full, full.result, previous_ids)
-
     # ------------------------------------------------------------------
     # instrumentation — the narrow interface the service layer uses.
     # Any server implementation (this one, ShardedServer) provides it.
@@ -296,12 +285,6 @@ class LocationServer:
     def num_pages(self) -> int:
         return self.tree.num_pages
 
-    def node_accesses_by_phase(self) -> Dict[str, int]:
-        return self.io_stats.node_accesses_by_phase()
-
-    def page_faults_by_phase(self) -> Dict[str, int]:
-        return self.io_stats.page_faults_by_phase()
-
     def disk_snapshot(self) -> Dict[str, object]:
         """JSON-serializable disk + buffer state (the snapshot format)."""
         disk = self.tree.disk
@@ -316,6 +299,22 @@ class LocationServer:
         return out
 
 
+def execute(server, request: QueryRequest):
+    """Answer ``request`` on ``server`` — a :class:`LocationServer` or a
+    :class:`~repro.service.shard.ShardedServer` — the one way both
+    servers' ``answer`` runs a query.
+
+    The kind's :meth:`~repro.core.api.QuerySemantics.execute` computes
+    the full answer; a request carrying ``previous_ids`` gets it as the
+    §7 :class:`DeltaResponse` against those ids, whatever its kind.
+    """
+    full = query_semantics(request).execute(server, request)
+    previous_ids = getattr(request, "previous_ids", None)
+    if previous_ids is None:
+        return full
+    return delta_response(full, full.result, previous_ids)
+
+
 def delta_response(full, result: List[LeafEntry], previous_ids
                    ) -> DeltaResponse:
     """Diff a full response against a client's cached result ids."""
@@ -326,6 +325,3 @@ def delta_response(full, result: List[LeafEntry], previous_ids
         removed_ids=sorted(previous - current),
         full=full,
     )
-
-
-_delta = delta_response

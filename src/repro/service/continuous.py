@@ -231,10 +231,10 @@ class Subscription:
 class SubscriptionHub:
     """Registry and push fan-out for continuous queries.
 
-    ``owner`` is whoever executes the escape-hatch queries — a
-    :class:`~repro.service.service.QueryService` or
-    :class:`~repro.service.replica.ReplicaSet`; it only needs
-    ``answer(request)`` and ``universe``.  The owner calls
+    ``owner`` executes the escape-hatch queries — the
+    :class:`~repro.service.service.QueryService` that owns the hub,
+    over any server shape; it only needs ``answer(request)`` and
+    ``universe``.  The owner calls
     :meth:`notify` after every applied mutation (on the mutating
     thread, so pushes are enqueued before the mutation call returns).
     """

@@ -58,7 +58,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.api import KNNRequest, Mutation, QueryRequest
+from repro.core.api import KNNRequest, Mutation, QueryRequest, query_semantics
 from repro.core.server import LocationServer
 from repro.geometry import Rect
 from repro.kernel import ExecutionConfig
@@ -178,8 +178,6 @@ class ReplicaSet:
         ]
         self._mutation_lock = threading.Lock()
         self._counter_lock = threading.Lock()
-        self._hub = None
-        self._hub_lock = threading.Lock()
         self.failovers = 0
         self.ejected_skips = 0
         self.stale_skips = 0
@@ -264,7 +262,7 @@ class ReplicaSet:
         caller, so keys of an ejected replica naturally fall to the
         next live node on the ring.
         """
-        loc = getattr(request, "location", None) or request.focus
+        loc = query_semantics(request).location(request)
         g = self.config.affinity_grid
         cell = self.universe.grid_index((float(loc[0]), float(loc[1])), g, g)
         key = self._hash(f"cell-{cell[0]}:{cell[1]}")
@@ -418,10 +416,7 @@ class ReplicaSet:
             primary = self.replicas[0]
             with primary.lock:
                 primary.server.insert_object(oid, x, y)
-            mutation = Mutation("insert", int(oid), float(x), float(y))
-            self._replicate(mutation)
-            if self._hub is not None:
-                self._hub.notify(mutation)
+            self._replicate(Mutation("insert", int(oid), float(x), float(y)))
 
     def delete_object(self, oid: int, x: float, y: float) -> bool:
         with self._mutation_lock:
@@ -429,40 +424,9 @@ class ReplicaSet:
             with primary.lock:
                 removed = primary.server.delete_object(oid, x, y)
             if removed:  # only mutations that actually happened replicate
-                mutation = Mutation("delete", int(oid), float(x), float(y))
-                self._replicate(mutation)
-                if self._hub is not None:
-                    self._hub.notify(mutation)
+                self._replicate(
+                    Mutation("delete", int(oid), float(x), float(y)))
             return removed
-
-    # ------------------------------------------------------------------
-    # continuous queries (server push)
-    # ------------------------------------------------------------------
-    def subscribe(self, request: QueryRequest, *,
-                  queue_capacity: Optional[int] = None):
-        """Register ``request`` as a continuous query on the set.
-
-        The initial fetch (and any escape-hatch re-query) routes
-        through :meth:`answer` — so it enjoys failover and bounded-
-        stale reads — while pushes are driven synchronously from the
-        primary-side mutation path.  See
-        :mod:`repro.service.continuous`.
-        """
-        return self._ensure_hub().subscribe(
-            request, queue_capacity=queue_capacity)
-
-    @property
-    def hub(self):
-        """The push hub, if any subscription was ever registered."""
-        return self._hub
-
-    def _ensure_hub(self):
-        from repro.service.continuous import SubscriptionHub
-
-        with self._hub_lock:
-            if self._hub is None:
-                self._hub = SubscriptionHub(self)
-        return self._hub
 
     def _replicate(self, mutation: Mutation) -> None:
         lag = self.config.replication_lag
@@ -607,12 +571,6 @@ class ReplicaSet:
         for r in self.replicas:
             r.server.reset_io_stats()
 
-    def node_accesses_by_phase(self) -> Dict[str, int]:
-        return self.io_stats.node_accesses_by_phase()
-
-    def page_faults_by_phase(self) -> Dict[str, int]:
-        return self.io_stats.page_faults_by_phase()
-
     def disk_snapshot(self) -> Dict[str, object]:
         """Aggregated disk state plus the per-replica breakdown."""
         out = {
@@ -653,8 +611,6 @@ class ReplicaSet:
             "stale_served": self.stale_served,
             "unserveable_stale": self.unserveable_stale,
             "replication_retries": self.replication_retries,
-            "continuous": (self._hub.snapshot()
-                           if self._hub is not None else None),
         }
 
     # ------------------------------------------------------------------
@@ -665,8 +621,6 @@ class ReplicaSet:
         if self._closed:
             return
         self._closed = True
-        if self._hub is not None:
-            self._hub.close()
         for r in self.replicas:
             close = getattr(r.server, "close", None)
             if close is not None:

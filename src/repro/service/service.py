@@ -56,13 +56,10 @@ from time import perf_counter
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.api import (
-    KNNRequest,
     Mutation,
     QueryBudget,
     QueryRequest,
     QueryResponse,
-    RangeRequest,
-    WindowRequest,
     query_semantics,
 )
 from repro.core.server import DeltaResponse, LocationServer
@@ -702,30 +699,6 @@ class QueryService:
         if executor is None:
             return [self.answer(r) for r in requests]
         return list(executor.map(self.answer, requests))
-
-    #: Back-compat alias; ``answer_many`` is the canonical name.
-    dispatch_batch = answer_many
-
-    # ------------------------------------------------------------------
-    # convenience per-type methods (same names as the server)
-    # ------------------------------------------------------------------
-    def knn_query(self, location, k: int = 1):
-        return self.answer(KNNRequest(tuple(location), k=k))
-
-    def window_query(self, focus, width: float, height: float):
-        return self.answer(WindowRequest(tuple(focus), width, height))
-
-    def range_query(self, location, radius: float):
-        return self.answer(RangeRequest(tuple(location), radius))
-
-    def rknn_query(self, location, k: int = 1):
-        from repro.core.rknn import RKNNRequest
-        return self.answer(RKNNRequest(tuple(location), k=k))
-
-    def probknn_query(self, location, uncertainty: float, k: int = 1):
-        from repro.core.probknn import ProbKNNRequest
-        return self.answer(ProbKNNRequest(tuple(location),
-                                          uncertainty=uncertainty, k=k))
 
     # ------------------------------------------------------------------
     # reporting

@@ -55,18 +55,14 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.api import (
-    QueryBudget,
-    QueryDetail,
-    QueryRequest,
-    query_semantics,
-)
+from repro.core.api import QueryBudget, QueryDetail, QueryRequest
 from repro.core.range_validity import RangeValidityRegion
 from repro.core.server import (
     KNNResponse,
     LocationServer,
     RangeResponse,
     WindowResponse,
+    execute,
 )
 from repro.core.validity import (
     CompositeValidityRegion,
@@ -115,19 +111,36 @@ class Shard:
 # ----------------------------------------------------------------------
 # merged detail records (the sharded arm of the QueryDetail hierarchy)
 # ----------------------------------------------------------------------
-def _merged_influence(shard_details) -> List[LeafEntry]:
-    out: List[LeafEntry] = []
-    seen = set()
-    for _sid, detail in shard_details:
-        for entry in getattr(detail, "influence_set", []) or []:
-            if entry.oid not in seen:
-                seen.add(entry.oid)
-                out.append(entry)
-    return out
+@dataclass(kw_only=True)
+class _FanOutDetail(QueryDetail):
+    """The fan-out accounting every merged detail carries
+    (:meth:`ShardedServer._gathered` fills it in)."""
+
+    shards_total: int
+    shards_queried: int
+    shards_pruned: int
+    #: Node accesses each queried shard charged to this query.
+    per_shard_node_accesses: Dict[int, int]
+    #: ``(shard id, that shard's own detail)`` in query order (MINDIST
+    #: order for kNN).
+    shard_details: List[Tuple[int, QueryDetail]] = field(default_factory=list)
+    degraded: bool = False
+
+    @property
+    def influence_set(self) -> List[LeafEntry]:
+        """The queried shards' influence objects, each once."""
+        out: List[LeafEntry] = []
+        seen = set()
+        for _sid, detail in self.shard_details:
+            for entry in getattr(detail, "influence_set", []) or []:
+                if entry.oid not in seen:
+                    seen.add(entry.oid)
+                    out.append(entry)
+        return out
 
 
 @dataclass
-class ShardedKNNDetail(QueryDetail):
+class ShardedKNNDetail(_FanOutDetail):
     """How a scatter-gathered kNN answer came together."""
 
     kind = "knn"
@@ -138,23 +151,11 @@ class ShardedKNNDetail(QueryDetail):
     #: Radius of the cross-shard safety disk clipped into the merged
     #: region (``None`` when no clipping was needed).
     safety_radius: Optional[float]
-    shards_total: int
-    shards_queried: int
-    shards_pruned: int
-    #: Node accesses each queried shard charged to this query.
-    per_shard_node_accesses: Dict[int, int]
-    #: ``(shard id, that shard's own detail)``, MINDIST order.
-    shard_details: List[Tuple[int, QueryDetail]] = field(default_factory=list)
     num_tp_queries: int = 0
-    degraded: bool = False
-
-    @property
-    def influence_set(self) -> List[LeafEntry]:
-        return _merged_influence(self.shard_details)
 
 
 @dataclass
-class ShardedWindowDetail(QueryDetail):
+class ShardedWindowDetail(_FanOutDetail):
     """How a scatter-gathered window answer came together."""
 
     kind = "window"
@@ -165,22 +166,12 @@ class ShardedWindowDetail(QueryDetail):
     #: The merged validity rectangle (same contract as the single-tree
     #: :class:`~repro.core.window_validity.WindowValidityResult`).
     conservative_region: Rect
-    shards_total: int
-    shards_queried: int
-    shards_pruned: int
     #: Shards excluded by an axis cut instead of a query.
     shards_cut: int
-    per_shard_node_accesses: Dict[int, int]
-    shard_details: List[Tuple[int, QueryDetail]] = field(default_factory=list)
-    degraded: bool = False
-
-    @property
-    def influence_set(self) -> List[LeafEntry]:
-        return _merged_influence(self.shard_details)
 
 
 @dataclass
-class ShardedRangeDetail(QueryDetail):
+class ShardedRangeDetail(_FanOutDetail):
     """How a scatter-gathered range answer came together."""
 
     kind = "range"
@@ -190,16 +181,6 @@ class ShardedRangeDetail(QueryDetail):
     result: List[LeafEntry]
     #: The merged validity disk radius (may be ``math.inf``).
     validity_radius: float
-    shards_total: int
-    shards_queried: int
-    shards_pruned: int
-    per_shard_node_accesses: Dict[int, int]
-    shard_details: List[Tuple[int, QueryDetail]] = field(default_factory=list)
-    degraded: bool = False
-
-    @property
-    def influence_set(self) -> List[LeafEntry]:
-        return _merged_influence(self.shard_details)
 
 
 class ShardedServer:
@@ -386,13 +367,18 @@ class ShardedServer:
     def answer(self, request: QueryRequest):
         """Answer any typed query request by scatter-gather.
 
-        Under an active trace context the whole scatter-gather runs in
-        a ``shard_fanout`` span; each queried shard hangs its own
-        ``shard_<sid>`` child (with the disk-phase spans beneath it),
-        so the fan-out renders as real parallel tracks in exporters.
+        It runs through :func:`repro.core.server.execute`, as
+        :meth:`LocationServer.answer` does: the kind's one ``execute``
+        hook (the builtin kinds scatter-gather through :meth:`_knn`,
+        :meth:`_window` and :meth:`_range`), then the §7 delta when the
+        request carries ``previous_ids``.  Under an active trace
+        context the whole scatter-gather runs in a ``shard_fanout``
+        span; each queried shard hangs its own ``shard_<sid>`` child
+        (with the disk-phase spans beneath it), so the fan-out renders
+        as real parallel tracks in exporters.
         """
         with obs_span("shard_fanout") as fan:
-            response = self._dispatch(request)
+            response = execute(self, request)
             if fan is not None:
                 detail = response.detail
                 fan.meta.update({
@@ -403,9 +389,6 @@ class ShardedServer:
                 })
             return response
 
-    def _dispatch(self, request: QueryRequest):
-        return query_semantics(request).shard_execute(self, request)
-
     def dataset_columns(self) -> PointColumns:
         """Every live entry across all shards as one
         :class:`~repro.kernel.columns.PointColumns` snapshot (no
@@ -413,9 +396,8 @@ class ShardedServer:
 
         The shards' own epoch-cached snapshots are merged once per
         epoch of this server, so within an epoch every call returns the
-        same object.  The centralized
-        :meth:`~repro.core.api.QuerySemantics.execute` fallback answers
-        the snapshot kinds (reverse-kNN, probabilistic kNN) from it.
+        same object.  The snapshot kinds (reverse-kNN, probabilistic
+        kNN) answer from it on either server shape.
         """
         cached = self._columns
         if cached is None or cached[1] != self.epoch:
@@ -425,12 +407,6 @@ class ShardedServer:
                 for e in s.server.dataset_columns().entries), epoch)
             self._columns = cached
         return cached[0]
-
-    def dataset_entries(self) -> List[LeafEntry]:
-        """Every live entry across all shards (no simulated I/O): a copy
-        of :meth:`dataset_columns`' entries, for query types that iterate
-        entries rather than columns."""
-        return list(self.dataset_columns().entries)
 
     # ------------------------------------------------------------------
     # scatter-gather plumbing
@@ -468,26 +444,53 @@ class ShardedServer:
             wait(futures)
             raise
 
-    def _metered(self, shard: Shard, fn):
-        """Run ``fn`` under a per-shard child span; returns ``(shard,
-        response, io)`` with ``io`` the per-phase accesses it cost the
-        shard's own disk."""
+    def _metered(self, shard: Shard, call):
+        """Run ``call(shard)`` under a per-shard child span; returns
+        ``(shard, response, io)`` with ``io`` the per-phase accesses it
+        cost the shard's own disk."""
         with obs_span(f"shard_{shard.sid}",
                       meta={"sid": shard.sid}) as span_:
             with shard.server.io_stats.measure() as io:
-                response = fn()
+                response = call(shard)
             if span_ is not None:
                 span_.meta["node_accesses"] = io.total_node_accesses
         self._meter_shard(shard.sid, io.total_node_accesses)
         return shard, response, io
 
-    def _gather_io(self, queried) -> Dict[int, int]:
+    def _scatter(self, kind: str, visit: List[Shard], pruned: List[Shard],
+                 call, done=()) -> list:
+        """Emit the ``shard.scatter`` event and run ``call(shard)`` on
+        every shard of ``visit``, each metered (:meth:`_metered`).
+
+        ``done`` holds the ``(shard, response, io)`` of shards already
+        queried inline; they lead the event's ``visited`` list and the
+        returned list of every queried shard's triple.
+        """
+        emit_event("shard", event="shard.scatter", kind=kind,
+                   visited=[s.sid for s, _r, _io in done]
+                   + [s.sid for s in visit],
+                   pruned=[s.sid for s in pruned])
+        return list(done) + self._run([
+            (lambda s=s: self._metered(s, call)) for s in visit])
+
+    def _gathered(self, queried, live: List[Shard],
+                  pruned: List[Shard]) -> dict:
         """Add each queried shard's measured I/O to the fleet's running
         total — on the calling thread, so pool workers never share it —
-        and return the node accesses per shard."""
+        count the query, and return the fan-out fields of its detail."""
         for _s, _r, io in queried:
             self._io.merge(io)
-        return {s.sid: io.total_node_accesses for s, _r, io in queried}
+        self.queries_processed += 1
+        shard_details = [(s.sid, resp.detail) for s, resp, _io in queried]
+        return dict(
+            shards_total=len(live),
+            shards_queried=len(queried),
+            shards_pruned=len(pruned),
+            per_shard_node_accesses={
+                s.sid: io.total_node_accesses for s, _r, io in queried},
+            shard_details=shard_details,
+            degraded=any(d.degraded for _sid, d in shard_details),
+        )
 
     @staticmethod
     def _split_budget(budget: Optional[QueryBudget],
@@ -514,17 +517,18 @@ class ShardedServer:
         # order, and sqrt stays off the scatter hot path.
         order = sorted(live, key=lambda s: s.data_mbr.mindist_sq(loc))
 
+        sub_budget = self._split_budget(budget, len(order))
+
+        def call(s: Shard) -> KNNResponse:
+            return s.server._knn(loc, k=min(k, s.num_points),
+                                 vertex_policy=vertex_policy,
+                                 budget=sub_budget)
+
         # The nearest shard runs inline: its k-th distance is the
         # pruning bound for everyone else.
-        first = order[0]
-        sub_budget = self._split_budget(budget, len(order))
-        first_k = min(k, first.num_points)
-        queried = [self._metered(
-            first, lambda: first.server._knn(
-                loc, k=first_k, vertex_policy=vertex_policy,
-                budget=sub_budget))]
-        if first_k == k and len(queried[0][1].neighbors) >= k:
-            last = queried[0][1].neighbors[-1]
+        nearest = self._metered(order[0], call)
+        if len(nearest[1].neighbors) >= k:
+            last = nearest[1].neighbors[-1]
             d2_bound = (last.x - loc[0]) ** 2 + (last.y - loc[1]) ** 2
         else:
             d2_bound = math.inf
@@ -533,16 +537,8 @@ class ShardedServer:
                      if s.data_mbr.mindist_sq(loc) <= d2_bound]
         pruned = [s for s in order[1:]
                   if s.data_mbr.mindist_sq(loc) > d2_bound]
-        emit_event("shard", event="shard.scatter", kind="knn",
-                   visited=[first.sid] + [s.sid for s in survivors],
-                   pruned=[s.sid for s in pruned])
-        queried.extend(self._run([
-            (lambda s=s: self._metered(
-                s, lambda: s.server._knn(
-                    loc, k=min(k, s.num_points),
-                    vertex_policy=vertex_policy, budget=sub_budget)))
-            for s in survivors
-        ]))
+        queried = self._scatter("knn", survivors, pruned, call,
+                                done=[nearest])
 
         # Gather: global top-k of the candidate union (squared keys —
         # the ordering is the same, sqrt waits until the safety radius).
@@ -570,23 +566,16 @@ class ShardedServer:
         region = (components[0] if len(components) == 1
                   else CompositeValidityRegion(components))
 
-        shard_details = [(s.sid, resp.detail) for s, resp, _io in queried]
+        fanout = self._gathered(queried, live, pruned)
         detail = ShardedKNNDetail(
             query=loc,
             k=k,
             neighbors=neighbors,
             safety_radius=None if rho is None else max(rho, 0.0),
-            shards_total=len(live),
-            shards_queried=len(queried),
-            shards_pruned=len(pruned),
-            per_shard_node_accesses=self._gather_io(queried),
-            shard_details=shard_details,
-            num_tp_queries=sum(
-                getattr(d, "num_tp_queries", 0) for _sid, d in shard_details),
-            degraded=any(
-                getattr(d, "degraded", False) for _sid, d in shard_details),
+            num_tp_queries=sum(getattr(d, "num_tp_queries", 0)
+                               for _sid, d in fanout["shard_details"]),
+            **fanout,
         )
-        self.queries_processed += 1
         return KNNResponse(neighbors=neighbors, region=region, detail=detail)
 
     # ------------------------------------------------------------------
@@ -605,15 +594,9 @@ class ShardedServer:
                   s.data_mbr.inflated(hw, hh).contains_point(f)]
 
         sub_budget = self._split_budget(budget, len(contributing))
-        emit_event("shard", event="shard.scatter", kind="window",
-                   visited=[s.sid for s in contributing],
-                   pruned=[s.sid for s in others])
-        queried = self._run([
-            (lambda s=s: self._metered(
-                s, lambda: s.server._window(f, width, height,
-                                            budget=sub_budget)))
-            for s in contributing
-        ])
+        queried = self._scatter(
+            "window", contributing, others,
+            lambda s: s.server._window(f, width, height, budget=sub_budget))
 
         rect = self.universe.extended(f)
         for _s, resp, _io in queried:
@@ -632,22 +615,14 @@ class ShardedServer:
 
         result = sorted((e for _s, resp, _io in queried
                          for e in resp.result), key=lambda e: e.oid)
-        shard_details = [(s.sid, resp.detail) for s, resp, _io in queried]
         detail = ShardedWindowDetail(
             focus=f,
             window=Rect(f[0] - hw, f[1] - hh, f[0] + hw, f[1] + hh),
             result=result,
             conservative_region=rect,
-            shards_total=len(live),
-            shards_queried=len(queried),
-            shards_pruned=len(others),
             shards_cut=cuts,
-            per_shard_node_accesses=self._gather_io(queried),
-            shard_details=shard_details,
-            degraded=any(
-                getattr(d, "degraded", False) for _sid, d in shard_details),
+            **self._gathered(queried, live, others),
         )
-        self.queries_processed += 1
         return WindowResponse(result=result,
                               region=WindowValidityRegion(rect),
                               detail=detail)
@@ -665,15 +640,9 @@ class ShardedServer:
         pruned = [s for s in live if s.data_mbr.mindist_sq(loc) > r2]
 
         sub_budget = self._split_budget(budget, len(reachable))
-        emit_event("shard", event="shard.scatter", kind="range",
-                   visited=[s.sid for s in reachable],
-                   pruned=[s.sid for s in pruned])
-        queried = self._run([
-            (lambda s=s: self._metered(
-                s, lambda: s.server._range(loc, radius,
-                                           budget=sub_budget)))
-            for s in reachable
-        ])
+        queried = self._scatter(
+            "range", reachable, pruned,
+            lambda s: s.server._range(loc, radius, budget=sub_budget))
 
         validity_radius = math.inf
         for _s, resp, _io in queried:
@@ -687,21 +656,13 @@ class ShardedServer:
 
         result = sorted((e for _s, resp, _io in queried
                          for e in resp.result), key=lambda e: e.oid)
-        shard_details = [(s.sid, resp.detail) for s, resp, _io in queried]
         detail = ShardedRangeDetail(
             focus=loc,
             radius=radius,
             result=result,
             validity_radius=validity_radius,
-            shards_total=len(live),
-            shards_queried=len(queried),
-            shards_pruned=len(pruned),
-            per_shard_node_accesses=self._gather_io(queried),
-            shard_details=shard_details,
-            degraded=any(
-                getattr(d, "degraded", False) for _sid, d in shard_details),
+            **self._gathered(queried, live, pruned),
         )
-        self.queries_processed += 1
         return RangeResponse(
             result=result,
             region=RangeValidityRegion(Point(loc[0], loc[1]),
@@ -737,12 +698,6 @@ class ShardedServer:
     @property
     def num_pages(self) -> int:
         return sum(s.server.num_pages for s in self.shards)
-
-    def node_accesses_by_phase(self) -> Dict[str, int]:
-        return self.io_stats.node_accesses_by_phase()
-
-    def page_faults_by_phase(self) -> Dict[str, int]:
-        return self.io_stats.page_faults_by_phase()
 
     def disk_snapshot(self) -> Dict[str, object]:
         """Aggregated disk state plus the per-shard breakdown."""

@@ -7,9 +7,9 @@ by duck-typed ``kind`` attribute), runs the reusable conformance suite
 over all five builtin kinds, registers a brand-new toy query type end
 to end (service answer, validity cache, conformance — with zero
 changes to any service module), shows the conformance suite catching
-unsound mutation certificates and the registry refusing the hooks
-``certify`` replaced, checks delta-protocol parity for
-window/range requests, and enforces the refactor invariant itself: no
+unsound mutation certificates and the registry refusing removed hooks,
+checks delta-protocol parity for kNN, window and range requests on
+every server shape, and enforces the refactor invariant itself: no
 ``isinstance(request, ...)`` dispatch ladder anywhere in
 ``repro.service``.
 """
@@ -17,16 +17,21 @@ window/range requests, and enforces the refactor invariant itself: no
 from __future__ import annotations
 
 import math
+import os
 import pathlib
 import random
 import re
+import subprocess
+import sys
+import textwrap
 from dataclasses import dataclass, replace
 from typing import ClassVar, List, Optional, Tuple
 
 import pytest
 
+import repro
 import repro.service as service_pkg
-from repro import CacheConfig, build_service
+from repro import CacheConfig, LocationServer, build_service
 from repro.core import api as api_module
 from repro.core.api import (
     KNNRequest,
@@ -50,6 +55,42 @@ from repro.geometry import bisector_halfplane
 def _points(seed: int = 9, n: int = 150):
     rnd = random.Random(seed)
     return [(rnd.random(), rnd.random()) for _ in range(n)]
+
+
+#: ``build_service`` keywords of the three server shapes.
+STACKS = {
+    "single": {},
+    "sharded": {"shards": 2},
+    "replicated": {"replicas": 2},
+}
+
+#: A fresh interpreter whose eight threads make their first registry
+#: lookups at once; prints how many of them found no semantics.
+_FIRST_LOOKUP_RACE = textwrap.dedent("""
+    import sys
+    import threading
+
+    from repro.core.api import KNNRequest, query_semantics
+
+    sys.setswitchinterval(1e-6)
+    barrier = threading.Barrier(8)
+    errors = []
+
+    def first_lookup():
+        barrier.wait()
+        try:
+            query_semantics(KNNRequest((0.5, 0.5)))
+        except TypeError as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=first_lookup) for _ in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    print(len(errors))
+""")
 
 
 class TestRegistryLookup:
@@ -78,6 +119,29 @@ class TestRegistryLookup:
             query_semantics("no-such-kind")
         with pytest.raises(TypeError):
             query_semantics(object())
+
+    def test_racing_first_lookups_all_find_the_builtins(self):
+        """The builtins load on the first lookup; a thread arriving
+        while another loads them waits instead of seeing an empty
+        registry.  This process loaded it long ago, so the race runs in
+        a fresh interpreter."""
+        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _FIRST_LOOKUP_RACE],
+                             env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "0"
+
+    @pytest.mark.parametrize("stack", sorted(STACKS))
+    def test_every_stack_refuses_an_unregistered_request(self, stack):
+        service = build_service(_points(), **STACKS[stack])
+        try:
+            with pytest.raises(TypeError, match="no query type registered"):
+                service.answer("bogus")
+        finally:
+            service.close()
 
 
 class TestBuiltinConformance:
@@ -135,7 +199,7 @@ class NearCountSemantics(QuerySemantics):
         cx, cy = request.location
         hits, slack = [], math.hypot(server.universe.width,
                                      server.universe.height)
-        for e in server.dataset_entries():
+        for e in server.dataset_columns().entries:
             d = math.hypot(e.x - cx, e.y - cy)
             slack = min(slack, abs(d - request.radius))
             if d <= request.radius:
@@ -235,12 +299,16 @@ class TestMutationCertificate:
     mutations at decision boundaries, so it catches the rules that the
     uniform mutations of earlier versions let through."""
 
-    @pytest.mark.parametrize("hook", ["cache_survives", "stale_region"])
-    def test_registering_a_removed_hook_raises(self, hook):
+    @pytest.mark.parametrize("hook,replacement", [
+        ("cache_survives", "certify"),
+        ("stale_region", "certify"),
+        ("shard_execute", "execute"),
+    ], ids=["cache_survives", "stale_region", "shard_execute"])
+    def test_registering_a_removed_hook_raises(self, hook, replacement):
         legacy = type("LegacyNearCount", (NearCountSemantics,), {
             "kind": "nearcount-legacy",
             hook: lambda self, *args: None})
-        with pytest.raises(TypeError, match="certify"):
+        with pytest.raises(TypeError, match=rf"{hook}, .*\b{replacement}\("):
             register_query_type(legacy())
         assert "nearcount-legacy" not in registered_query_kinds()
 
@@ -295,15 +363,18 @@ class TestMutationCertificate:
 
 
 class TestDeltaParity:
-    """Window and range requests speak the §7 delta protocol too."""
+    """Every server shape answers kNN, window and range requests in the
+    §7 delta protocol, and a delta costs what its full twin costs."""
 
+    @pytest.mark.parametrize("stack", sorted(STACKS))
     @pytest.mark.parametrize("request_", [
         WindowRequest((0.5, 0.5), 0.3, 0.3),
         RangeRequest((0.5, 0.5), 0.2),
+        KNNRequest((0.5, 0.5), k=6),
     ])
-    def test_as_delta_reconstructs_the_full_result(self, request_):
+    def test_as_delta_reconstructs_the_full_result(self, request_, stack):
         points = _points()
-        service = build_service(points)
+        service = build_service(points, **STACKS[stack])
         try:
             full = service.answer(request_)
             previous = [e.oid for e in full.result][:-2]  # stale client
@@ -313,6 +384,33 @@ class TestDeltaParity:
                 | {e.oid for e in delta.added})
             assert reconstructed == sorted(e.oid for e in full.result)
             assert len(delta.added) >= 2
+        finally:
+            service.close()
+
+    def test_a_knn_delta_keeps_its_vertex_policy(self):
+        server = LocationServer.from_points(_points(n=2000))
+        rnd = random.Random(4)
+        drifted = []
+        for _ in range(30):
+            full = KNNRequest((rnd.random(), rnd.random()), k=5,
+                              vertex_policy="farthest")
+            costs = []
+            for request in (full, full.as_delta(())):
+                with server.io_stats.measure() as io:
+                    detail = server.answer(request).detail
+                costs.append((io.total_node_accesses, detail.num_tp_queries))
+            if costs[0] != costs[1]:
+                drifted.append((full.location, costs))
+        assert drifted == []
+
+    @pytest.mark.parametrize("stack", sorted(STACKS))
+    def test_a_delta_with_an_unknown_vertex_policy_raises(self, stack):
+        service = build_service(_points(), **STACKS[stack])
+        try:
+            with pytest.raises(ValueError, match="vertex policy"):
+                service.answer(KNNRequest((0.5, 0.5), k=3,
+                                          vertex_policy="bogus",
+                                          previous_ids=(1, 2)))
         finally:
             service.close()
 

@@ -139,13 +139,13 @@ def test_dispatch_batch_drains_under_injected_latency(uniform_1k):
 
     def run():
         with ThreadPoolExecutor(max_workers=8) as pool:
-            done["responses"] = service.dispatch_batch(requests,
-                                                       executor=pool)
+            done["responses"] = service.answer_many(requests,
+                                                    executor=pool)
 
     worker = threading.Thread(target=run, daemon=True)
     worker.start()
     worker.join(timeout=60.0)
-    assert not worker.is_alive(), "dispatch_batch deadlocked"
+    assert not worker.is_alive(), "answer_many deadlocked"
     responses = done["responses"]
     assert len(responses) == len(requests)
     # Order preserved: response i answers request i.
@@ -193,7 +193,7 @@ def test_budgeted_batch_under_latency_degrades_but_completes(uniform_1k):
     requests = [KNNRequest((0.1 + 0.01 * i, 0.5), k=3, budget=budget)
                 for i in range(30)]
     with ThreadPoolExecutor(max_workers=6) as pool:
-        responses = service.dispatch_batch(requests, executor=pool)
+        responses = service.answer_many(requests, executor=pool)
     assert len(responses) == 30
     degraded = [r for r in responses if r.detail.degraded]
     assert degraded, "tight budget should degrade some responses"

@@ -419,13 +419,12 @@ class TestReplicaSetSubscriptions:
         points = _dataset()
         live = _live(points)
         service = build_service(points, replicas=3)
-        replica_set = service.server
-        sub = replica_set.subscribe(KNNRequest((0.5, 0.5), k=3))
-        replica_set.insert_object(len(points), 0.5001, 0.5001)
+        sub = service.subscribe(KNNRequest((0.5, 0.5), k=3))
+        service.insert_object(len(points), 0.5001, 0.5001)
         live[len(points)] = (0.5001, 0.5001)
         updates = sub.drain()
         assert [u.kind for u in updates] == ["patch"]
         assert _brute_knn_ok(live, (0.5, 0.5),
                              {e.oid for e in updates[0].response.result}, 3)
-        assert replica_set.snapshot()["continuous"]["subscriptions"] == 1
+        assert service.stats_snapshot()["continuous"]["subscriptions"] == 1
         service.close()

@@ -37,14 +37,14 @@ class TestAnswerParity:
     def test_window_matches_server(self, small_tree, service):
         direct = LocationServer(small_tree, UNIT).answer(
             WindowRequest((0.5, 0.5), 0.2, 0.2))
-        via = service.window_query((0.5, 0.5), 0.2, 0.2)
+        via = service.answer(WindowRequest((0.5, 0.5), 0.2, 0.2))
         assert ({e.oid for e in via.result}
                 == {e.oid for e in direct.result})
 
     def test_range_matches_server(self, small_tree, service):
         direct = LocationServer(small_tree, UNIT).answer(
             RangeRequest((0.5, 0.5), 0.1))
-        via = service.range_query((0.5, 0.5), 0.1)
+        via = service.answer(RangeRequest((0.5, 0.5), 0.1))
         assert ({e.oid for e in via.result}
                 == {e.oid for e in direct.result})
 
@@ -192,12 +192,12 @@ class TestBatchedDispatch:
         direct = [LocationServer(small_tree, UNIT).answer(r)
                   for r in requests]
         with ThreadPoolExecutor(max_workers=8) as pool:
-            batched = service.dispatch_batch(requests, executor=pool)
+            batched = service.answer_many(requests, executor=pool)
         for a, b in zip(batched, direct):
             assert [e.oid for e in a.result] == [e.oid for e in b.result]
 
     def test_batch_metrics(self, service):
-        service.dispatch_batch([RangeRequest((0.5, 0.5), 0.05)] * 4)
+        service.answer_many([RangeRequest((0.5, 0.5), 0.05)] * 4)
         counters = service.metrics.snapshot()["counters"]
         assert counters["service.batches"] == 1
         hist = service.metrics.snapshot()["histograms"]["service.batch_size"]

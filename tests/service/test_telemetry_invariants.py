@@ -10,7 +10,10 @@ sheds; afterwards the accounts must agree exactly.
 
 Within one sequential trace the spans account for the trace's time:
 every span's self-time (its duration minus its children's) and the
-root's uncovered time sum to the trace duration.
+root's uncovered time sum to the trace duration.  And each trace
+accounts for the query's reads: its node accesses, plus those of any
+answer a lagging replica computed and dropped, are what the query
+charged to the disks of the trees behind the stack.
 """
 
 from __future__ import annotations
@@ -214,3 +217,49 @@ def test_span_self_times_sum_to_the_trace_duration(stack):
         assert probing.name == "tpnn_probing"
         assert clip.offset_ms == probing.offset_ms
         assert clip.duration_ms <= probing.duration_ms
+
+
+def _disk_node_accesses(server) -> int:
+    """Node accesses charged so far to the disk of every tree behind
+    ``server``: each replica's server, or each of its shards' trees."""
+    members = [r.server for r in getattr(server, "replicas", ())] or [server]
+    trees = [s.server for m in members for s in getattr(m, "shards", ())]
+    trees += [m for m in members if not hasattr(m, "shards")]
+    return sum(t.tree.disk.stats.total_node_accesses for t in trees)
+
+
+@pytest.mark.parametrize("stack", sorted(SEQUENTIAL_STACKS))
+def test_trace_node_accesses_equal_the_reads_the_query_caused(stack):
+    """Per query, the trace's node accesses plus the growth of the
+    replica tier's discarded-reads counter equal the growth of every
+    tree's own disk counter."""
+    rnd = random.Random(3)
+    points = [(rnd.random(), rnd.random()) for _ in range(1500)]
+    service = build_service(points, trace_capacity=1024,
+                            **SEQUENTIAL_STACKS[stack])
+    metrics = service.metrics
+    discarded = "service.replica.discarded_node_accesses"
+    mismatched, reads = [], 0
+    with service:
+        for i in range(40):
+            pos = (rnd.random(), rnd.random())
+            for request in (KNNRequest(pos, k=1 + i % 3),
+                            WindowRequest(pos, 0.05, 0.04),
+                            RangeRequest(pos, 0.03),
+                            RKNNRequest(pos, k=2),
+                            ProbKNNRequest(pos, uncertainty=0.01, k=2)):
+                disk = _disk_node_accesses(service.server)
+                dropped = metrics.counter_total(discarded)
+                service.answer(request)
+                (trace,) = service.recent_traces(1)
+                caused = _disk_node_accesses(service.server) - disk
+                dropped = metrics.counter_total(discarded) - dropped
+                reads += caused > 0
+                if trace.total_node_accesses + dropped != caused:
+                    mismatched.append((trace.trace_id, trace.kind,
+                                       trace.total_node_accesses, dropped,
+                                       caused))
+            if i % 10 == 9:
+                service.insert_object(10_000 + i, rnd.random(), rnd.random())
+    assert mismatched == []
+    assert reads > 0
