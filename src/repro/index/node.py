@@ -5,6 +5,9 @@ first :meth:`Node.columns` call and dropped by :meth:`Node.recompute_mbr`.
 The tree searches of :mod:`repro.queries` and :meth:`RStarTree.window`
 evaluate one visited node in one numpy pass over these columns instead
 of one Python call per entry; which nodes they visit is unchanged.
+ChooseSubtree scores an inner node's children from its columns, and
+:meth:`PointColumns.from_tree <repro.kernel.columns.PointColumns.from_tree>`
+concatenates the leaves' columns into the dataset snapshot.
 """
 
 from __future__ import annotations
@@ -36,7 +39,10 @@ class Node:
     mutation path (insert, split, forced reinsert, delete/condense, bulk
     load, ``load_tree``) ends by calling :meth:`recompute_mbr` on each
     node whose entries or children's MBRs changed, which drops the
-    cache.  The lazy fill is idempotent, and the reads and mutations of
+    cache.  Readers: the query traversals (charged per node read),
+    :meth:`RStarTree._choose_subtree <repro.index.rstar.RStarTree._choose_subtree>`
+    on inner nodes and the dataset snapshot on leaves (neither charged).
+    The lazy fill is idempotent, and the reads and mutations of
     one tree are serialized by the service lock (or a replica's lock),
     so no lock guards it here.
     """
@@ -61,10 +67,16 @@ class Node:
         """Tighten ``mbr`` to exactly cover the current entries (and
         drop the cached columns, which may no longer match them)."""
         self._columns = None
-        if not self.entries:
+        entries = self.entries
+        if not entries:
             self.mbr = Rect(0.0, 0.0, 0.0, 0.0)
-            return
-        self.mbr = Rect.from_rects([entry_mbr(e) for e in self.entries])
+        elif self.is_leaf:
+            # A point's MBR is the point: min/max over the same values in
+            # the same order as ``Rect.from_rects``, without a Rect each.
+            self.mbr = Rect(min(map(_X, entries)), min(map(_Y, entries)),
+                            max(map(_X, entries)), max(map(_Y, entries)))
+        else:
+            self.mbr = Rect.from_rects([child.mbr for child in entries])
 
     def columns(self) -> np.ndarray:
         """The entries as numpy columns (see the class docstring)."""

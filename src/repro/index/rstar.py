@@ -27,6 +27,30 @@ DEFAULT_PAGE_SIZE = 4096
 DEFAULT_ENTRY_SIZE = 20
 
 
+def check_finite(x: float, y: float) -> None:
+    """Raise ``ValueError`` naming a NaN or infinite coordinate.
+
+    The tree orders points by comparison, which a NaN defeats, and the
+    shard router scales a point onto its grid, which an infinity
+    defeats: an insert checks before it changes anything.
+    """
+    for name, value in (("x", x), ("y", y)):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite {name} coordinate: {value!r}")
+
+
+def _overlap_areas(axmin, aymin, axmax, aymax, bxmin, bymin, bxmax, bymax):
+    """``Rect.overlap_area`` of every rectangle ``a[i]`` with every
+    ``b[j]``, as an ``(len(a), len(b))`` matrix.
+
+    A rounded difference of finite doubles has the sign of the exact
+    one, so ``w >= 0`` is ``Rect.intersection``'s ``not xmin > xmax``.
+    """
+    w = np.minimum.outer(axmax, bxmax) - np.maximum.outer(axmin, bxmin)
+    h = np.minimum.outer(aymax, bymax) - np.maximum.outer(aymin, bymin)
+    return np.where((w >= 0.0) & (h >= 0.0), w * h, 0.0)
+
+
 class RStarTree:
     """A 2-D R*-tree over point data.
 
@@ -113,17 +137,23 @@ class RStarTree:
             if not node.is_leaf:
                 stack.extend(node.entries)
 
+    def leaves(self) -> Iterator[Node]:
+        """All leaf nodes, in the order :meth:`points` and the dataset
+        snapshot walk them (not charged to the disk)."""
+        return (node for node in self.nodes() if node.is_leaf)
+
     def points(self) -> Iterator[LeafEntry]:
-        """All stored data points (not charged to the disk)."""
-        for node in self.nodes():
-            if node.is_leaf:
-                yield from node.entries
+        """All stored data points, leaf by leaf (not charged to the disk)."""
+        for leaf in self.leaves():
+            yield from leaf.entries
 
     # ------------------------------------------------------------------
     # insertion
     # ------------------------------------------------------------------
     def insert(self, oid: int, x: float, y: float) -> None:
-        """Insert one data point."""
+        """Insert one data point (``ValueError`` on a non-finite
+        coordinate)."""
+        check_finite(x, y)
         top_level_call = not self._in_insert
         if top_level_call:
             self._reinserted_levels = set()
@@ -162,33 +192,42 @@ class RStarTree:
         return path
 
     def _choose_subtree(self, node: Node, mbr: Rect) -> Node:
-        """R* ChooseSubtree.
+        """R* ChooseSubtree, in one numpy pass over ``node.columns()``.
 
         For the level directly above the leaves the child minimizing
         *overlap* enlargement wins; higher up, minimum area enlargement.
-        Ties break on area enlargement, then absolute area.
+        Ties break on area enlargement, then absolute area, then child
+        order.  Every score is the value the per-child ``Rect`` code
+        gives: the same IEEE min, max, subtraction and multiplication on
+        the same operands, and each child's overlap deltas summed left to
+        right in child order.  That holds while no area or overlap
+        overflows to infinity (coordinate spans below about 1.3e154);
+        past that an enlargement is ``inf - inf``, a NaN that lexsort
+        sorts last where the loop's ``<`` kept the first child.
+        Reading the columns charges no node access (writes read no
+        nodes).
         """
-        children: List[Node] = node.entries  # type: ignore[assignment]
+        xmin, ymin, xmax, ymax = node.columns()
+        # Every child's MBR enlarged to cover ``mbr`` (``Rect.union``).
+        exmin = np.minimum(xmin, mbr.xmin)
+        eymin = np.minimum(ymin, mbr.ymin)
+        exmax = np.maximum(xmax, mbr.xmax)
+        eymax = np.maximum(ymax, mbr.ymax)
+        area = (xmax - xmin) * (ymax - ymin)
+        growth = (exmax - exmin) * (eymax - eymin) - area
         if node.level == 1:
-            best = None
-            for child in children:
-                enlarged = child.mbr.union(mbr)
-                overlap_delta = 0.0
-                for other in children:
-                    if other is child:
-                        continue
-                    overlap_delta += (enlarged.overlap_area(other.mbr)
-                                      - child.mbr.overlap_area(other.mbr))
-                key = (overlap_delta, child.mbr.enlargement(mbr), child.mbr.area())
-                if best is None or key < best[0]:
-                    best = (key, child)
-            return best[1]
-        best = None
-        for child in children:
-            key = (child.mbr.enlargement(mbr), child.mbr.area())
-            if best is None or key < best[0]:
-                best = (key, child)
-        return best[1]
+            delta = (_overlap_areas(exmin, eymin, exmax, eymax,
+                                    xmin, ymin, xmax, ymax)
+                     - _overlap_areas(xmin, ymin, xmax, ymax,
+                                      xmin, ymin, xmax, ymax))
+            np.fill_diagonal(delta, 0.0)  # a child does not overlap itself
+            # add.accumulate sums each row sequentially, as ``+=`` does;
+            # a pairwise or compensated sum could change the last bit.
+            keys = (area, growth, np.add.accumulate(delta, axis=1)[:, -1])
+        else:
+            keys = (area, growth)
+        # lexsort is stable: the first of equal keys wins, as with ``<``.
+        return node.entries[int(np.lexsort(keys)[0])]
 
     def _adjust_upward(self, path: List[Node]) -> None:
         """Recompute MBRs bottom-up, resolving overflows as they appear."""

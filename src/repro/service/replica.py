@@ -396,7 +396,7 @@ class ReplicaSet:
 
     def _discard_io(self, io: AccessDelta) -> None:
         """Charge the reads of an answer that was computed and then
-        dropped as stale-unserveable to the
+        dropped as stale-unserveable, or of a health probe, to the
         ``service.replica.discarded_*{phase=}`` counters — never to a
         served query, so per-query node accesses keep their meaning."""
         if self._metrics is None:
@@ -472,7 +472,9 @@ class ReplicaSet:
 
         Failures record against the breaker (driving ejection of a dead
         replica without waiting for user traffic to hit it); successes
-        drive half-open recovery.  Returns per-replica status rows.
+        drive half-open recovery.  No query owns a probe's reads, so
+        they go to ``service.replica.discarded_*{phase=}``.  Returns
+        per-replica status rows.
         """
         center = ((self.universe.xmin + self.universe.xmax) / 2.0,
                   (self.universe.ymin + self.universe.ymax) / 2.0)
@@ -491,7 +493,9 @@ class ReplicaSet:
                         raise ReplicaDownError(replica.rid)
                     k = min(self.config.probe_k,
                             max(1, replica.server.num_points))
-                    replica.server.answer(KNNRequest(center, k=k))
+                    with replica.server.io_stats.measure() as io:
+                        replica.server.answer(KNNRequest(center, k=k))
+                    self._discard_io(io)
             except Exception as exc:
                 status = "failed"
                 if replica.breaker is not None and is_transient(exc):

@@ -73,7 +73,7 @@ from repro.geometry import Point, Rect
 from repro.geometry.rect import _cut_away
 from repro.index.bulk import bulk_load_str
 from repro.index.entry import LeafEntry
-from repro.index.rstar import RStarTree
+from repro.index.rstar import RStarTree, check_finite
 from repro.kernel import ExecutionConfig, PointColumns
 from repro.kernel.backends import get_kernel
 from repro.obs.context import attach, current_trace, emit_event
@@ -330,6 +330,7 @@ class ShardedServer:
     # ------------------------------------------------------------------
     def insert_object(self, oid: int, x: float, y: float) -> None:
         """Add a data point, creating its grid cell's shard on demand."""
+        check_finite(x, y)
         cell = self.universe.grid_index((x, y), self.grid, self.grid)
         shard = self._by_cell.get(cell)
         if shard is None:
@@ -394,17 +395,17 @@ class ShardedServer:
         :class:`~repro.kernel.columns.PointColumns` snapshot (no
         simulated I/O).
 
-        The shards' own epoch-cached snapshots are merged once per
-        epoch of this server, so within an epoch every call returns the
-        same object.  The snapshot kinds (reverse-kNN, probabilistic
-        kNN) answer from it on either server shape.
+        The shards' own epoch-cached snapshots are concatenated, in
+        shard order, once per epoch of this server, so within an epoch
+        every call returns the same object.  The snapshot kinds
+        (reverse-kNN, probabilistic kNN) answer from it on either server
+        shape.
         """
         cached = self._columns
         if cached is None or cached[1] != self.epoch:
             epoch = self.epoch
-            cached = (PointColumns(
-                e for s in self._live()
-                for e in s.server.dataset_columns().entries), epoch)
+            cached = (PointColumns.concat(
+                [s.server.dataset_columns() for s in self._live()]), epoch)
             self._columns = cached
         return cached[0]
 

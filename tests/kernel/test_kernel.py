@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.index.bulk import bulk_load_str
@@ -88,6 +89,65 @@ class TestPointColumns:
         xs2, _ys2, _oids2 = cols.as_numpy()
         assert xs1 is xs2
         assert len(xs1) == len(ys1) == len(oids1) == 9
+
+    @staticmethod
+    def _assert_same(got, expected):
+        assert len(got.entries) == len(expected.entries)
+        assert all(a is b for a, b in zip(got.entries, expected.entries))
+        for column in ("xs", "ys", "oids"):
+            a, b = getattr(got, column), getattr(expected, column)
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+    def test_from_tree_equals_the_entry_walk(self):
+        """The snapshot concatenates leaf columns, some cached and some
+        dropped by the last mutations, in ``tree.points()`` order."""
+        rnd = random.Random(14)
+        entries = _entries(14, n=300)
+        tree = bulk_load_str([(e.x, e.y) for e in entries], capacity=8,
+                             oids=[e.oid for e in entries])
+        live = {e.oid: (e.x, e.y) for e in entries}
+        for step in range(120):
+            if rnd.random() < 0.4:
+                oid = rnd.choice(sorted(live))
+                assert tree.delete(oid, *live.pop(oid))
+            else:
+                live[1000 + step] = (rnd.random(), rnd.random())
+                tree.insert(1000 + step, *live[1000 + step])
+            if step % 3 == 0:
+                # Cache some leaves' columns; the next mutations drop
+                # a few of them again.
+                for node in tree.nodes():
+                    if node.is_leaf and rnd.random() < 0.5:
+                        node.columns()
+            self._assert_same(PointColumns.from_tree(tree),
+                              PointColumns(tree.points()))
+        for oid, (x, y) in sorted(live.items()):
+            assert tree.delete(oid, x, y)
+        empty = PointColumns.from_tree(tree)
+        assert len(empty) == 0
+        self._assert_same(empty, PointColumns(()))
+
+    def test_sharded_snapshot_is_the_shards_in_order(self):
+        from repro.service.shard import ShardedServer
+
+        points = [(e.x, e.y) for e in _entries(15, n=400)]
+        rnd = random.Random(15)
+        with ShardedServer.from_points(
+                points, grid=3, capacity=8,
+                execution=ExecutionConfig(kernel="numpy")) as server:
+            for step in range(60):
+                if step % 3 == 2:
+                    x, y = points[step]
+                    assert server.delete_object(step, x, y)
+                else:
+                    server.insert_object(5000 + step, rnd.random(),
+                                         rnd.random())
+                merged = server.dataset_columns()
+                walk = PointColumns(
+                    e for shard in server.shards if shard.num_points > 0
+                    for e in shard.server.tree.points())
+                self._assert_same(merged, walk)
 
 
 class TestKernelSelection:

@@ -7,7 +7,7 @@ Queries are the only source of reads (R*-tree inserts and deletes read
 no nodes), so after :meth:`reset_io_stats` the counters must equal the
 server's ``io_stats`` exactly — on a single tree with a buffer, on a
 shard fleet, and on a lagging replica set, where answers computed and
-then dropped as stale-unserveable land in
+then dropped as stale-unserveable, and health probes, land in
 ``service.replica.discarded_*{phase=}`` instead.
 """
 
@@ -66,16 +66,31 @@ def _mutations(service, rng: random.Random, response, next_oid):
     return next_oid + 1
 
 
-def _drive(service, seed: int, queries: int, mutate_every: int) -> None:
+def _drive(service, seed: int, queries: int, mutate_every: int,
+           probe_every: int = 0) -> int:
+    """Returns the discarded node accesses the health probes charged
+    (exact when no other thread drives ``service`` meanwhile)."""
     rng = random.Random(seed)
     next_oid = 10_000
+    probed = 0
     for i in range(queries):
+        if probe_every and i % probe_every == 0:
+            # A health probe reads replica disks for no query.
+            before = _discarded_node_accesses(service)
+            service.server.probe_health()
+            probed += _discarded_node_accesses(service) - before
         location = (rng.random(), rng.random())
         response = service.answer(_request(rng, location))
         if i % mutate_every == mutate_every - 1:
             next_oid = _mutations(service, rng, response, next_oid)
             # The same spot again, now against a changed dataset.
             service.answer(_request(rng, location))
+    return probed
+
+
+def _discarded_node_accesses(service) -> int:
+    return service.metrics.counter_total(
+        "service.replica.discarded_node_accesses")
 
 
 def _assert_reconciles(service) -> None:
@@ -119,12 +134,16 @@ def _build(kind: str):
 def test_served_reads_add_up_to_io_stats(kind, queries, mutate_every):
     with _build(kind) as service:
         service.server.reset_io_stats()
-        _drive(service, seed=11, queries=queries, mutate_every=mutate_every)
+        probed = _drive(service, seed=11, queries=queries,
+                        mutate_every=mutate_every,
+                        probe_every=5 if kind == "replicated" else 0)
         _assert_reconciles(service)
         if kind == "replicated":
-            # The lagging replica computed answers it could not serve.
-            assert service.metrics.counter_total(
-                "service.replica.discarded_node_accesses") > 0
+            # The health probes read nodes that no query owns...
+            assert probed > 0
+            # ...and, apart from them, the lagging replica computed
+            # answers it could not serve.
+            assert _discarded_node_accesses(service) - probed > 0
 
 
 def test_replicated_reads_add_up_under_four_client_threads():

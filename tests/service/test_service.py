@@ -1,6 +1,8 @@
 """Tests for the instrumented query service and the simulated fleet."""
 
 import json
+import math
+import random
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -14,7 +16,13 @@ from repro.core import (
 )
 from repro.geometry import Rect
 from repro.obs import MetricsRegistry
-from repro.service import ClientFleet, FleetConfig, QueryService
+from repro.service import (
+    CacheConfig,
+    ClientFleet,
+    FleetConfig,
+    QueryService,
+    build_service,
+)
 
 UNIT = Rect(0.0, 0.0, 1.0, 1.0)
 
@@ -264,3 +272,47 @@ class TestFleet:
         assert svc.epoch == before + 1
         assert svc.delete_object(10_000, 0.123, 0.456)
         assert svc.epoch == before + 2
+
+
+def _trees(server):
+    """Every R*-tree behind a server of any shape."""
+    servers = ([r.server for r in server.replicas]
+               if hasattr(server, "replicas") else [server])
+    for s in servers:
+        if hasattr(s, "shards"):
+            yield from (shard.server.tree for shard in s.shards)
+        else:
+            yield s.tree
+
+
+@pytest.mark.parametrize("shape", [{}, {"shards": 2},
+                                   {"shards": 2, "replicas": 2}],
+                         ids=["single", "shards", "replicas"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_non_finite_insert_changes_nothing(shape, bad, axis):
+    rng = random.Random(4)
+    points = [(rng.random(), rng.random()) for _ in range(200)]
+    with build_service(points, universe=UNIT, cache=CacheConfig(),
+                       **shape) as service:
+        service.answer(KNNRequest((0.5, 0.5), k=3))
+
+        def state():
+            replicas = getattr(service.server, "replicas", ())
+            return (service.server.num_points, service.epoch,
+                    service.metrics.counter_total("service.updates.insert"),
+                    len(service.cache),
+                    [len(r.pending) for r in replicas])
+
+        before = state()
+        x, y = (bad, 0.5) if axis == "x" else (0.5, bad)
+        with pytest.raises(ValueError, match=f"non-finite {axis}"):
+            service.insert_object(99_999, x, y)
+        assert state() == before
+        service.insert_object(99_999, 0.25, 0.75)
+        assert service.server.num_points == before[0] + 1
+        if shape.get("replicas"):
+            service.server.sync()
+        for tree in _trees(service.server):
+            tree.check_invariants()
