@@ -55,7 +55,7 @@ from repro.mobility import (
     simulate_knn_protocols,
     simulate_window_protocols,
 )
-from repro.kernel import ExecutionConfig, available_kernels
+from repro.kernel import ExecutionConfig
 from repro.obs import (
     EventLog,
     MetricsRegistry,
@@ -92,7 +92,7 @@ from repro.service import (
     build_service,
 )
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 #: The canonical public surface (docs/API.md documents every name;
 #: ``python -m repro.service.checkapi`` fails CI when the two drift).
@@ -155,7 +155,6 @@ __all__ = [
     "Subscription",
     "SubscriptionUpdate",
     "ExecutionConfig",
-    "available_kernels",
     "TraceContext",
     "start_trace",
     "current_trace",

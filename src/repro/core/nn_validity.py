@@ -39,6 +39,8 @@ from repro.queries.nn import nearest_neighbors
 from repro.queries.tp import tp_knn
 from repro.core.api import BudgetClock, QueryDetail
 from repro.core.validity import NNValidityRegion, ValidityDisk
+from repro.kernel.backends import NumpyProbeContext, knn
+from repro.kernel.columns import PointColumns
 
 #: Vertex selection policies for step 2.  The paper picks an arbitrary
 #: vertex; the ablation bench compares these orders.
@@ -117,8 +119,8 @@ def compute_nn_validity(tree: RStarTree, q, k: int = 1,
                         nn_phase: str = "nn",
                         tp_phase: str = "tpnn",
                         clock: Optional[BudgetClock] = None,
-                        kernel=None,
-                        columns=None) -> NNValidityResult:
+                        columns: Optional[PointColumns] = None
+                        ) -> NNValidityResult:
     """Process a location-based kNN query end to end (Section 3.2).
 
     Step (i) runs an ordinary kNN query (charged to phase ``nn_phase``),
@@ -133,8 +135,8 @@ def compute_nn_validity(tree: RStarTree, q, k: int = 1,
     **degraded**: still the exact kNN set, but with the conservative
     safe disk of :func:`degraded_safe_radius` as its validity region.
 
-    With a columnar ``kernel`` (see :mod:`repro.kernel.backends`) and a
-    ``columns`` snapshot of the dataset, steps (i) and (ii) evaluate
+    With a ``columns`` snapshot of the dataset, steps (i) and (ii) run
+    on the numpy kernel (:mod:`repro.kernel.backends`): they evaluate
     whole candidate sets at once instead of traversing the tree; the
     phase blocks still open (so trace spans keep their shape) but
     charge zero node accesses.
@@ -142,11 +144,9 @@ def compute_nn_validity(tree: RStarTree, q, k: int = 1,
     if universe is None:
         universe = tree.root.mbr
     q = Point(float(q[0]), float(q[1]))
-    columnar = (kernel is not None and getattr(kernel, "columnar", False)
-                and columns is not None)
     with tree.disk.phase(nn_phase):
-        if columnar:
-            neighbors = [e for _d2, e in kernel.knn(columns, q.x, q.y, k)]
+        if columns is not None:
+            neighbors = [e for _d2, e in knn(columns, q.x, q.y, k)]
         else:
             neighbors = [n.entry for n in
                          nearest_neighbors(tree, q, k, method=nn_method)]
@@ -158,7 +158,7 @@ def compute_nn_validity(tree: RStarTree, q, k: int = 1,
         return retrieve_influence_set_knn(tree, q, neighbors, universe,
                                           vertex_policy=vertex_policy,
                                           rng=rng, clock=clock,
-                                          kernel=kernel, columns=columns)
+                                          columns=columns)
 
 
 def retrieve_influence_set_1nn(tree: RStarTree, q, nearest: LeafEntry,
@@ -180,8 +180,8 @@ def retrieve_influence_set_knn(tree: RStarTree, q, neighbors: Sequence[LeafEntry
                                vertex_policy: str = "fifo",
                                rng: Optional[random.Random] = None,
                                clock: Optional[BudgetClock] = None,
-                               kernel=None,
-                               columns=None) -> NNValidityResult:
+                               columns: Optional[PointColumns] = None
+                               ) -> NNValidityResult:
     """Algorithm ``Retrieve_Influence_Set_kNN`` (Figure 12).
 
     Maintains the influence *pair* set S_inf_p: for k > 1 the same
@@ -192,9 +192,9 @@ def retrieve_influence_set_knn(tree: RStarTree, q, neighbors: Sequence[LeafEntry
     With a ``clock``, each probe iteration first checks the budget;
     on exhaustion the loop stops and a degraded result is returned.
 
-    With a columnar ``kernel`` + ``columns`` snapshot, each TPNN probe
-    evaluates influence times over the whole candidate column set in
-    one batch instead of a best-first tree search.
+    With a ``columns`` snapshot, each TPNN probe evaluates influence
+    times over the whole candidate column set in one batch instead of
+    a best-first tree search.
     """
     if vertex_policy not in VERTEX_POLICIES:
         raise ValueError(f"unknown vertex policy {vertex_policy!r}")
@@ -219,13 +219,11 @@ def retrieve_influence_set_knn(tree: RStarTree, q, neighbors: Sequence[LeafEntry
     # either confirms a vertex or shrinks the region), but degenerate
     # float behaviour should fail loudly rather than spin.
     max_queries = 64 + 16 * (len(neighbors) + len(tree.root.entries) + 64)
-    columnar = (kernel is not None and getattr(kernel, "columnar", False)
-                and columns is not None)
     # One probe context per (query, result) pair: it amortizes the
     # direction-independent work (distances, near-subset candidate
     # levels) across every TP probe of the retrieval loop.
-    probe_ctx = (kernel.tp_context(columns, q.x, q.y, neighbors)
-                 if columnar else None)
+    probe_ctx = (NumpyProbeContext(columns, q.x, q.y, neighbors)
+                 if columns is not None else None)
 
     degraded = tied = False
     while True:
@@ -242,7 +240,7 @@ def retrieve_influence_set_knn(tree: RStarTree, q, neighbors: Sequence[LeafEntry
             num_confirm += 1
             continue
         direction = q.towards(vertex)
-        if columnar:
+        if probe_ctx is not None:
             event = probe_ctx.probe(direction[0], direction[1],
                                     prefer_new=known_influence_oids)
         else:
@@ -287,9 +285,8 @@ def retrieve_influence_set_knn(tree: RStarTree, q, neighbors: Sequence[LeafEntry
     if tied:
         safe_radius = 0.0
     elif degraded:
-        safe_radius = degraded_safe_radius(
-            tree, q, neighbors,
-            kernel=kernel if columnar else None, columns=columns)
+        safe_radius = degraded_safe_radius(tree, q, neighbors,
+                                           columns=columns)
     return NNValidityResult(
         query=q,
         neighbors=list(neighbors),
@@ -314,7 +311,7 @@ def _tied(q: Point, result: LeafEntry, other: LeafEntry) -> bool:
 def degraded_safe_radius(tree: RStarTree, q: Point,
                          neighbors: Sequence[LeafEntry],
                          phase: str = "degraded",
-                         kernel=None, columns=None) -> float:
+                         columns: Optional[PointColumns] = None) -> float:
     """Radius of the conservative safe disk of a degraded kNN response.
 
     Let ``d_k`` be the distance from ``q`` to its farthest result
@@ -329,19 +326,14 @@ def degraded_safe_radius(tree: RStarTree, q: Point,
     to ``phase``) prices the bound; when fewer than k+1 objects exist
     the result can never change and the radius is infinite — callers
     clip to the universe via the region's ``contains`` conjunction.
+    With a ``columns`` snapshot the probe runs on the numpy kernel.
     """
     k = len(neighbors)
     d_k = max(q.distance_to((e.x, e.y)) for e in neighbors)
     with tree.disk.phase(phase):
-        if (kernel is not None and getattr(kernel, "columnar", False)
-                and columns is not None):
-            ranked_d2 = kernel.knn(columns, q.x, q.y, k + 1)
-            if len(ranked_d2) <= k:
-                ranked = ranked_d2
-                d_next = 0.0
-            else:
-                ranked = ranked_d2
-                d_next = ranked_d2[-1][0] ** 0.5
+        if columns is not None:
+            ranked = knn(columns, q.x, q.y, k + 1)
+            d_next = ranked[-1][0] ** 0.5 if len(ranked) > k else 0.0
         else:
             ranked = nearest_neighbors(tree, q, k + 1)
             d_next = ranked[-1].dist if len(ranked) > k else 0.0

@@ -9,9 +9,10 @@ protocol (``.result``, ``.region``, ``.detail``, ``.transfer_bytes()``),
 and :meth:`LocationServer.answer` — the single query entry point —
 accepts any typed request from :mod:`repro.core.api`.
 
-The geometry kernel is pluggable (``kernel=``): the default scalar
-kernel runs the paper's per-object tree algorithms and charges
-simulated node accesses; the columnar numpy kernel of :mod:`repro.kernel`
+The geometry kernel is chosen once, by ``execution=``
+(:class:`~repro.kernel.ExecutionConfig`): the default scalar kernel
+runs the paper's per-object tree algorithms and charges simulated node
+accesses; the columnar numpy kernel of :mod:`repro.kernel`
 batch-evaluates kNN and TPNN influence times over a struct-of-arrays
 snapshot of the dataset (:meth:`LocationServer.dataset_columns`, cached
 per epoch) for raw CPU throughput.
@@ -47,8 +48,7 @@ from repro.core.validity import (
     RECT_BYTES,
 )
 from repro.core.window_validity import WindowValidityResult, compute_window_validity
-from repro.kernel.backends import get_kernel
-from repro.kernel.columns import PointColumns
+from repro.kernel import ExecutionConfig, PointColumns
 
 
 @dataclass
@@ -141,18 +141,17 @@ class LocationServer:
     """
 
     def __init__(self, tree: RStarTree, universe: Optional[Rect] = None,
-                 kernel=None):
+                 execution: Optional[ExecutionConfig] = None):
         self.tree = tree
         self.universe = universe if universe is not None else tree.root.mbr
         self.queries_processed = 0
         self.epoch = 0
-        self.kernel = get_kernel(kernel)
+        #: Does kNN run on the numpy kernel over :meth:`dataset_columns`
+        #: (``False``: the scalar tree path, also for ``execution=None``)?
+        self._columnar = (execution is not None
+                          and execution.resolved_kernel() == "numpy")
         #: ``(snapshot, epoch)`` once :meth:`dataset_columns` has run.
         self._columns = None
-
-    def use_kernel(self, kernel) -> None:
-        """Swap the geometry kernel (name, ``None``, or instance)."""
-        self.kernel = get_kernel(kernel)
 
     def dataset_columns(self) -> PointColumns:
         """Every data entry as a :class:`~repro.kernel.columns.PointColumns`
@@ -173,10 +172,6 @@ class LocationServer:
             self._columns = cached
         return cached[0]
 
-    def _kernel_columns(self):
-        """The snapshot on a columnar kernel (``None`` on the scalar path)."""
-        return self.dataset_columns() if self.kernel.columnar else None
-
     # ------------------------------------------------------------------
     # updates
     # ------------------------------------------------------------------
@@ -196,12 +191,13 @@ class LocationServer:
     def from_points(cls, points: Sequence, universe: Optional[Rect] = None,
                     capacity: Optional[int] = None, fill: float = 0.7,
                     buffer_fraction: float = 0.0,
-                    kernel=None) -> "LocationServer":
+                    execution: Optional[ExecutionConfig] = None
+                    ) -> "LocationServer":
         """Bulk-load a server over raw ``(x, y)`` data."""
         tree = bulk_load_str(points, capacity=capacity, fill=fill)
         if buffer_fraction > 0.0:
             tree.attach_lru_buffer(buffer_fraction)
-        return cls(tree, universe, kernel=kernel)
+        return cls(tree, universe, execution=execution)
 
     # ------------------------------------------------------------------
     # the unified entry point
@@ -234,8 +230,8 @@ class LocationServer:
                                      universe=self.universe,
                                      vertex_policy=vertex_policy, rng=rng,
                                      clock=self._start_clock(budget),
-                                     kernel=self.kernel,
-                                     columns=self._kernel_columns())
+                                     columns=(self.dataset_columns()
+                                              if self._columnar else None))
         self.queries_processed += 1
         return KNNResponse(
             neighbors=detail.neighbors,

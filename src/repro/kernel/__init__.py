@@ -13,20 +13,10 @@ from repro.kernel.config import (
     resolve_kernel_name,
 )
 from repro.kernel.columns import PointColumns
-from repro.kernel.backends import (
-    NumpyKernel,
-    ScalarKernel,
-    available_kernels,
-    get_kernel,
-)
 
 __all__ = [
     "KERNELS",
     "ExecutionConfig",
     "PointColumns",
-    "ScalarKernel",
-    "NumpyKernel",
-    "available_kernels",
-    "get_kernel",
     "resolve_kernel_name",
 ]

@@ -1,20 +1,17 @@
-"""The geometry kernels: batch evaluation of whole candidate sets.
+"""The numpy kernel: batch evaluation of whole candidate sets.
 
-Two interchangeable kernels implement the hot geometric primitives of
-the paper's query processing:
-
-* :class:`ScalarKernel` — a marker for the seed behaviour: kNN and TPNN
-  run one object at a time through the R*-tree (charging simulated node
-  accesses); the kernel object itself computes nothing.
-* :class:`NumpyKernel` — the vectorized fast path: kNN and TPNN
-  influence times over whole :class:`~repro.kernel.columns.PointColumns`
-  in a handful of numpy array operations.
+The paper's kNN and TPNN hot paths run one object at a time through
+the R*-tree, charging simulated node accesses.  This module evaluates
+them over a whole :class:`~repro.kernel.columns.PointColumns` snapshot
+in a handful of numpy array operations instead: :func:`knn` ranks
+every entry by distance, and a :class:`NumpyProbeContext` answers the
+TPNN influence probes of one ``(query, result)`` pair.
 
 The columnar kernel answers from an in-memory snapshot, so it charges
 **zero** simulated node accesses — it trades the paper's I/O model for
 CPU throughput, which is exactly the ablation the kernel benchmarks
 measure.  Formulas and tie rules mirror the scalar implementations
-(:mod:`repro.queries.nn`, :mod:`repro.queries.tp`) so both kernels
+(:mod:`repro.queries.nn`, :mod:`repro.queries.tp`) so both paths
 return identical results up to floating-point ties:
 
 * kNN candidates are ordered by ``(dist², oid)``;
@@ -35,15 +32,9 @@ import numpy as np
 
 from repro.index.entry import LeafEntry
 from repro.kernel.columns import PointColumns
-from repro.kernel.config import resolve_kernel_name
 from repro.queries.tp import TPEvent
 
-__all__ = [
-    "ScalarKernel",
-    "NumpyKernel",
-    "get_kernel",
-    "available_kernels",
-]
+__all__ = ["NumpyProbeContext", "knn"]
 
 #: First probe-subset size and the growth factor between escalation
 #: levels.  Influence events are local — the winning candidate at time
@@ -51,18 +42,6 @@ __all__ = [
 #: almost always resolve inside the innermost level.
 _SUBSET_BASE = 64
 _SUBSET_GROWTH = 8
-
-
-class ScalarKernel:
-    """The seed path: per-object tree traversal, no batch evaluation."""
-
-    name = "scalar"
-    #: The columnar kernel answers kNN/TPNN from a PointColumns
-    #: snapshot; the scalar kernel leaves both to the R*-tree algorithms.
-    columnar = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__}>"
 
 
 class NumpyProbeContext:
@@ -190,53 +169,18 @@ class NumpyProbeContext:
         return TPEvent(math.inf, None, None)
 
 
-class NumpyKernel:
-    """Vectorized columnar kernel."""
-
-    name = "numpy"
-    columnar = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__}>"
-
-    def knn(self, columns: PointColumns, qx: float, qy: float,
-            k: int) -> List[Tuple[float, LeafEntry]]:
-        """The ``k`` nearest entries as ``(dist², entry)``, closest first."""
-        n = len(columns)
-        xs, ys, oids = columns.as_numpy()
-        dx = xs - qx
-        dy = ys - qy
-        d2 = dx * dx + dy * dy
-        if k < n:
-            idx = np.argpartition(d2, k - 1)[:k] if k > 0 else []
-        else:
-            idx = np.arange(n)
-        ordered = sorted(
-            ((float(d2[i]), int(oids[i]), int(i)) for i in idx))
-        return [(d, columns.entries[i]) for d, _oid, i in ordered]
-
-    def tp_context(self, columns: PointColumns, qx: float, qy: float,
-                   result: Sequence[LeafEntry]) -> NumpyProbeContext:
-        """A reusable probe context for one ``(query, result)`` pair."""
-        return NumpyProbeContext(columns, qx, qy, result)
-
-
-def available_kernels() -> Tuple[str, ...]:
-    """Concrete kernel names (``auto`` excluded)."""
-    return ("scalar", "numpy")
-
-
-def get_kernel(spec=None):
-    """Resolve ``spec`` to a kernel object.
-
-    ``None`` means the scalar (seed) kernel; a string is resolved via
-    :func:`repro.kernel.config.resolve_kernel_name` (so ``"auto"``
-    picks numpy); a kernel instance passes through unchanged.
-    """
-    if spec is None:
-        return ScalarKernel()
-    if not isinstance(spec, str):
-        return spec
-    if resolve_kernel_name(spec) == "scalar":
-        return ScalarKernel()
-    return NumpyKernel()
+def knn(columns: PointColumns, qx: float, qy: float,
+        k: int) -> List[Tuple[float, LeafEntry]]:
+    """The ``k`` nearest entries as ``(dist², entry)``, closest first."""
+    n = len(columns)
+    xs, ys, oids = columns.as_numpy()
+    dx = xs - qx
+    dy = ys - qy
+    d2 = dx * dx + dy * dy
+    if k < n:
+        idx = np.argpartition(d2, k - 1)[:k] if k > 0 else []
+    else:
+        idx = np.arange(n)
+    ordered = sorted(
+        ((float(d2[i]), int(oids[i]), int(i)) for i in idx))
+    return [(d, columns.entries[i]) for d, _oid, i in ordered]

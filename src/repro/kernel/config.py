@@ -4,8 +4,10 @@
 execute — which geometry kernel evaluates the candidate sets
 (``scalar``, ``numpy``, or ``auto``) and how wide the shard fan-out
 thread pool is.  It is accepted by
-:func:`repro.service.service.build_service`,
-:class:`repro.service.shard.ShardedServer`, and the CLI (``--kernel``).
+:class:`repro.core.server.LocationServer`,
+:class:`repro.service.shard.ShardedServer`,
+:func:`repro.service.service.build_service`, and the CLI
+(``--kernel``), and is the only way to choose a kernel.
 """
 
 from __future__ import annotations
@@ -38,11 +40,12 @@ def resolve_kernel_name(name: str) -> str:
 class ExecutionConfig:
     """How queries execute: geometry kernel and shard pool width.
 
-    * ``kernel`` — the geometry kernel of :mod:`repro.kernel.backends`;
-      see :data:`KERNELS`.  The columnar kernel answers kNN/TPNN from an
-      in-memory struct-of-arrays snapshot with **zero simulated node
-      accesses**, so the paper's I/O accounting (and node-access
-      budgets) only meter the ``scalar`` kernel — the default.
+    * ``kernel`` — the geometry kernel; see :data:`KERNELS` (the numpy
+      kernel lives in :mod:`repro.kernel.backends`).  The columnar
+      kernel answers kNN/TPNN from an in-memory struct-of-arrays
+      snapshot with **zero simulated node accesses**, so the paper's
+      I/O accounting (and node-access budgets) only meter the
+      ``scalar`` kernel — the default.
     * ``workers`` — width of the thread pool a sharded server scatters
       shard jobs over; ``None`` sizes it to ``min(num_shards,
       cpu_count)``.

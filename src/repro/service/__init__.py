@@ -47,7 +47,6 @@ from repro.service.retry import (
     RetryBudget,
     RetryBudgetConfig,
     RetryPolicy,
-    call_with_retry,
     is_transient,
 )
 from repro.service.faults import (
@@ -90,7 +89,6 @@ __all__ = [
     "RetryPolicy",
     "RetryBudget",
     "RetryBudgetConfig",
-    "call_with_retry",
     "is_transient",
     "BreakerConfig",
     "CircuitBreaker",

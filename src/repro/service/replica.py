@@ -13,7 +13,7 @@ composes unchanged.
 quantized query location (a proxy for client affinity: a mobile client
 re-querying from nearby positions keeps hitting the same replica, and
 with it that replica's warm buffer pool).  Each replica owns
-``virtual_nodes`` points on the hash ring, so when a replica is
+:data:`VIRTUAL_NODES` points on the hash ring, so when a replica is
 ejected its keys redistribute evenly over the survivors.
 
 **Health and failover** — every replica carries its own
@@ -59,14 +59,13 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.api import KNNRequest, Mutation, QueryRequest, query_semantics
-from repro.core.server import LocationServer
 from repro.geometry import Rect
 from repro.kernel import ExecutionConfig
 from repro.obs.context import emit_event
 from repro.obs.context import span as obs_span
 from repro.service.faults import BreakerConfig, CircuitBreaker, CircuitOpenError
 from repro.service.retry import is_transient
-from repro.service.shard import ShardedServer
+from repro.service.shard import build_server
 from repro.service.staleness import ServedResponse, shrunk_stale_region
 from repro.storage.counters import AccessDelta, AccessStats
 
@@ -77,6 +76,12 @@ __all__ = [
     "NoReplicaAvailableError",
     "ReplicaDownError",
 ]
+
+
+#: Ring points per replica; more = smoother key redistribution.
+VIRTUAL_NODES = 32
+#: Resolution of the location quantization used as the affinity key.
+AFFINITY_GRID = 64
 
 
 class NoReplicaAvailableError(RuntimeError):
@@ -111,24 +116,12 @@ class ReplicaConfig:
     breaker: Optional[BreakerConfig] = field(
         default_factory=lambda: BreakerConfig(failure_threshold=3,
                                               reset_timeout_s=0.25))
-    #: Ring points per replica; more = smoother key redistribution.
-    virtual_nodes: int = 32
-    #: Resolution of the location quantization used as the affinity key.
-    affinity_grid: int = 64
-    #: k of the health-probe kNN query.
-    probe_k: int = 1
 
     def __post_init__(self):
         if self.replication_lag < 0:
             raise ValueError("replication_lag must be non-negative")
         if self.default_max_stale is not None and self.default_max_stale < 0:
             raise ValueError("default_max_stale must be non-negative")
-        if self.virtual_nodes < 1:
-            raise ValueError("virtual_nodes must be >= 1")
-        if self.affinity_grid < 1:
-            raise ValueError("affinity_grid must be >= 1")
-        if self.probe_k < 1:
-            raise ValueError("probe_k must be >= 1")
 
 
 @dataclass
@@ -186,16 +179,17 @@ class ReplicaSet:
         self.replication_retries = 0
         self._ring = self._build_ring()
         self._closed = False
-        #: Set by bind_metrics: failovers are attributed to the replica
-        #: that failed (the response only carries the final count).
+        #: Set by bind_metrics: failovers are counted, and attributed to
+        #: the replica that failed, as they happen.
         self._metrics = None
 
     def bind_metrics(self, registry) -> None:
         """Report replica-routing counters into ``registry`` with labels.
 
-        Failovers land in ``service.replica.failovers{replica=}``
-        against the *failing* replica — attribution the service layer
-        cannot recover from the served response — and each replica's
+        Failovers land in ``service.replica.failovers`` and in
+        ``service.replica.failovers{replica=}`` against the *failing*
+        replica, whether or not the query is finally served — the
+        service layer sees only served responses — and each replica's
         sharded server (when it is one) is bound with a ``replica``
         label riding on its ``service.shard.*`` series.
         """
@@ -224,19 +218,11 @@ class ReplicaSet:
         """
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
-        servers: List[object] = []
-        for _ in range(replicas):
-            if shards == 1:
-                kernel = (execution.resolved_kernel()
-                          if execution is not None else None)
-                servers.append(LocationServer.from_points(
-                    points, universe=universe, capacity=capacity, fill=fill,
-                    buffer_fraction=buffer_fraction, kernel=kernel))
-            else:
-                servers.append(ShardedServer.from_points(
-                    points, grid=shards, universe=universe,
-                    capacity=capacity, fill=fill,
-                    buffer_fraction=buffer_fraction, execution=execution))
+        servers = [build_server(points, shards=shards, universe=universe,
+                                capacity=capacity, fill=fill,
+                                buffer_fraction=buffer_fraction,
+                                execution=execution)
+                   for _ in range(replicas)]
         return cls(servers, config=config, clock=clock)
 
     # ------------------------------------------------------------------
@@ -250,7 +236,7 @@ class ReplicaSet:
     def _build_ring(self) -> List[Tuple[int, int]]:
         ring = [(self._hash(f"replica-{r.rid}:vn-{v}"), r.rid)
                 for r in self.replicas
-                for v in range(self.config.virtual_nodes)]
+                for v in range(VIRTUAL_NODES)]
         ring.sort()
         return ring
 
@@ -263,8 +249,8 @@ class ReplicaSet:
         next live node on the ring.
         """
         loc = query_semantics(request).location(request)
-        g = self.config.affinity_grid
-        cell = self.universe.grid_index((float(loc[0]), float(loc[1])), g, g)
+        cell = self.universe.grid_index((float(loc[0]), float(loc[1])),
+                                        AFFINITY_GRID, AFFINITY_GRID)
         key = self._hash(f"cell-{cell[0]}:{cell[1]}")
         start = bisect_right(self._ring, (key, len(self.replicas)))
         seen = set()
@@ -328,6 +314,7 @@ class ReplicaSet:
             failovers += 1
             self._count("failovers")
             if self._metrics is not None:
+                self._metrics.counter("service.replica.failovers").inc()
                 self._metrics.counter(
                     "service.replica.failovers",
                     labels={"replica": str(replica.rid)}).inc()
@@ -491,10 +478,8 @@ class ReplicaSet:
                 with replica.lock:
                     if not replica.alive:
                         raise ReplicaDownError(replica.rid)
-                    k = min(self.config.probe_k,
-                            max(1, replica.server.num_points))
                     with replica.server.io_stats.measure() as io:
-                        replica.server.answer(KNNRequest(center, k=k))
+                        replica.server.answer(KNNRequest(center))
                     self._discard_io(io)
             except Exception as exc:
                 status = "failed"

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Optional
 
 __all__ = ["RetryPolicy", "RetryBudget", "RetryBudgetConfig",
-           "call_with_retry", "is_transient"]
+           "is_transient"]
 
 
 def is_transient(exc: BaseException) -> bool:
@@ -126,34 +126,3 @@ class RetryBudget:
                 "window_s": self.config.window_s,
                 "exhausted": self.exhausted,
             }
-
-
-def call_with_retry(fn: Callable[[], object], policy: RetryPolicy,
-                    rng: Optional[random.Random] = None,
-                    sleep: Callable[[float], None] = time.sleep,
-                    retryable: Callable[[BaseException], bool] = is_transient,
-                    on_retry: Optional[Callable[[int, float, BaseException],
-                                                None]] = None,
-                    budget: Optional[RetryBudget] = None):
-    """Call ``fn`` under ``policy``; return its result.
-
-    ``on_retry(attempt, delay_s, exc)`` is invoked before each backoff
-    sleep (metrics/tracing hook).  The last failure propagates
-    unchanged once attempts are exhausted, the error is not retryable,
-    or the shared ``budget`` (if any) is spent for its window.
-    """
-    attempt = 0
-    while True:
-        try:
-            return fn()
-        except BaseException as exc:
-            if not retryable(exc) or attempt + 1 >= policy.max_attempts:
-                raise
-            if budget is not None and not budget.try_spend():
-                raise
-            delay = policy.backoff_s(attempt, rng)
-            if on_retry is not None:
-                on_retry(attempt, delay, exc)
-            if delay > 0.0:
-                sleep(delay)
-            attempt += 1

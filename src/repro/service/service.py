@@ -100,7 +100,7 @@ from repro.service.retry import (
     RetryPolicy,
     is_transient,
 )
-from repro.service.shard import ShardedServer
+from repro.service.shard import build_server
 from repro.service.staleness import ServedResponse
 from repro.service.tracing import TailSamplingConfig, TraceBuffer
 
@@ -753,9 +753,6 @@ class QueryService:
                           labels=by_replica).inc()
                 m.histogram("service.replica.staleness",
                             labels=by_replica).record(staleness)
-            failovers = getattr(response, "failovers", 0)
-            if failovers:
-                m.counter("service.replica.failovers").inc(failovers)
         if self.slo is not None:
             self.slo.observe(kind, latency_ms=trace.duration_ms,
                              error=False, staleness=staleness)
@@ -946,16 +943,10 @@ def build_service(points: Sequence, *,
             points, replicas=replicas, shards=shards, universe=universe,
             capacity=capacity, fill=fill, buffer_fraction=buffer_fraction,
             execution=execution, config=replica)
-    elif shards == 1:
-        kernel = execution.resolved_kernel() if execution is not None else None
-        server = LocationServer.from_points(
-            points, universe=universe, capacity=capacity, fill=fill,
-            buffer_fraction=buffer_fraction, kernel=kernel)
     else:
-        server = ShardedServer.from_points(
-            points, grid=shards, universe=universe, capacity=capacity,
-            fill=fill, buffer_fraction=buffer_fraction,
-            execution=execution)
+        server = build_server(
+            points, shards=shards, universe=universe, capacity=capacity,
+            fill=fill, buffer_fraction=buffer_fraction, execution=execution)
     validity_cache = None
     if cache is not None and cache.capacity > 0:
         validity_cache = ValidityCache(server.universe, cache)

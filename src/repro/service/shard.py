@@ -43,7 +43,8 @@ safe disk.
 The class implements the same narrow instrumentation interface as
 :class:`LocationServer` (``answer``, ``io_stats``, ``num_points``,
 ``disk_snapshot``, …), so the service layer — cache, tracing, metrics,
-resilience — composes with it unchanged.
+resilience — composes with it unchanged.  :func:`build_server` builds
+either server shape from raw points.
 """
 
 from __future__ import annotations
@@ -53,7 +54,9 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.core.api import QueryBudget, QueryDetail, QueryRequest
 from repro.core.range_validity import RangeValidityRegion
@@ -75,12 +78,12 @@ from repro.index.bulk import bulk_load_str
 from repro.index.entry import LeafEntry
 from repro.index.rstar import RStarTree, check_finite
 from repro.kernel import ExecutionConfig, PointColumns
-from repro.kernel.backends import get_kernel
 from repro.obs.context import attach, current_trace, emit_event
 from repro.obs.context import span as obs_span
 from repro.storage.counters import AccessStats
 
 __all__ = [
+    "build_server",
     "ShardedServer",
     "Shard",
     "ShardedKNNDetail",
@@ -95,12 +98,11 @@ class Shard:
 
     sid: int
     cell: Tuple[int, int]
-    bounds: Rect
     server: LocationServer
 
     @property
     def data_mbr(self) -> Rect:
-        """MBR of the shard's actual points (tighter than ``bounds``)."""
+        """MBR of the shard's actual points (tighter than its cell)."""
         return self.server.tree.root.mbr
 
     @property
@@ -183,6 +185,16 @@ class ShardedRangeDetail(_FanOutDetail):
     validity_radius: float
 
 
+def _grid_axis(values: np.ndarray, lo: float, extent: float,
+               n: int) -> np.ndarray:
+    """:meth:`Rect.grid_index` along one axis for a whole array:
+    ``min(n - 1, max(0, int((v - lo) / extent * n)))``, and cell 0
+    across a zero extent."""
+    if extent <= 0:
+        return np.zeros(len(values), dtype=np.int64)
+    return np.clip((values - lo) / extent * n, 0, n - 1).astype(np.int64)
+
+
 class ShardedServer:
     """A grid of independent location servers answering as one.
 
@@ -210,11 +222,6 @@ class ShardedServer:
         self._io = AccessStats()
         self.execution = (execution if execution is not None
                           else ExecutionConfig())
-        self._kernel = get_kernel(self.execution.resolved_kernel())
-        if execution is not None:
-            # An explicit config owns kernel selection for every shard.
-            for s in self._by_cell.values():
-                s.server.use_kernel(self._kernel)
         #: LRU buffer share of shards that :meth:`insert_object` creates.
         self._buffer_fraction = float(buffer_fraction)
         workers = self.execution.workers
@@ -264,31 +271,39 @@ class ShardedServer:
         Object ids are the sequence positions (matching
         :meth:`LocationServer.from_points`), preserved globally across
         shards.  ``execution`` selects the geometry kernel every shard
-        server runs and the width of the scatter pool.
+        server runs and the width of the scatter pool.  A NaN or
+        infinite coordinate raises ``ValueError``.
         """
         if grid < 1:
             raise ValueError("grid must be positive")
-        pts = [(float(p[0]), float(p[1])) for p in points]
-        if not pts:
+        xy = np.asarray(points, dtype=float)
+        if not xy.size:
             raise ValueError("cannot shard an empty dataset")
+        if not np.isfinite(xy[:, :2]).all():
+            raise ValueError("cannot shard a NaN or infinite coordinate")
+        xs, ys = xy[:, 0], xy[:, 1]
         if universe is None:
-            universe = Rect.from_points(pts)
-        buckets: Dict[Tuple[int, int], List[int]] = {}
-        for oid, p in enumerate(pts):
-            buckets.setdefault(universe.grid_index(p, grid, grid),
-                               []).append(oid)
+            universe = Rect(float(xs.min()), float(ys.min()),
+                            float(xs.max()), float(ys.max()))
+        # Rect.grid_index over the whole array: the same float steps,
+        # clipped to the border cells before truncation.
+        cell_x = _grid_axis(xs, universe.xmin, universe.width, grid)
+        cell_y = _grid_axis(ys, universe.ymin, universe.height, grid)
+        keys = cell_x * grid + cell_y
+        # Sorted-cell order, each cell's oids ascending.
+        order = np.argsort(keys, kind="stable")
+        starts = np.flatnonzero(np.diff(keys[order])) + 1
         shards: List[Shard] = []
-        for sid, cell in enumerate(sorted(buckets)):
-            oids = buckets[cell]
-            tree = bulk_load_str([pts[i] for i in oids], capacity=capacity,
-                                 fill=fill, oids=oids)
+        for sid, oids in enumerate(np.split(order, starts)):
+            tree = bulk_load_str(xy[oids, :2].tolist(), capacity=capacity,
+                                 fill=fill, oids=oids.tolist())
             if buffer_fraction > 0.0:
                 tree.attach_lru_buffer(buffer_fraction)
+            key = int(keys[oids[0]])
             shards.append(Shard(
                 sid=sid,
-                cell=cell,
-                bounds=universe.grid_cell(cell[0], cell[1], grid, grid),
-                server=LocationServer(tree, universe),
+                cell=(key // grid, key % grid),
+                server=LocationServer(tree, universe, execution=execution),
             ))
         return cls(shards, universe, grid, capacity=capacity,
                    execution=execution, buffer_fraction=buffer_fraction)
@@ -329,7 +344,9 @@ class ShardedServer:
     # updates (bump the epoch: outstanding validity regions die)
     # ------------------------------------------------------------------
     def insert_object(self, oid: int, x: float, y: float) -> None:
-        """Add a data point, creating its grid cell's shard on demand."""
+        """Add a data point, creating its grid cell's shard on demand
+        (on the fleet's ``execution``, like the shards it was built
+        with)."""
         check_finite(x, y)
         cell = self.universe.grid_index((x, y), self.grid, self.grid)
         shard = self._by_cell.get(cell)
@@ -339,20 +356,20 @@ class ShardedServer:
                 tree.attach_lru_buffer(self._buffer_fraction)
             sid = 1 + max((s.sid for s in self._by_cell.values()),
                           default=-1)
-            shard = Shard(
-                sid=sid,
-                cell=cell,
-                bounds=self.universe.grid_cell(cell[0], cell[1],
-                                               self.grid, self.grid),
-                server=LocationServer(tree, self.universe,
-                                      kernel=self._kernel),
-            )
+            shard = Shard(sid=sid, cell=cell, server=LocationServer(
+                tree, self.universe, execution=self.execution))
             self._by_cell[cell] = shard
         shard.server.insert_object(oid, x, y)
         self.epoch += 1
 
     def delete_object(self, oid: int, x: float, y: float) -> bool:
-        """Remove a data point from its cell's shard."""
+        """Remove a data point from its cell's shard.
+
+        A NaN or infinite coordinate names no stored point: ``False``,
+        as on a single tree.
+        """
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return False
         cell = self.universe.grid_index((x, y), self.grid, self.grid)
         shard = self._by_cell.get(cell)
         if shard is None:
@@ -722,3 +739,26 @@ class ShardedServer:
                 "page_faults": s.server.io_stats.total_page_faults,
             })
         return out
+
+
+def build_server(points: Sequence, *, shards: int = 1,
+                 universe: Optional[Rect] = None,
+                 capacity: Optional[int] = None, fill: float = 0.7,
+                 buffer_fraction: float = 0.0,
+                 execution: Optional[ExecutionConfig] = None
+                 ) -> Union[LocationServer, ShardedServer]:
+    """One server over raw ``(x, y)`` data, every tree on
+    ``execution``'s kernel: the paper's single R*-tree for
+    ``shards == 1``, else a ``shards``×``shards`` :class:`ShardedServer`.
+
+    :func:`~repro.service.service.build_service` and
+    :meth:`~repro.service.replica.ReplicaSet.from_points` build every
+    server shape here.
+    """
+    if shards == 1:
+        return LocationServer.from_points(
+            points, universe=universe, capacity=capacity, fill=fill,
+            buffer_fraction=buffer_fraction, execution=execution)
+    return ShardedServer.from_points(
+        points, grid=shards, universe=universe, capacity=capacity,
+        fill=fill, buffer_fraction=buffer_fraction, execution=execution)

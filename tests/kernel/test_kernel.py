@@ -16,8 +16,8 @@ import pytest
 
 from repro.index.bulk import bulk_load_str
 from repro.index.entry import LeafEntry
-from repro.kernel import ExecutionConfig, PointColumns, available_kernels
-from repro.kernel.backends import get_kernel
+from repro.kernel import KERNELS, ExecutionConfig, PointColumns
+from repro.kernel.backends import NumpyProbeContext, knn
 from repro.kernel.config import resolve_kernel_name
 from repro.queries.tp import tp_knn
 
@@ -43,7 +43,7 @@ class TestColumnarKNN:
                 entries,
                 key=lambda e: ((e.x - q[0]) ** 2 + (e.y - q[1]) ** 2,
                                e.oid))[:k]
-            got = get_kernel("numpy").knn(columns, q[0], q[1], k)
+            got = knn(columns, q[0], q[1], k)
             assert [e.oid for _d2, e in got] == [e.oid for e in expected]
             for d2, e in got:
                 assert d2 == pytest.approx(
@@ -51,19 +51,18 @@ class TestColumnarKNN:
 
     def test_knn_k_at_least_n(self, columns):
         n = len(columns)
-        got = get_kernel("numpy").knn(columns, 0.5, 0.5, n + 10)
+        got = knn(columns, 0.5, 0.5, n + 10)
         assert len(got) == n
 
     def test_tp_probes_agree_across_kernels(self, columns):
         """Numpy TP probes find the scalar tree search's first event."""
-        kernel = get_kernel("numpy")
         tree = bulk_load_str([(e.x, e.y) for e in columns.entries],
                              oids=[e.oid for e in columns.entries])
         rnd = random.Random(7)
         for _ in range(6):
             qx, qy = rnd.random(), rnd.random()
-            result = [e for _d2, e in kernel.knn(columns, qx, qy, 4)]
-            ctx = kernel.tp_context(columns, qx, qy, result)
+            result = [e for _d2, e in knn(columns, qx, qy, 4)]
+            ctx = NumpyProbeContext(columns, qx, qy, result)
             for _ in range(12):
                 angle = rnd.uniform(0.0, 2.0 * math.pi)
                 v = (math.cos(angle), math.sin(angle))
@@ -152,9 +151,9 @@ class TestPointColumns:
 
 class TestKernelSelection:
     def test_available_and_resolution_agree(self):
-        assert available_kernels() == ("scalar", "numpy")
-        assert resolve_kernel_name("auto") == "numpy"
-        assert get_kernel("auto").name == "numpy"
+        assert KERNELS == ("auto", "scalar", "numpy")
+        assert [resolve_kernel_name(name) for name in KERNELS] == [
+            "numpy", "scalar", "numpy"]
 
     def test_execution_config_resolves(self):
         assert ExecutionConfig(kernel="auto").resolved_kernel() == "numpy"

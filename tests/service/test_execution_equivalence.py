@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.server import LocationServer
 from repro.geometry import Rect
 from repro.kernel import ExecutionConfig, resolve_kernel_name
-from repro.kernel.backends import get_kernel
 from repro.service.shard import ShardedServer
 from repro.core.api import KNNRequest, RangeRequest, WindowRequest
 
@@ -45,7 +44,8 @@ def _points(seed: int, n: int = N):
 def kernel_servers():
     points = _points(101)
     return points, {
-        name: LocationServer.from_points(points, universe=UNIT, kernel=name)
+        name: LocationServer.from_points(
+            points, universe=UNIT, execution=ExecutionConfig(kernel=name))
         for name in ("scalar", "numpy")
     }
 
@@ -108,6 +108,21 @@ class TestKernelEquivalence:
                 r.detail.validity_radius)
 
 
+@pytest.mark.parametrize("execution, charged", [
+    (None, True),
+    (ExecutionConfig(), True),
+    (ExecutionConfig(kernel="numpy"), False),
+    (ExecutionConfig(kernel="auto"), False),
+])
+def test_the_execution_config_picks_the_knn_path(execution, charged):
+    """A single-tree server answers kNN on the tree (charging node
+    accesses) unless its ``execution`` picks the numpy kernel."""
+    server = LocationServer.from_points(_points(303), universe=UNIT,
+                                        execution=execution)
+    server.answer(KNNRequest((0.5, 0.5), k=3))
+    assert (server.io_stats.total_node_accesses > 0) == charged
+
+
 # ----------------------------------------------------------------------
 # a window region merged across a thread-pool shard fleet
 # ----------------------------------------------------------------------
@@ -143,8 +158,3 @@ class TestKernelResolution:
     def test_auto_resolves_by_availability(self):
         assert resolve_kernel_name("auto") == "numpy"
         assert ExecutionConfig(kernel="auto").resolved_kernel() == "numpy"
-
-    def test_get_kernel_passthrough_and_default(self):
-        scalar = get_kernel(None)
-        assert scalar.name == "scalar"
-        assert get_kernel(scalar) is scalar

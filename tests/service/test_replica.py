@@ -21,7 +21,7 @@ from repro.service import (
     ReplicaSet,
     ServedResponse,
 )
-from repro.service.replica import NoReplicaAvailableError
+from repro.service.replica import NoReplicaAvailableError, ReplicaDownError
 
 UNIT = Rect(0.0, 0.0, 1.0, 1.0)
 
@@ -276,6 +276,36 @@ def test_query_service_failover_metrics(points):
     service.answer(req)
     counters = service.metrics.snapshot()["counters"]
     assert counters["service.replica.failovers"] == 1
+
+
+def test_failover_total_is_the_sum_of_its_replica_series(points):
+    """Every failover counts once in the total and once against the
+    replica that failed, served or not."""
+    rs = make_set(points, breaker=None)
+    service = QueryService(rs)
+    rng = random.Random(11)
+    rs.kill(1)
+    rs.kill(2)
+    for _ in range(40):
+        service.answer(KNNRequest((rng.random(), rng.random()), k=2))
+    rs.kill(0)
+    for _ in range(10):
+        with pytest.raises(ReplicaDownError):
+            service.answer(KNNRequest((rng.random(), rng.random()), k=2))
+    counters = service.metrics.snapshot()["counters"]
+    labelled = sum(v for key, v in counters.items()
+                   if key.startswith("service.replica.failovers{"))
+    assert counters["service.replica.failovers"] == labelled == rs.failovers
+    assert rs.failovers > 40
+
+
+def test_routing_knobs_are_module_constants():
+    from repro.service import replica
+
+    assert (replica.VIRTUAL_NODES, replica.AFFINITY_GRID) == (32, 64)
+    for removed in ("virtual_nodes", "affinity_grid", "probe_k"):
+        with pytest.raises(TypeError):
+            ReplicaConfig(**{removed: 1})
 
 
 def test_replica_set_context_manager(points):

@@ -1,4 +1,5 @@
-"""Unit tests for the retry policy and the circuit breaker (fake clocks)."""
+"""Unit tests for the retry policy, the service's retry loop and the
+circuit breaker (fake clocks)."""
 
 from __future__ import annotations
 
@@ -6,12 +7,15 @@ import random
 
 import pytest
 
+from repro.core.api import KNNRequest
+from repro.core.server import LocationServer
 from repro.service import (
     BreakerConfig,
     CircuitBreaker,
     CircuitOpenError,
+    QueryService,
+    ResilienceConfig,
     RetryPolicy,
-    call_with_retry,
     is_transient,
 )
 from repro.service.faults import CLOSED, HALF_OPEN, OPEN
@@ -71,56 +75,80 @@ def test_full_jitter_is_uniform_below_cap():
     assert len(set(draws)) > 100  # actually jittered, not constant
 
 
-def test_call_with_retry_succeeds_after_transient_failures():
-    calls = []
+# ----------------------------------------------------------------------
+# the service's retry loop (QueryService runs the only one)
+# ----------------------------------------------------------------------
+class ScriptedServer:
+    """A real server whose first answers raise ``errors``, in order."""
+
+    def __init__(self, *errors: Exception):
+        rnd = random.Random(5)
+        self._inner = LocationServer.from_points(
+            [(rnd.random(), rnd.random()) for _ in range(200)])
+        self._errors = list(errors)
+        self.calls = 0
+
+    def answer(self, request):
+        self.calls += 1
+        if self._errors:
+            raise self._errors.pop(0)
+        return self._inner.answer(request)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def _retrying_service(server, policy: RetryPolicy, sleep=lambda _: None):
+    return QueryService(server, sleep=sleep,
+                        resilience=ResilienceConfig(retry=policy,
+                                                    breaker=None))
+
+
+def test_service_retry_sleeps_the_doubling_backoff():
+    server = ScriptedServer(_Transient("not yet"), _Transient("not yet"))
     sleeps = []
-
-    def flaky():
-        calls.append(1)
-        if len(calls) < 3:
-            raise _Transient("not yet")
-        return "ok"
-
-    policy = RetryPolicy(max_attempts=3, base_delay_s=0.01, jitter="none")
-    assert call_with_retry(flaky, policy, sleep=sleeps.append) == "ok"
-    assert len(calls) == 3
+    service = _retrying_service(
+        server, RetryPolicy(max_attempts=3, base_delay_s=0.01,
+                            jitter="none"), sleep=sleeps.append)
+    assert len(service.answer(KNNRequest((0.5, 0.5), k=2)).result) == 2
+    assert server.calls == 3
     assert sleeps == pytest.approx([0.01, 0.02])
 
 
-def test_call_with_retry_exhausts_attempts():
-    def always_fails():
-        raise _Transient("still down")
+def test_service_raises_the_last_transient_error_at_max_attempts():
+    errors = [_Transient(f"attempt {i}") for i in range(5)]
+    server = ScriptedServer(*errors)
+    service = _retrying_service(
+        server, RetryPolicy(max_attempts=3, base_delay_s=0.0))
+    with pytest.raises(_Transient) as raised:
+        service.answer(KNNRequest((0.5, 0.5)))
+    assert raised.value is errors[2]
+    assert server.calls == 3
+    assert service.metrics.snapshot()["counters"]["service.retries"] == 2
 
-    policy = RetryPolicy(max_attempts=2, base_delay_s=0.0)
-    with pytest.raises(_Transient):
-        call_with_retry(always_fails, policy, sleep=lambda _: None)
 
-
-def test_call_with_retry_propagates_non_transient_immediately():
-    calls = []
-
-    def fatal():
-        calls.append(1)
-        raise ValueError("bug, not weather")
-
+def test_service_raises_a_non_transient_error_after_one_call():
+    server = ScriptedServer(ValueError("bug, not weather"))
+    service = _retrying_service(
+        server, RetryPolicy(max_attempts=5, base_delay_s=0.0))
     with pytest.raises(ValueError):
-        call_with_retry(fatal, RetryPolicy(max_attempts=5, base_delay_s=0.0))
-    assert len(calls) == 1
+        service.answer(KNNRequest((0.5, 0.5)))
+    assert server.calls == 1
+    assert "service.retries" not in service.metrics.snapshot()["counters"]
 
 
-def test_on_retry_hook_sees_each_attempt():
-    seen = []
-
-    def flaky():
-        if len(seen) < 2:
-            raise _Transient()
-        return 1
-
-    call_with_retry(
-        flaky, RetryPolicy(max_attempts=3, base_delay_s=0.0),
-        sleep=lambda _: None,
-        on_retry=lambda attempt, delay, exc: seen.append((attempt, delay)))
-    assert [a for a, _ in seen] == [0, 1]
+def test_service_retry_events_and_spans_number_each_attempt():
+    server = ScriptedServer(_Transient(), _Transient())
+    service = _retrying_service(
+        server, RetryPolicy(max_attempts=3, base_delay_s=0.0))
+    service.answer(KNNRequest((0.5, 0.5)))
+    retries = [e["attempt"] for e in service.events.tail(50)
+               if e.get("event") == "query.retry"]
+    assert retries == [1, 2]
+    trace = service.recent_traces(1)[0]
+    assert trace.retries == 2
+    assert [s.meta["attempt"] for s in trace.spans
+            if s.name == "retry_backoff"] == [1, 2]
 
 
 # ----------------------------------------------------------------------

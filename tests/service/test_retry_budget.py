@@ -22,7 +22,6 @@ from repro.service import (
     ResilienceConfig,
     RetryBudgetConfig,
     RetryPolicy,
-    call_with_retry,
 )
 from repro.service.retry import RetryBudget
 from repro.storage import PageReadError
@@ -39,10 +38,6 @@ class FakeClock:
 
     def advance(self, dt: float) -> None:
         self.t += dt
-
-
-class _Transient(Exception):
-    transient = True
 
 
 # ----------------------------------------------------------------------
@@ -96,49 +91,6 @@ def test_config_validation():
         RetryBudgetConfig(max_retries=-1)
     with pytest.raises(ValueError):
         RetryBudgetConfig(window_s=0.0)
-
-
-# ----------------------------------------------------------------------
-# call_with_retry integration
-# ----------------------------------------------------------------------
-def test_call_with_retry_stops_when_budget_spent():
-    calls = []
-
-    def always_fails():
-        calls.append(1)
-        raise _Transient("still down")
-
-    budget = RetryBudget(RetryBudgetConfig(max_retries=1))
-    policy = RetryPolicy(max_attempts=5, base_delay_s=0.0)
-    with pytest.raises(_Transient):
-        call_with_retry(always_fails, policy, sleep=lambda _: None,
-                        budget=budget)
-    assert len(calls) == 2  # first try + the single budgeted retry
-    assert budget.exhausted == 1
-
-
-def test_shared_budget_spans_calls():
-    budget = RetryBudget(RetryBudgetConfig(max_retries=1))
-    policy = RetryPolicy(max_attempts=2, base_delay_s=0.0)
-
-    def flaky_once(state=[0]):
-        state[0] += 1
-        if state[0] == 1:
-            raise _Transient()
-        return "ok"
-
-    assert call_with_retry(flaky_once, policy, sleep=lambda _: None,
-                           budget=budget) == "ok"
-
-    def always_fails():
-        raise _Transient()
-
-    # The earlier call spent the whole budget; no retry happens now.
-    calls = []
-    with pytest.raises(_Transient):
-        call_with_retry(lambda: (calls.append(1), always_fails())[1],
-                        policy, sleep=lambda _: None, budget=budget)
-    assert len(calls) == 1
 
 
 # ----------------------------------------------------------------------

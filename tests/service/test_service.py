@@ -286,6 +286,26 @@ def _trees(server):
 
 
 @pytest.mark.parametrize("shape", [{}, {"shards": 2},
+                                   {"shards": 2, "replicas": 2},
+                                   {"replicas": 2}],
+                         ids=["single", "shards", "sharded-replicas",
+                              "replicas"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_non_finite_delete_removes_nothing(shape, bad, axis):
+    """No stored point has a NaN or infinite coordinate: every server
+    shape answers ``False`` and keeps its epoch and its points."""
+    rng = random.Random(4)
+    points = [(rng.random(), rng.random()) for _ in range(200)]
+    with build_service(points, universe=UNIT, **shape) as service:
+        before = (service.server.num_points, service.epoch)
+        x, y = (bad, 0.5) if axis == "x" else (0.5, bad)
+        assert service.delete_object(5, x, y) is False
+        assert (service.server.num_points, service.epoch) == before
+
+
+@pytest.mark.parametrize("shape", [{}, {"shards": 2},
                                    {"shards": 2, "replicas": 2}],
                          ids=["single", "shards", "replicas"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],

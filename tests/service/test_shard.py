@@ -23,7 +23,9 @@ from hypothesis import given, settings, strategies as st
 from repro import ExecutionConfig, KNNRequest, RangeRequest, WindowRequest
 from repro.core.api import QueryBudget
 from repro.core.server import LocationServer
+from repro.datasets import GR_UNIVERSE, make_greece_like
 from repro.geometry import Rect
+from repro.index.bulk import bulk_load_str
 from repro.service.shard import (
     ShardedKNNDetail,
     ShardedRangeDetail,
@@ -303,3 +305,103 @@ class TestScatterGatherMechanics:
             assert all(n > 1 for n in reads[1:])  # the others ran to the end
         finally:
             pooled.close()
+
+
+# ----------------------------------------------------------------------
+# construction: one numpy pass routes exactly like Rect.grid_index
+# ----------------------------------------------------------------------
+def _reference_fleet(points, grid, universe=None):
+    """``(universe, [(sid, cell, tree)])`` routed one point at a time
+    with ``Rect.grid_index`` — the loop ``from_points`` vectorizes."""
+    pts = [(float(p[0]), float(p[1])) for p in points]
+    if universe is None:
+        universe = Rect.from_points(pts)
+    buckets = {}
+    for oid, p in enumerate(pts):
+        buckets.setdefault(universe.grid_index(p, grid, grid),
+                           []).append(oid)
+    return universe, [
+        (sid, cell, bulk_load_str([pts[i] for i in buckets[cell]],
+                                  oids=buckets[cell]))
+        for sid, cell in enumerate(sorted(buckets))]
+
+
+def _tree_fingerprint(tree):
+    """Each node's level, page id and MBR, and each leaf entry's oid and
+    coordinates, in traversal order; floats as ``float.hex``."""
+    def hexes(*values):
+        return tuple(float(v).hex() for v in values)
+
+    return [(node.level, node.page_id,
+             hexes(node.mbr.xmin, node.mbr.ymin, node.mbr.xmax,
+                   node.mbr.ymax),
+             [(e.oid, hexes(e.x, e.y)) for e in node.entries]
+             if node.is_leaf else len(node.entries))
+            for node in tree.nodes()]
+
+
+def _lattice_and_strays():
+    """A 9x9 lattice on the lines of an 8x8 grid over the unit square,
+    plus points outside it on every side."""
+    lattice = [(i / 8, j / 8) for i in range(9) for j in range(9)]
+    return lattice + [(-0.5, 0.3), (1.5, 0.7), (0.2, -1.0), (0.9, 2.0),
+                      (-3.0, -3.0), (4.0, 4.0)]
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("case", ["gr", "gr-universe", "lattice",
+                                      "flat", "random"])
+    def test_shards_equal_the_per_point_reference(self, case):
+        if case.startswith("gr"):
+            points, grid = make_greece_like(), 4
+            universe = GR_UNIVERSE if case == "gr-universe" else None
+        elif case == "lattice":
+            points, grid, universe = _lattice_and_strays(), 8, UNIT
+        elif case == "flat":  # a zero-width universe: every x in cell 0
+            points, grid, universe = [(0.5, y / 10) for y in range(10)], 3, None
+        else:
+            rnd = random.Random(31)
+            points = [(rnd.uniform(-2, 5), rnd.uniform(10, 11))
+                      for _ in range(500)]
+            grid, universe = 3, None
+        expected_universe, expected = _reference_fleet(points, grid,
+                                                       universe)
+        server = ShardedServer.from_points(points, grid=grid,
+                                           universe=universe)
+        assert server.universe == expected_universe
+        assert [(s.sid, s.cell, _tree_fingerprint(s.server.tree))
+                for s in server.shards] == [
+            (sid, cell, _tree_fingerprint(tree))
+            for sid, cell, tree in expected]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_point_raises(self, bad):
+        for point in ((bad, 0.5), (0.5, bad)):
+            with pytest.raises(ValueError):
+                ShardedServer.from_points([(0.1, 0.2), point], grid=2)
+
+    def test_a_new_cell_shard_runs_the_fleet_kernel(self):
+        """``insert_object`` opens a cell's shard on the fleet's own
+        ``execution``: its kNN charges no node accesses on the numpy
+        kernel, and every tree keeps its invariants."""
+        rnd = random.Random(8)
+        points = [(rnd.uniform(0, 0.5), rnd.uniform(0, 0.5))
+                  for _ in range(300)]
+        inserts = [(rnd.uniform(0.5, 1), rnd.uniform(0.5, 1))
+                   for _ in range(60)]
+        charged = {}
+        for kernel in ("scalar", "numpy"):
+            with ShardedServer.from_points(
+                    points, grid=2, universe=UNIT, capacity=8,
+                    execution=ExecutionConfig(kernel=kernel)) as fleet:
+                assert [s.cell for s in fleet.shards] == [(0, 0)]
+                for i, (x, y) in enumerate(inserts):
+                    fleet.insert_object(10_000 + i, x, y)
+                new = fleet.shards[1]
+                assert new.cell == (1, 1)
+                for shard in fleet.shards:
+                    shard.server.tree.check_invariants()
+                with new.server.io_stats.measure() as io:
+                    new.server.answer(KNNRequest((0.75, 0.75), k=3))
+                charged[kernel] = io.total_node_accesses
+        assert charged["numpy"] == 0 < charged["scalar"]
