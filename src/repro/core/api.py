@@ -339,6 +339,9 @@ class QuerySemantics:
       what part of the region is left?  The cache keeps an entry iff it
       returns the entry's own region, a lagging replica serves the
       region it returns, and a subscription patch ships it;
+    * ``reach`` — a box outside which no mutation changes the answer
+      anywhere in its region, so the cache re-stamps an entry without
+      a ``certify`` call for a mutation outside it;
     * ``subscribe_init`` / ``continuous_apply`` / ``continuous_move`` /
       ``refetch_request`` — continuous-query patching hooks (gated on
       ``supports_subscriptions``); the defaults fetch, patch through
@@ -400,6 +403,20 @@ class QuerySemantics:
         knows no rule: unchanged for no mutations, ``None`` otherwise.
         """
         return response.region if not mutations else None
+
+    def reach(self, request, response):
+        """A :class:`~repro.geometry.Rect` outside which no insert or
+        delete changes ``response.result`` anywhere in
+        ``response.region``, or ``None``: a mutation anywhere may.
+
+        A box is a promise about :meth:`certify`: every member of the
+        result lies inside it, and ``certify`` returns ``response.region``
+        itself for an insert, or a delete of a non-member, at any point
+        outside it.  Return one only where that is provable, rounding
+        included.  Only the validity cache reads it.  The default is
+        ``None``.
+        """
+        return None
 
     # --- continuous queries -------------------------------------------
     def subscribe_init(self, hub, sub, request) -> None:

@@ -19,7 +19,11 @@ full battery for free:
   Whatever region it certifies — the original unchanged or a shrunk
   one — must contain the query location and lie inside the original,
   and a fresh execute on the mutated dataset must agree with the
-  answer at the location and at probes across the region.
+  answer at the location and at probes across the region;
+* **the reach box** — when :meth:`reach` returns one, every member lies
+  inside it, and :meth:`certify` returns the region itself for an
+  insert and for a non-member delete just outside each side of the box
+  and far from it.
 
 The probes re-ask the request elsewhere through
 :meth:`~repro.core.api.QuerySemantics.refetch_request`, which a kind
@@ -97,6 +101,48 @@ def _targeted_mutations(response, loc, next_oid: int) -> list:
     return muts
 
 
+def _outside(box) -> list:
+    """Points one float step outside each side of a bounded ``box`` (at
+    both ends and the middle of the side) and far from it."""
+    if not all(map(math.isfinite, box)):
+        return []
+    xs = (box.xmin, (box.xmin + box.xmax) / 2.0, box.xmax)
+    ys = (box.ymin, (box.ymin + box.ymax) / 2.0, box.ymax)
+    left = math.nextafter(box.xmin, -math.inf)
+    right = math.nextafter(box.xmax, math.inf)
+    below = math.nextafter(box.ymin, -math.inf)
+    above = math.nextafter(box.ymax, math.inf)
+    far = 10.0 * max(box.xmax - box.xmin, box.ymax - box.ymin, 1.0)
+    return ([(left, y) for y in ys] + [(right, y) for y in ys]
+            + [(x, below) for x in xs] + [(x, above) for x in xs]
+            + [(xs[1] + far * dx, ys[1] + far * dy)
+               for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy])
+
+
+def _check_reach(sem, request, response, universe, entries,
+                 next_oid: int) -> None:
+    """The promise of a reach box: the members inside, and no insert or
+    non-member delete outside it changes the certified region."""
+    box = sem.reach(request, response)
+    if box is None:
+        return
+    for e in response.result:
+        assert box.xmin <= e.x <= box.xmax and box.ymin <= e.y <= box.ymax, \
+            f"{sem.kind}: member {e.oid} at ({e.x:.6g}, {e.y:.6g}) lies " \
+            f"outside the reach box {tuple(box)}"
+    members = {e.oid for e in response.result}
+    other = min((e.oid for e in entries if e.oid not in members),
+                default=next_oid + 1)
+    for x, y in _outside(box):
+        for m in (Mutation("insert", next_oid, x, y),
+                  Mutation("delete", other, x, y)):
+            assert sem.certify(request, response, (m,), universe) \
+                is response.region, \
+                f"{sem.kind}: certify changes the region for the {m.op} " \
+                f"of oid {m.oid} at ({x!r}, {y!r}), outside the reach box " \
+                f"{tuple(box)}"
+
+
 def _probes(region, universe, rng: random.Random):
     """Up to ``_PROBES`` random points inside ``region``."""
     try:
@@ -169,6 +215,7 @@ def check_semantics(kind, points: Sequence, requests: Iterable,
         assert sem.certify(request, response, (), universe) \
             is response.region, \
             f"{sem.kind}: certify changed the region of no mutations"
+        _check_reach(sem, request, response, universe, entries, next_oid)
         for m in _targeted_mutations(response, loc, next_oid) + uniform:
             region = sem.certify(request, response, (m,), universe)
             if region is None:

@@ -14,6 +14,9 @@ plug into every tier without touching them.
 
 The mutation rules live in one hook per kind, ``certify``: the cache,
 the lagging replicas and the subscription patches all derive from it.
+Next to it, ``reach`` bounds where a mutation can matter at all — a box
+built from what ``certify`` reads, outside which it keeps the region —
+so the cache certifies only the entries whose box holds a mutation.
 ``repro.core`` never imports ``repro.service`` (the dependency edge
 points the other way); the hub reaches these hooks with itself as an
 argument.
@@ -114,6 +117,19 @@ def _by_oid(result) -> List[LeafEntry]:
     return sorted(result, key=lambda e: e.oid)
 
 
+#: A reach box's slack, relative to its largest coordinate magnitude or
+#: widening: far above the few ulps by which ``certify``'s own tests
+#: round, and too small to pull a far entry's mutations in.
+_REACH_SLACK = 1e-9
+
+
+def _widened(box: Rect, dx: float, dy: float) -> Rect:
+    """``box`` widened by ``dx`` and ``dy`` plus the reach slack."""
+    slack = _REACH_SLACK * max(abs(box.xmin), abs(box.ymin), abs(box.xmax),
+                               abs(box.ymax), dx, dy)
+    return box.inflated(dx + slack, dy + slack)
+
+
 # ----------------------------------------------------------------------
 # the kNN subscription machine
 # ----------------------------------------------------------------------
@@ -184,6 +200,16 @@ def _knn_apply(state: _KnnState, m) -> str:
     return "patch" if was_member else "silent"
 
 
+def _corners(box: Rect):
+    """The corners of a kNN region's MBR, or ``None`` when the box is
+    degenerate and bounds nothing (an empty clip parks it at the
+    universe corner)."""
+    if not (box.xmin < box.xmax and box.ymin < box.ymax):
+        return None
+    return ((box.xmin, box.ymin), (box.xmax, box.ymin),
+            (box.xmax, box.ymax), (box.xmin, box.ymax))
+
+
 def _walled_off(members, m, corners) -> bool:
     """Is insert ``m`` beaten by every member at each corner of the
     region's MBR?  The bisector half-planes are convex, so the corners
@@ -238,13 +264,9 @@ class KNNSemantics(QuerySemantics):
         members = response.result
         if len(members) < request.k:
             return None  # the insert joins an under-full result
-        # A degenerate box bounds nothing (an empty clip parks it at the
-        # universe corner): no insert is walled off from it.
-        box = region.mbr()
+        corners = _corners(region.mbr())
         reaching = inserts
-        if box.xmin < box.xmax and box.ymin < box.ymax:
-            corners = ((box.xmin, box.ymin), (box.xmax, box.ymin),
-                       (box.xmax, box.ymax), (box.xmin, box.ymax))
+        if corners is not None:  # else no insert is walled off
             reaching = [m for m in inserts
                         if not _walled_off(members, m, corners)]
         if not reaching:
@@ -257,6 +279,24 @@ class KNNSemantics(QuerySemantics):
         if not closer_than_inserts.contains(request.location):
             return None  # an insert beats a member at the location itself
         return CompositeValidityRegion([region, closer_than_inserts])
+
+    def reach(self, request, response):
+        """The region's MBR widened by the largest distance from one of
+        its corners to a member.  An insert outside is farther from
+        every corner than any member is, so every member's bisector
+        walls it off (the test in :meth:`certify`).  ``None`` where
+        that test walls nothing off: an under-full result or a
+        degenerate MBR."""
+        members = response.result
+        if len(members) < request.k:
+            return None
+        box = response.region.mbr()
+        corners = _corners(box)
+        if corners is None:
+            return None
+        far = math.sqrt(max((cx - n.x) ** 2 + (cy - n.y) ** 2
+                            for cx, cy in corners for n in members))
+        return _widened(box, far, far)
 
     # --- continuous ---------------------------------------------------
     def subscribe_init(self, hub, sub, request) -> None:
@@ -393,6 +433,16 @@ class WindowSemantics(_MembershipPatches):
         hw, hh = request.width / 2.0, request.height / 2.0
         return Rect(m.x - hw, m.y - hh, m.x + hw, m.y + hh)
 
+    @staticmethod
+    def _bound(region) -> Optional[Rect]:
+        """The region's rectangle, or for a region without one (a
+        brownout composite) its MBR; ``None`` when it has neither."""
+        rect = getattr(region, "rect", None)
+        if rect is not None:
+            return rect
+        get = getattr(region, "mbr", None)
+        return get() if get is not None else None
+
     def certify(self, request, response, mutations, universe):
         """A deleted member gives ``None``; an insert whose zone misses
         the region has no effect, one whose zone holds the focus gives
@@ -405,12 +455,9 @@ class WindowSemantics(_MembershipPatches):
             return region if inserts is not None else None
         focus = request.focus
         rect = getattr(region, "rect", None)
-        bound = rect
-        if rect is None:
-            get = getattr(region, "mbr", None)
-            bound = get() if get is not None else None
-            if bound is None:
-                return None
+        bound = self._bound(region)
+        if bound is None:
+            return None
         cut = False
         for m in inserts:
             zone = self._zone(request, m)
@@ -421,6 +468,14 @@ class WindowSemantics(_MembershipPatches):
             rect = bound = _cut_away(rect, zone, focus)
             cut = True
         return WindowValidityRegion(rect) if cut else region
+
+    def reach(self, request, response):
+        """The bound :meth:`certify` tests zones against, widened by
+        half the window: an insert outside has a zone that misses it."""
+        bound = self._bound(response.region)
+        if bound is None:
+            return None
+        return _widened(bound, request.width / 2.0, request.height / 2.0)
 
     # --- continuous ---------------------------------------------------
     def _join(self, request, region, m):
@@ -492,6 +547,18 @@ class RangeSemantics(_MembershipPatches):
             return region
         shrunk = RangeValidityRegion(center, max(validity, 0.0))
         return shrunk if shrunk.contains(loc) else None
+
+    def reach(self, request, response):
+        """The region's centre plus or minus the query radius plus the
+        region's radius: an insert outside is farther than that from
+        the centre, which :meth:`certify` lets pass."""
+        region = response.region
+        center = getattr(region, "center", None)
+        if center is None:
+            return None
+        far = float(request.radius) + region.radius
+        return _widened(Rect(center[0], center[1], center[0], center[1]),
+                        far, far)
 
     # --- continuous ---------------------------------------------------
     def _join(self, request, region, m):

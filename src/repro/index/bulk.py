@@ -12,12 +12,16 @@ the configured fill factor, which is what the cost experiments measure.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import List, Optional, Sequence
 
 from repro.index.entry import LeafEntry
 from repro.index.node import Node
 from repro.index.rstar import RStarTree
 from repro.storage import DiskSimulator
+
+_X = itemgetter(1)
+_Y = itemgetter(2)
 
 
 def bulk_load_str(points: Sequence, capacity: Optional[int] = None,
@@ -36,17 +40,23 @@ def bulk_load_str(points: Sequence, capacity: Optional[int] = None,
     fill:
         Target node occupancy (0 < fill <= 1).  0.7 approximates the
         average occupancy of an insertion-built R*-tree.
+
+    A NaN or infinite coordinate raises ``ValueError`` before the tree
+    is built, as an insert's does
+    (:func:`~repro.index.rstar.check_finite`).
     """
     if not 0.0 < fill <= 1.0:
         raise ValueError("fill must be in (0, 1]")
     if oids is not None and len(oids) != len(points):
         raise ValueError("oids must match points one-to-one")
-    tree = RStarTree(capacity=capacity, disk=disk, **tree_kwargs)
     entries: List[LeafEntry] = [
         LeafEntry(i if oids is None else int(oids[i]),
                   float(p[0]), float(p[1]))
         for i, p in enumerate(points)
     ]
+    if entries and not _all_finite(entries):
+        raise ValueError("cannot bulk-load a NaN or infinite coordinate")
+    tree = RStarTree(capacity=capacity, disk=disk, **tree_kwargs)
     if not entries:
         return tree
     per_node = max(tree.min_fill, min(tree.capacity, int(round(tree.capacity * fill))))
@@ -64,6 +74,16 @@ def bulk_load_str(points: Sequence, capacity: Optional[int] = None,
     tree.root = nodes[0]
     tree._size = len(entries)
     return tree
+
+
+def _all_finite(entries: List[LeafEntry]) -> bool:
+    """Whether every entry's coordinates are finite: one float sum over
+    them, which a NaN or an infinity makes non-finite (only a sum that
+    is not finite, such as an overflow of huge finite terms, is settled
+    point by point)."""
+    if math.isfinite(sum(map(_X, entries)) + sum(map(_Y, entries))):
+        return True
+    return all(math.isfinite(e.x) and math.isfinite(e.y) for e in entries)
 
 
 def _pack_level(tree: RStarTree, items: List, per_node: int, level: int,

@@ -1,13 +1,14 @@
 """R*-tree nodes.
 
 Besides its entries, a node caches them as numpy columns, built on the
-first :meth:`Node.columns` call and dropped by :meth:`Node.recompute_mbr`.
+first :meth:`Node.columns` call (a leaf's oids on the first
+:meth:`Node.oids` call) and dropped by :meth:`Node.recompute_mbr`.
 The tree searches of :mod:`repro.queries` and :meth:`RStarTree.window`
 evaluate one visited node in one numpy pass over these columns instead
 of one Python call per entry; which nodes they visit is unchanged.
 ChooseSubtree scores an inner node's children from its columns, and
 :meth:`PointColumns.from_tree <repro.kernel.columns.PointColumns.from_tree>`
-concatenates the leaves' columns into the dataset snapshot.
+concatenates the leaves' columns and oids into the dataset snapshot.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from repro.geometry import Rect
 from repro.index.entry import LeafEntry
 
+_OID = itemgetter(0)
 _X = itemgetter(1)
 _Y = itemgetter(2)
 _MBR = attrgetter("mbr")
@@ -35,7 +37,10 @@ class Node:
 
     :meth:`columns` caches the entries as a float64 array: ``(2, n)``
     rows ``x``, ``y`` for a leaf, ``(4, m)`` rows ``xmin``, ``ymin``,
-    ``xmax``, ``ymax`` of the children's MBRs for an inner node.  Every
+    ``xmax``, ``ymax`` of the children's MBRs for an inner node.
+    :meth:`oids` caches a leaf's oids as an int64 column beside them,
+    built only for the dataset snapshot: the scalar query paths read
+    coordinates alone.  Every
     mutation path (insert, split, forced reinsert, delete/condense, bulk
     load, ``load_tree``) ends by calling :meth:`recompute_mbr` on each
     node whose entries or children's MBRs changed, which drops the
@@ -47,7 +52,7 @@ class Node:
     so no lock guards it here.
     """
 
-    __slots__ = ("level", "entries", "mbr", "page_id", "_columns")
+    __slots__ = ("level", "entries", "mbr", "page_id", "_columns", "_oids")
 
     def __init__(self, level: int, page_id: int):
         self.level = level
@@ -55,6 +60,7 @@ class Node:
         self.mbr: Rect = Rect(0.0, 0.0, 0.0, 0.0)
         self.page_id = page_id
         self._columns: Optional[np.ndarray] = None
+        self._oids: Optional[np.ndarray] = None
 
     @property
     def is_leaf(self) -> bool:
@@ -66,7 +72,7 @@ class Node:
     def recompute_mbr(self) -> None:
         """Tighten ``mbr`` to exactly cover the current entries (and
         drop the cached columns, which may no longer match them)."""
-        self._columns = None
+        self._columns = self._oids = None
         entries = self.entries
         if not entries:
             self.mbr = Rect(0.0, 0.0, 0.0, 0.0)
@@ -84,6 +90,19 @@ class Node:
         if cols is None:
             cols = self._columns = self._build_columns()
         return cols
+
+    def oids(self) -> np.ndarray:
+        """A leaf's entry oids as an int64 column (cached like
+        :meth:`columns`)."""
+        oids = self._oids
+        if oids is None:
+            oids = self._oids = self._build_oids()
+        return oids
+
+    def _build_oids(self) -> np.ndarray:
+        entries = self.entries
+        return np.fromiter(map(_OID, entries), dtype=np.int64,
+                           count=len(entries))
 
     def _build_columns(self) -> np.ndarray:
         entries = self.entries

@@ -379,6 +379,9 @@ class RStarTree:
             if node._columns is not None:
                 assert np.array_equal(node._columns,
                                       node._build_columns()), "stale columns"
+            if node._oids is not None:
+                assert np.array_equal(node._oids,
+                                      node._build_oids()), "stale oids"
             if node.is_leaf:
                 size += len(node.entries)
             else:

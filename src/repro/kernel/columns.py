@@ -64,14 +64,15 @@ class PointColumns:
         node accesses are charged: this is server-side memory, not
         simulated I/O).
 
-        Concatenates the leaves' ``(2, n)`` node columns, so only leaves
-        whose columns a mutation dropped are rebuilt.
+        Concatenates the leaves' ``(2, n)`` node columns and oid
+        columns, so only leaves whose columns a mutation dropped are
+        rebuilt.
         """
         leaves = list(tree.leaves())
         xy = np.concatenate([leaf.columns() for leaf in leaves], axis=1)
+        oids = np.concatenate([leaf.oids() for leaf in leaves])
         entries = list(chain.from_iterable(leaf.entries for leaf in leaves))
-        return cls._of(entries, xy[0], xy[1],
-                       _column(entries, _OID, np.int64))
+        return cls._of(entries, xy[0], xy[1], oids)
 
     @classmethod
     def concat(cls, parts: Sequence["PointColumns"]) -> "PointColumns":

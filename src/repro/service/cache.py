@@ -27,9 +27,11 @@ structure (the INSQ-style influence-set cache, arXiv:1602.00363):
   somewhere in their region — the kind's mutation certificate
   (:meth:`~repro.core.api.QuerySemantics.certify`) must return the
   entry's own region — and re-stamps every survivor to the new dataset
-  epoch, so hit rates stay high under write traffic.  The pre-existing
-  drop-everything hook (:meth:`invalidate_all`) remains as the
-  ``surgical=False`` baseline.
+  epoch, so hit rates stay high under write traffic.  A mutation
+  outside an entry's reach box
+  (:meth:`~repro.core.api.QuerySemantics.reach`) re-stamps it without
+  a certificate.  The pre-existing drop-everything hook
+  (:meth:`invalidate_all`) remains as the ``surgical=False`` baseline.
 
 A cache hit costs zero node accesses: the request never reaches the
 index, which is what turns a stream of moving-client queries into
@@ -38,6 +40,7 @@ mostly O(1) lookups.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -83,12 +86,17 @@ class CacheConfig:
 _PRETEST_SLACK = 1e-6
 
 
+#: The reach bounds of an entry whose kind gives no box: every
+#: comparison with a NaN is false, so every mutation goes to ``certify``.
+_NO_REACH = (math.nan, math.nan, math.nan, math.nan)
+
+
 class _Entry:
     """One cached response, the request that admitted it, and where its
     region MBR is registered."""
 
     __slots__ = ("uid", "key", "request", "response", "epoch", "cells",
-                 "mbr", "box")
+                 "mbr", "box", "rxmin", "rymin", "rxmax", "rymax")
 
     def __init__(self, uid: int, key: Tuple, request: QueryRequest,
                  response: QueryResponse, epoch: int,
@@ -103,6 +111,16 @@ class _Entry:
         self.mbr = mbr
         #: The probe's pre-test bounds (``None``: ``contains`` decides).
         self.box = box
+        #: The bounds of the kind's reach box (``_NO_REACH`` without
+        #: one); ``rxmin`` is ``None`` until the first mutation sets them.
+        self.rxmin = None
+
+
+def _set_reach(entry: _Entry) -> None:
+    """Set the entry's reach bounds from its kind's ``reach`` box."""
+    box = query_semantics(entry.request).reach(entry.request, entry.response)
+    entry.rxmin, entry.rymin, entry.rxmax, entry.rymax = (
+        _NO_REACH if box is None else box)
 
 
 def _pretest_box(mbr: Rect, scale: float
@@ -298,31 +316,51 @@ class ValidityCache:
         certificates are conservative — sound in the only direction that
         matters: never keep an entry the mutation could touch.
 
-        The walk is a full scan of the (capacity-bounded) entry table:
-        a kNN region can be influenced from anywhere, so there is no
-        sound cell-local shortcut for it, and the scan is what re-stamps
-        survivors in one pass.
+        The paper bounds how far a mutation reaches: a kNN answer
+        changes only for an object nearer some vertex of its region
+        than a member (§3), a window answer only for an object whose
+        Minkowski region meets the validity region (§4).  The kind's
+        :meth:`~repro.core.api.QuerySemantics.reach` box, computed once
+        at an entry's first mutation, states that bound, and a mutation
+        point outside it re-stamps the entry without a ``certify`` call.
+        A point with a NaN or infinite coordinate is outside no box: it
+        goes to ``certify``.  The walk stays one scan of the
+        (capacity-bounded) entry table, since every survivor is
+        re-stamped, and it keeps exactly the entries ``certify`` alone
+        would keep.
         """
         mutations = (Mutation(op, oid, float(x), float(y)),)
+        x, y = mutations[0].x, mutations[0].y
+        if not (math.isfinite(x) and math.isfinite(y)):
+            x = y = math.nan  # every comparison with a box is false
         universe = self.universe
-        dropped = survived = 0
+        previous = epoch - 1
+        drops = []
         with self._lock:
-            for entry in list(self._entries.values()):
-                response = entry.response
-                if (entry.epoch == epoch - 1
-                        and query_semantics(entry.request).certify(
-                            entry.request, response, mutations, universe)
-                        is response.region):
+            for entry in self._entries.values():
+                if entry.epoch != previous:
+                    drops.append(entry)
+                    continue
+                if entry.rxmin is None:
+                    _set_reach(entry)
+                if (x < entry.rxmin or x > entry.rxmax
+                        or y < entry.rymin or y > entry.rymax):
                     entry.epoch = epoch
-                    survived += 1
+                    continue
+                response = entry.response
+                if query_semantics(entry.request).certify(
+                        entry.request, response, mutations,
+                        universe) is response.region:
+                    entry.epoch = epoch
                 else:
-                    self._remove(entry)
-                    dropped += 1
-            self.surgical_drops += dropped
-            self.surgical_survivals += survived
-            if dropped:
+                    drops.append(entry)
+            for entry in drops:
+                self._remove(entry)
+            self.surgical_drops += len(drops)
+            self.surgical_survivals += len(self._entries)
+            if drops:
                 self.invalidations += 1
-        return dropped
+        return len(drops)
 
     # ------------------------------------------------------------------
     # internals (call with the lock held)

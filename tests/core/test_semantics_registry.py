@@ -47,7 +47,7 @@ from repro.core.api import (
 from repro.core.conformance import check_semantics
 from repro.core.probknn import ProbKNNRequest
 from repro.core.rknn import RKNNRequest
-from repro.core.semantics import KNNSemantics
+from repro.core.semantics import KNNSemantics, WindowSemantics
 from repro.core.validity import AnnulusValidityRegion, POINT_BYTES
 from repro.geometry import bisector_halfplane
 
@@ -360,6 +360,73 @@ class TestMutationCertificate:
         self._swap(monkeypatch, FirstNeighbour())
         with pytest.raises(AssertionError, match="invalidates"):
             check_semantics("knn", _points(), [KNNRequest((0.4, 0.6), k=3)])
+
+
+class TestReachBox:
+    """A kind's ``reach`` box is checked by the conformance suite: its
+    members inside, ``certify`` keeping the region outside it."""
+
+    _swap = staticmethod(TestMutationCertificate._swap)
+
+    def test_builtin_boxes_hold_their_members_and_the_none_kinds(self):
+        points = _points()
+        server = LocationServer.from_points(points)
+        for request in (KNNRequest((0.4, 0.6), k=3),
+                        WindowRequest((0.5, 0.5), 0.2, 0.1),
+                        RangeRequest((0.3, 0.3), 0.15)):
+            sem = query_semantics(request)
+            response = server.answer(request)
+            box = sem.reach(request, response)
+            assert box is not None
+            assert box.contains_rect(response.region.mbr())
+            assert all(box.contains_point(e.point) for e in response.result)
+        for request in (RKNNRequest((0.4, 0.6), k=2),
+                        ProbKNNRequest((0.4, 0.6), uncertainty=0.03, k=3)):
+            assert query_semantics(request).reach(
+                request, server.answer(request)) is None
+
+    def test_suite_catches_a_window_reach_without_the_half_window(
+            self, monkeypatch):
+        class BareRect(WindowSemantics):
+            """The validity rectangle alone: an insert just outside it
+            still has a window reaching into it."""
+
+            def reach(self, request, response):
+                return response.region.rect
+
+        self._swap(monkeypatch, BareRect())
+        with pytest.raises(AssertionError, match="outside the reach box"):
+            check_semantics("window", _points(),
+                            [WindowRequest((0.5, 0.5), 0.2, 0.1)])
+
+    def test_suite_catches_a_knn_reach_from_the_nearest_member(
+            self, monkeypatch):
+        class Nearest(KNNSemantics):
+            """The region's MBR widened by the nearest member's distance
+            instead of the farthest's."""
+
+            def reach(self, request, response):
+                box = response.region.mbr()
+                near = min(math.hypot(cx - n.x, cy - n.y)
+                           for cx, cy in box.corners()
+                           for n in response.result)
+                return box.inflated(near, near)
+
+        self._swap(monkeypatch, Nearest())
+        with pytest.raises(AssertionError, match="outside the reach box"):
+            check_semantics("knn", _points(), [KNNRequest((0.4, 0.6), k=3)])
+
+    def test_suite_catches_a_member_outside_the_box(self, monkeypatch):
+        class Disk(type(query_semantics("range"))):
+            """The validity disk's MBR: members lie farther out."""
+
+            def reach(self, request, response):
+                return response.region.mbr()
+
+        self._swap(monkeypatch, Disk())
+        with pytest.raises(AssertionError, match="lies outside the reach"):
+            check_semantics("range", _points(),
+                            [RangeRequest((0.3, 0.3), 0.15)])
 
 
 class TestDeltaParity:

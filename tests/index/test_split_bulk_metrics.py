@@ -1,7 +1,9 @@
 """Tests for the R* split, STR bulk loading, and tree metrics."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.geometry import Rect
@@ -113,6 +115,37 @@ class TestBulkLoad:
     def test_invalid_fill_raises(self):
         with pytest.raises(ValueError):
             bulk_load_str([(0, 0)], fill=0.0)
+
+    def test_array_and_list_inputs_build_the_same_tree(self):
+        rnd = random.Random(8)
+        points = [(rnd.random(), rnd.random()) for _ in range(600)]
+        trees = [bulk_load_str(p, capacity=8) for p in (
+            points, np.array(points), np.array(points, dtype=object),
+            [(x, y, 1.0) for x, y in points])]  # extra columns ignored
+        walks = [list(tree.points()) for tree in trees]
+        assert all(walk == walks[0] for walk in walks)
+        assert all(type(e.x) is float and type(e.y) is float
+                   for walk in walks for e in walk)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_raises(self, bad):
+        for points in ([(0.1, 0.2), (bad, 0.3)],
+                       np.array([(0.1, 0.2), (0.3, bad)]),
+                       [(1e308, 0.2), (1e308, 0.3), (bad, 0.4)]):
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                bulk_load_str(points, capacity=8)
+
+    def test_point_beyond_double_range_raises(self):
+        # finite as a long double, infinite once loaded as a float
+        huge = np.longdouble(np.finfo(np.float64).max) * 2
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            bulk_load_str(np.array([(0.1, 0.2), (huge, 0.3)],
+                                   dtype=np.longdouble), capacity=8)
+
+    def test_finite_points_whose_sum_overflows_load(self):
+        tree = bulk_load_str([(1e308, 1e308), (1e308, -1e308), (0.0, 0.0)],
+                             capacity=8)
+        assert len(tree) == 3
 
     def test_insert_after_bulk_load(self):
         rnd = random.Random(6)

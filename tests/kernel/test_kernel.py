@@ -99,8 +99,9 @@ class TestPointColumns:
             assert np.array_equal(a, b)
 
     def test_from_tree_equals_the_entry_walk(self):
-        """The snapshot concatenates leaf columns, some cached and some
-        dropped by the last mutations, in ``tree.points()`` order."""
+        """The snapshot concatenates leaf columns and oids, some cached
+        and some dropped by the last mutations, in ``tree.points()``
+        order."""
         rnd = random.Random(14)
         entries = _entries(14, n=300)
         tree = bulk_load_str([(e.x, e.y) for e in entries], capacity=8,
@@ -114,11 +115,15 @@ class TestPointColumns:
                 live[1000 + step] = (rnd.random(), rnd.random())
                 tree.insert(1000 + step, *live[1000 + step])
             if step % 3 == 0:
-                # Cache some leaves' columns; the next mutations drop
-                # a few of them again.
+                # Cache some leaves' columns or oids; the next
+                # mutations drop a few of them again.
                 for node in tree.nodes():
                     if node.is_leaf and rnd.random() < 0.5:
                         node.columns()
+                    if node.is_leaf and rnd.random() < 0.5:
+                        node.oids()
+            if step % 5 == 0:
+                tree.check_invariants()
             self._assert_same(PointColumns.from_tree(tree),
                               PointColumns(tree.points()))
         for oid, (x, y) in sorted(live.items()):
@@ -126,6 +131,31 @@ class TestPointColumns:
         empty = PointColumns.from_tree(tree)
         assert len(empty) == 0
         self._assert_same(empty, PointColumns(()))
+
+    def test_only_the_snapshot_builds_oid_columns(self):
+        """The scalar query paths read leaf coordinates alone; a leaf's
+        oid column is built for the snapshot, and a mutation drops it
+        with the coordinates."""
+        from repro.core.api import KNNRequest, WindowRequest
+        from repro.core.server import LocationServer
+
+        entries = _entries(16, n=300)
+        server = LocationServer.from_points([(e.x, e.y) for e in entries],
+                                            capacity=8)
+        for q in ((0.2, 0.3), (0.7, 0.6)):
+            server.answer(KNNRequest(q, k=3))
+            server.answer(WindowRequest(q, 0.2, 0.2))
+        leaves = [n for n in server.tree.nodes() if n.is_leaf]
+        assert any(leaf._columns is not None for leaf in leaves)
+        assert all(leaf._oids is None for leaf in leaves)
+        snapshot = server.dataset_columns()
+        assert all(leaf._oids is not None for leaf in leaves)
+        assert snapshot.oids.dtype == np.int64
+        server.insert_object(9_999, 0.5, 0.5)
+        touched = [n for n in server.tree.nodes()
+                   if n.is_leaf and n._oids is None]
+        assert touched and all(n._columns is None for n in touched)
+        server.tree.check_invariants()
 
     def test_sharded_snapshot_is_the_shards_in_order(self):
         from repro.service.shard import ShardedServer

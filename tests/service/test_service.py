@@ -305,6 +305,25 @@ def test_non_finite_delete_removes_nothing(shape, bad, axis):
         assert (service.server.num_points, service.epoch) == before
 
 
+@pytest.mark.parametrize("build", [
+    lambda points: build_service(points),
+    LocationServer.from_points,
+    lambda points: build_service(points, shards=2),
+    lambda points: build_service(points, replicas=2),
+], ids=["service", "server", "shards", "replicas"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_non_finite_bulk_load_is_refused(build, bad, axis):
+    """A bulk load refuses a NaN or infinite point as an insert does,
+    on every server shape, instead of indexing it."""
+    rng = random.Random(5)
+    points = [(rng.random(), rng.random()) for _ in range(200)]
+    points[17] = (bad, 0.5) if axis == "x" else (0.5, bad)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        build(points)
+
+
 @pytest.mark.parametrize("shape", [{}, {"shards": 2},
                                    {"shards": 2, "replicas": 2}],
                          ids=["single", "shards", "replicas"])
