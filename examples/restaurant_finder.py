@@ -29,7 +29,7 @@ def main():
     response = server.answer(KNNRequest((5_000.0, 5_000.0), k=3))
     print("one response from the server:")
     print(f"  3 nearest restaurants : "
-          f"{[e.oid for e in response.neighbors]}")
+          f"{[e.oid for e in response.result]}")
     print(f"  influence pairs       : {len(response.region.pairs)} "
           f"(bisector half-planes the client checks)")
     region = response.region.polygon()

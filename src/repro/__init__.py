@@ -30,6 +30,7 @@ from repro.core import (
     QuerySemantics,
     RKNNRequest,
     RangeRequest,
+    Response,
     WindowRequest,
     check_semantics,
     compute_nn_validity,
@@ -92,7 +93,7 @@ from repro.service import (
     build_service,
 )
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 #: The canonical public surface (docs/API.md documents every name;
 #: ``python -m repro.service.checkapi`` fails CI when the two drift).
@@ -118,6 +119,7 @@ __all__ = [
     "ProbKNNRequest",
     "QueryBudget",
     "QueryResponse",
+    "Response",
     "QuerySemantics",
     "register_query_type",
     "query_semantics",

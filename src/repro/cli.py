@@ -273,7 +273,7 @@ def _cmd_query(args) -> int:
     server = LocationServer(tree)
     if args.query_kind == "knn":
         resp = server.answer(KNNRequest((args.x, args.y), k=args.k))
-        for e in resp.neighbors:
+        for e in resp.result:
             print(f"{e.oid}\t{e.x:.6g}\t{e.y:.6g}")
         poly = resp.region.polygon()
         print(f"# validity region: {poly.num_edges} edges, "

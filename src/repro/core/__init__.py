@@ -23,6 +23,7 @@ from repro.core.api import (
     QueryResponse,
     QuerySemantics,
     RangeRequest,
+    Response,
     WindowRequest,
     query_semantics,
     register_query_type,
@@ -35,8 +36,8 @@ from repro.core.validity import (
     ValidityDisk,
     WindowValidityRegion,
 )
-from repro.core.rknn import RKNNDetail, RKNNRequest, RKNNResponse
-from repro.core.probknn import ProbKNNDetail, ProbKNNRequest, ProbKNNResponse
+from repro.core.rknn import RKNNDetail, RKNNRequest
+from repro.core.probknn import ProbKNNDetail, ProbKNNRequest
 from repro.core.conformance import check_semantics
 from repro.core.nn_validity import (
     NNValidityResult,
@@ -46,17 +47,10 @@ from repro.core.nn_validity import (
 )
 from repro.core.window_validity import WindowValidityResult, compute_window_validity
 from repro.core.range_validity import (
-    RangeValidityRegion,
     RangeValidityResult,
     compute_range_validity,
 )
-from repro.core.server import (
-    DeltaResponse,
-    KNNResponse,
-    LocationServer,
-    RangeResponse,
-    WindowResponse,
-)
+from repro.core.server import DeltaResponse, LocationServer
 from repro.core.client import CacheEntry, MobileClient, ClientStats
 
 #: Canonical names of the typed detail hierarchy (see docs/API.md).
@@ -67,6 +61,7 @@ RangeDetail = RangeValidityResult
 __all__ = [
     "QueryRequest",
     "QueryResponse",
+    "Response",
     "QueryBudget",
     "QueryDetail",
     "QuerySemantics",
@@ -84,8 +79,6 @@ __all__ = [
     "RangeRequest",
     "RKNNRequest",
     "ProbKNNRequest",
-    "RKNNResponse",
-    "ProbKNNResponse",
     "NNValidityRegion",
     "WindowValidityRegion",
     "ValidityDisk",
@@ -97,13 +90,9 @@ __all__ = [
     "retrieve_influence_set_knn",
     "WindowValidityResult",
     "compute_window_validity",
-    "RangeValidityRegion",
     "RangeValidityResult",
     "compute_range_validity",
     "LocationServer",
-    "KNNResponse",
-    "WindowResponse",
-    "RangeResponse",
     "DeltaResponse",
     "MobileClient",
     "ClientStats",

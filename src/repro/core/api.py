@@ -1,26 +1,26 @@
 """The unified request/response surface of the location server.
 
-Historically each query type had its own response class with its own
-field names (``neighbors`` vs ``result``) and the server exposed one
-method per query type.  This module defines the generic surface that
-every caller — the mobile client, the query service, the CLI, the
-benchmark harness — can program against:
+This module defines the generic surface that every caller — the mobile
+client, the query service, the CLI, the benchmark harness — programs
+against:
 
 * typed request dataclasses (:class:`KNNRequest`, :class:`WindowRequest`,
   :class:`RangeRequest`), each carrying everything the server needs to
   answer it, including the cached result ids that turn a re-query into
   an incremental (delta) request;
-* the :class:`QueryResponse` protocol — ``.result``, ``.region``,
-  ``.detail`` and ``.transfer_bytes()`` — implemented by all concrete
-  response classes, so generic code never needs to know which query
-  type produced a response;
+* :class:`Response`, the one record every full answer is — the result
+  entries, the validity region and the per-kind detail, priced by one
+  byte formula — and the :class:`QueryResponse` protocol (``.result``,
+  ``.region``, ``.detail``, ``.transfer_bytes()``) it shares with the
+  delta and replica wrappers, so generic code never needs to know which
+  query type produced a response;
 * :meth:`repro.core.server.LocationServer.answer`, the single entry
   point dispatching any request to the right processing path.
 
 ``answer(request)`` is the only query entry point: the per-type server
 methods (``knn_query`` etc.) and the mapping-style ``detail["..."]``
-shim were removed in v1.3.0 after their deprecation window (opened in
-v1.1.0) lapsed — see docs/API.md.
+shim were removed in v1.3.0, and the per-kind response classes in
+v7.0.0 — see docs/API.md.
 """
 
 from __future__ import annotations
@@ -30,14 +30,15 @@ from time import perf_counter
 from typing import (
     ClassVar,
     List,
-    NamedTuple,
     Optional,
     Protocol,
     Tuple,
     runtime_checkable,
 )
 
+from repro.core.validity import POINT_BYTES
 from repro.index.entry import LeafEntry
+from repro.index.rstar import check_finite
 
 __all__ = [
     "QueryRequest",
@@ -45,6 +46,7 @@ __all__ = [
     "WindowRequest",
     "RangeRequest",
     "QueryResponse",
+    "Response",
     "QueryBudget",
     "BudgetClock",
     "QueryDetail",
@@ -175,6 +177,31 @@ class QueryResponse(Protocol):
         """Modelled network payload of this response."""
 
 
+@dataclass
+class Response:
+    """One full answer as the server ships it, whatever its kind.
+
+    ``result`` lists the answering :class:`~repro.index.entry.LeafEntry`
+    objects, ``region`` is the validity region the client caches and
+    ``detail`` the kind's computation record.  Each result entry costs
+    ``entry_bytes`` on the wire: a point, plus whatever the kind tags
+    every entry with.  The §7 delta
+    (:class:`~repro.core.server.DeltaResponse`) and the replica
+    annotation (:class:`~repro.service.staleness.ServedResponse`) wrap
+    one of these.
+    """
+
+    result: List[LeafEntry]
+    region: object
+    detail: object
+    entry_bytes: int = POINT_BYTES
+
+    def transfer_bytes(self) -> int:
+        """The result entries plus the region (the paper's cost model)."""
+        return (self.entry_bytes * len(self.result)
+                + self.region.transfer_bytes())
+
+
 def _freeze_ids(ids) -> Optional[Tuple[int, ...]]:
     if ids is None:
         return None
@@ -209,6 +236,7 @@ class KNNRequest:
     def __post_init__(self):
         object.__setattr__(self, "previous_ids",
                            _freeze_ids(self.previous_ids))
+        check_finite(self.location[0], self.location[1])
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.max_stale is not None and self.max_stale < 0:
@@ -237,7 +265,8 @@ class WindowRequest:
     def __post_init__(self):
         object.__setattr__(self, "previous_ids",
                            _freeze_ids(self.previous_ids))
-        if self.width <= 0 or self.height <= 0:
+        check_finite(self.focus[0], self.focus[1])
+        if not (self.width > 0 and self.height > 0):  # NaN included
             raise ValueError("window extents must be positive")
         if self.max_stale is not None and self.max_stale < 0:
             raise ValueError("max_stale must be non-negative")
@@ -264,7 +293,8 @@ class RangeRequest:
     def __post_init__(self):
         object.__setattr__(self, "previous_ids",
                            _freeze_ids(self.previous_ids))
-        if self.radius <= 0:
+        check_finite(self.location[0], self.location[1])
+        if not self.radius > 0:  # NaN included
             raise ValueError("radius must be positive")
         if self.max_stale is not None and self.max_stale < 0:
             raise ValueError("max_stale must be non-negative")
@@ -305,15 +335,6 @@ class Mutation:
     @property
     def entry(self) -> LeafEntry:
         return LeafEntry(self.oid, self.x, self.y)
-
-
-class _Answer(NamedTuple):
-    """A fetched answer's result and detail under its current region
-    (what the default :meth:`QuerySemantics.continuous_apply` certifies)."""
-
-    result: list
-    region: object
-    detail: object
 
 
 # ----------------------------------------------------------------------
@@ -436,7 +457,8 @@ class QuerySemantics:
         result and ships :meth:`certify`'s region for it.
         """
         current = sub.response
-        answer = _Answer(current.result, current.region, sub._state)
+        # The fetched detail under the subscription's current region.
+        answer = Response(current.result, current.region, sub._state)
         region = self.certify(sub.request, answer, (mutation,),
                               hub.owner.universe)
         if region is None:

@@ -52,17 +52,18 @@ from repro.core.api import (
     QueryBudget,
     QueryDetail,
     QuerySemantics,
+    Response,
     register_query_type,
 )
 from repro.core.validity import POINT_BYTES, AnnulusValidityRegion
 from repro.geometry import Rect
 from repro.index.entry import LeafEntry
+from repro.index.rstar import check_finite
 from repro.kernel.columns import PointColumns
 
 __all__ = [
     "ProbKNNDetail",
     "ProbKNNRequest",
-    "ProbKNNResponse",
     "ProbKNNSemantics",
     "compute_probknn_validity",
 ]
@@ -85,7 +86,8 @@ class ProbKNNRequest:
     max_stale: Optional[int] = None
 
     def __post_init__(self):
-        if self.uncertainty <= 0:
+        check_finite(self.location[0], self.location[1])
+        if not self.uncertainty > 0:  # NaN included
             raise ValueError("uncertainty must be positive")
         if self.k < 1:
             raise ValueError("k must be >= 1")
@@ -115,20 +117,6 @@ class ProbKNNDetail(QueryDetail):
     safety_radius: float
     num_points: int
     degraded: bool = False
-
-
-@dataclass
-class ProbKNNResponse:
-    """What the server ships back for a probabilistic kNN query."""
-
-    result: List[LeafEntry]
-    region: AnnulusValidityRegion
-    detail: ProbKNNDetail
-
-    def transfer_bytes(self) -> int:
-        # One 8-byte probability + 1-byte band tag rides with each point.
-        return ((POINT_BYTES + 9) * len(self.result)
-                + self.region.transfer_bytes())
 
 
 _BANDS = ("certain", "likely", "possible")
@@ -207,7 +195,8 @@ class ProbKNNSemantics(QuerySemantics):
         server.queries_processed += 1
         region = AnnulusValidityRegion(detail.query, 0.0,
                                        detail.safety_radius)
-        return ProbKNNResponse(result=result, region=region, detail=detail)
+        # One 8-byte probability + 1-byte band tag rides with each point.
+        return Response(result, region, detail, entry_bytes=POINT_BYTES + 9)
 
     # --- cache --------------------------------------------------------
     def cache_key(self, request) -> Optional[tuple]:

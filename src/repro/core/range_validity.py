@@ -15,7 +15,9 @@ size:
 
 so the result is provably unchanged within the disk of radius
 
-    rho = min( min over inner (r - d),  nearest-outside distance - r ).
+    rho = min( min over inner (r - d),  nearest-outside distance - r ),
+
+never below zero.
 
 Server processing: one circular range query for the result, one
 constrained NN query (nearest object beyond ``r``) for the bounding
@@ -33,40 +35,7 @@ from repro.index.entry import LeafEntry
 from repro.index.rstar import RStarTree
 from repro.queries.range import nearest_outside, range_query
 from repro.core.api import BudgetClock, QueryDetail
-
-#: Payload of a validity disk: centre (2 x 8 bytes) + radius (8 bytes).
-DISK_BYTES = 24
-
-
-class RangeValidityRegion:
-    """A conservative validity disk for a range query."""
-
-    __slots__ = ("center", "radius")
-
-    def __init__(self, center: Point, radius: float):
-        self.center = center
-        self.radius = radius
-
-    def contains(self, location, eps: float = 0.0) -> bool:
-        if math.isinf(self.radius):
-            return True
-        return self.center.distance_to(location) <= self.radius + eps
-
-    def area(self) -> float:
-        if math.isinf(self.radius):
-            return math.inf
-        return math.pi * self.radius * self.radius
-
-    def mbr(self) -> Optional["object"]:
-        """Bounding rectangle, or ``None`` for an unbounded disk."""
-        if math.isinf(self.radius):
-            return None
-        from repro.geometry import Rect
-        return Rect(self.center.x - self.radius, self.center.y - self.radius,
-                    self.center.x + self.radius, self.center.y + self.radius)
-
-    def transfer_bytes(self) -> int:
-        return DISK_BYTES
+from repro.core.validity import ValidityDisk
 
 
 @dataclass
@@ -97,8 +66,8 @@ class RangeValidityResult(QueryDetail):
         return [e for e in (self.inner_influence, self.outer_influence)
                 if e is not None]
 
-    def validity_region(self) -> RangeValidityRegion:
-        return RangeValidityRegion(self.focus, self.validity_radius)
+    def validity_region(self) -> ValidityDisk:
+        return ValidityDisk(self.focus, self.validity_radius)
 
 
 def compute_range_validity(tree: RStarTree, focus, radius: float,
@@ -143,7 +112,10 @@ def compute_range_validity(tree: RStarTree, focus, radius: float,
             inner_influence = e
 
     outer_slack = outside.dist - radius if outside is not None else math.inf
-    validity_radius = min(inner_slack, outer_slack)
+    # A member an ulp beyond the radius (the squared-distance test
+    # admits what ``hypot`` puts outside) leaves a zero disk, never a
+    # negative one: the answer holds at the focus itself.
+    validity_radius = max(min(inner_slack, outer_slack), 0.0)
 
     return RangeValidityResult(
         focus=focus,

@@ -55,21 +55,18 @@ from repro.core.api import (
     QueryBudget,
     QueryDetail,
     QuerySemantics,
+    Response,
     register_query_type,
 )
-from repro.core.validity import (
-    POINT_BYTES,
-    CompositeValidityRegion,
-    ValidityDisk,
-)
+from repro.core.validity import CompositeValidityRegion, ValidityDisk
 from repro.geometry import Rect
 from repro.index.entry import LeafEntry
+from repro.index.rstar import check_finite
 from repro.kernel.columns import PointColumns
 
 __all__ = [
     "RKNNDetail",
     "RKNNRequest",
-    "RKNNResponse",
     "RKNNSemantics",
     "compute_rknn_validity",
 ]
@@ -91,6 +88,7 @@ class RKNNRequest:
     max_stale: Optional[int] = None
 
     def __post_init__(self):
+        check_finite(self.location[0], self.location[1])
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.max_stale is not None and self.max_stale < 0:
@@ -125,18 +123,6 @@ class RKNNDetail(QueryDetail):
     def influence_set(self) -> List[LeafEntry]:
         member_ids = set(self.member_knn)
         return [c for c in self.candidates if c.oid not in member_ids]
-
-
-@dataclass
-class RKNNResponse:
-    """What the server ships back for a reverse-kNN query."""
-
-    result: List[LeafEntry]
-    region: object
-    detail: RKNNDetail
-
-    def transfer_bytes(self) -> int:
-        return POINT_BYTES * len(self.result) + self.region.transfer_bytes()
 
 
 _SECTOR = math.pi / 3.0
@@ -309,9 +295,8 @@ class RKNNSemantics(QuerySemantics):
             universe=server.universe)
         server.queries_processed += 1
         result = sorted(detail.members, key=lambda e: e.oid)
-        return RKNNResponse(result=result,
-                            region=_detail_region(detail, server.universe),
-                            detail=detail)
+        return Response(result, _detail_region(detail, server.universe),
+                        detail)
 
     # --- cache --------------------------------------------------------
     def cache_key(self, request) -> Optional[tuple]:

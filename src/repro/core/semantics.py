@@ -70,7 +70,6 @@ from repro.core.api import (
     WindowRequest,
     register_query_type,
 )
-from repro.core.range_validity import RangeValidityRegion
 from repro.core.validity import (
     CompositeValidityRegion,
     NNValidityRegion,
@@ -249,7 +248,7 @@ class KNNSemantics(QuerySemantics):
             key=lambda e: ((e.x - qx) ** 2 + (e.y - qy) ** 2, e.oid))
         if list(inner.result) == ranked:
             return inner
-        return replace(inner, neighbors=ranked)
+        return replace(inner, result=ranked)
 
     # --- the mutation certificate -------------------------------------
     def certify(self, request, response, mutations, universe):
@@ -545,7 +544,7 @@ class RangeSemantics(_MembershipPatches):
             validity = d - radius
         if validity == region.radius:
             return region
-        shrunk = RangeValidityRegion(center, max(validity, 0.0))
+        shrunk = ValidityDisk(center, max(validity, 0.0))
         return shrunk if shrunk.contains(loc) else None
 
     def reach(self, request, response):
@@ -570,7 +569,7 @@ class RangeSemantics(_MembershipPatches):
         d = _dist((m.x, m.y), region.center)
         if d > radius:
             return False, None
-        return True, RangeValidityRegion(
+        return True, ValidityDisk(
             region.center, max(min(region.radius, radius - d), 0.0))
 
     def refetch_request(self, request, location):

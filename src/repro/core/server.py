@@ -4,10 +4,12 @@ Wraps an R*-tree and answers location-based queries with (result,
 validity region, influence set) triples, tracking the server-side I/O
 statistics that Section 6 reports.
 
-Every response class implements the :class:`repro.core.api.QueryResponse`
-protocol (``.result``, ``.region``, ``.detail``, ``.transfer_bytes()``),
-and :meth:`LocationServer.answer` — the single query entry point —
-accepts any typed request from :mod:`repro.core.api`.
+Every full answer is a :class:`repro.core.api.Response`, and a §7
+re-answer a :class:`DeltaResponse` around one; both implement the
+:class:`repro.core.api.QueryResponse` protocol (``.result``,
+``.region``, ``.detail``, ``.transfer_bytes()``), and
+:meth:`LocationServer.answer` — the single query entry point — accepts
+any typed request from :mod:`repro.core.api`.
 
 The geometry kernel is chosen once, by ``execution=``
 (:class:`~repro.kernel.ExecutionConfig`): the default scalar kernel
@@ -32,65 +34,14 @@ from repro.core.api import (
     BudgetClock,
     QueryBudget,
     QueryRequest,
+    Response,
     query_semantics,
 )
-from repro.core.nn_validity import NNValidityResult, compute_nn_validity
-from repro.core.range_validity import (
-    RangeValidityRegion,
-    RangeValidityResult,
-    compute_range_validity,
-    DISK_BYTES,
-)
-from repro.core.validity import (
-    NNValidityRegion,
-    WindowValidityRegion,
-    POINT_BYTES,
-    RECT_BYTES,
-)
-from repro.core.window_validity import WindowValidityResult, compute_window_validity
+from repro.core.nn_validity import compute_nn_validity
+from repro.core.range_validity import compute_range_validity
+from repro.core.validity import delta_bytes
+from repro.core.window_validity import compute_window_validity
 from repro.kernel import ExecutionConfig, PointColumns
-
-
-@dataclass
-class KNNResponse:
-    """What the server ships back for a kNN query."""
-
-    neighbors: List[LeafEntry]
-    region: NNValidityRegion
-    detail: NNValidityResult
-
-    @property
-    def result(self) -> List[LeafEntry]:
-        """The result entries (:class:`~repro.core.api.QueryResponse`)."""
-        return self.neighbors
-
-    def transfer_bytes(self) -> int:
-        """Result points + influence payload (paper's network-cost model)."""
-        return POINT_BYTES * len(self.neighbors) + self.region.transfer_bytes()
-
-
-@dataclass
-class WindowResponse:
-    """What the server ships back for a window query."""
-
-    result: List[LeafEntry]
-    region: WindowValidityRegion
-    detail: WindowValidityResult
-
-    def transfer_bytes(self) -> int:
-        return POINT_BYTES * len(self.result) + RECT_BYTES
-
-
-@dataclass
-class RangeResponse:
-    """What the server ships back for a circular range query (§7 ext.)."""
-
-    result: List[LeafEntry]
-    region: RangeValidityRegion
-    detail: RangeValidityResult
-
-    def transfer_bytes(self) -> int:
-        return POINT_BYTES * len(self.result) + DISK_BYTES
 
 
 @dataclass
@@ -122,9 +73,8 @@ class DeltaResponse:
         return self.full.detail
 
     def transfer_bytes(self) -> int:
-        region_bytes = self.full.region.transfer_bytes()
-        return (POINT_BYTES * len(self.added)
-                + 4 * len(self.removed_ids) + region_bytes)
+        return delta_bytes(len(self.added), len(self.removed_ids),
+                           self.full.region)
 
 
 class LocationServer:
@@ -225,7 +175,7 @@ class LocationServer:
     # ------------------------------------------------------------------
     def _knn(self, location, k: int = 1, vertex_policy: str = "fifo",
              rng: Optional[random.Random] = None,
-             budget: Optional[QueryBudget] = None) -> KNNResponse:
+             budget: Optional[QueryBudget] = None) -> Response:
         detail = compute_nn_validity(self.tree, location, k=k,
                                      universe=self.universe,
                                      vertex_policy=vertex_policy, rng=rng,
@@ -233,34 +183,23 @@ class LocationServer:
                                      columns=(self.dataset_columns()
                                               if self._columnar else None))
         self.queries_processed += 1
-        return KNNResponse(
-            neighbors=detail.neighbors,
-            region=detail.validity_region(self.universe),
-            detail=detail,
-        )
+        return Response(detail.neighbors,
+                        detail.validity_region(self.universe), detail)
 
     def _window(self, focus, width: float, height: float,
-                budget: Optional[QueryBudget] = None) -> WindowResponse:
+                budget: Optional[QueryBudget] = None) -> Response:
         detail = compute_window_validity(self.tree, focus, width, height,
                                          universe=self.universe,
                                          clock=self._start_clock(budget))
         self.queries_processed += 1
-        return WindowResponse(
-            result=detail.result,
-            region=detail.validity_region(),
-            detail=detail,
-        )
+        return Response(detail.result, detail.validity_region(), detail)
 
     def _range(self, location, radius: float,
-               budget: Optional[QueryBudget] = None) -> RangeResponse:
+               budget: Optional[QueryBudget] = None) -> Response:
         detail = compute_range_validity(self.tree, location, radius,
                                         clock=self._start_clock(budget))
         self.queries_processed += 1
-        return RangeResponse(
-            result=detail.result,
-            region=detail.validity_region(),
-            detail=detail,
-        )
+        return Response(detail.result, detail.validity_region(), detail)
 
     # ------------------------------------------------------------------
     # instrumentation — the narrow interface the service layer uses.

@@ -10,30 +10,44 @@ payload.
 
 Sizes are modelled with the paper's storage constants: a data point is
 20 bytes (two 8-byte coordinates + 4-byte id), a rectangle 32 bytes.
+:func:`delta_bytes` prices the §7 delta re-answer with the same
+constants.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.geometry import ConvexPolygon, HalfPlane, Rect, bisector_halfplane
 from repro.index.entry import LeafEntry
 
+#: An object id on the wire (a point's id, an influence pair's
+#: reference, a removed id, a subscription token).
+ID_BYTES = 4
 POINT_BYTES = 20
 RECT_BYTES = 32
 #: Payload of a validity disk: centre (2 x 8 bytes) + radius (8 bytes).
 VALIDITY_DISK_BYTES = 24
 
 
+def delta_bytes(added: int, removed: int, region) -> int:
+    """Wire cost of a §7 delta: ``added`` points, ``removed`` ids and
+    the fresh ``region``."""
+    return POINT_BYTES * added + ID_BYTES * removed + region.transfer_bytes()
+
+
 class ValidityDisk:
     """A conservative, disk-shaped validity region.
 
-    Shipped when the server cannot afford the exact region — the
-    degraded-mode response of a deadline-bounded kNN query.  The disk is
-    centred on the query and guaranteed to lie inside the true validity
-    region, so the client stays correct; it is merely smaller, making
-    the client re-query sooner.  Constant payload, constant-time check.
+    A range answer ships one around its focus (the §7 extension: the
+    result is unchanged while the focus moves less than the radius); a
+    degraded, deadline-bounded kNN query ships one when it cannot afford
+    the exact region, and the sharded and snapshot kinds clip their
+    regions with them.  The disk lies inside the true validity region,
+    so the client stays correct; it is merely smaller, making the client
+    re-query sooner.  Constant payload, constant-time check.  An
+    infinite radius holds every finite point and has no MBR.
     """
 
     __slots__ = ("center", "radius")
@@ -60,8 +74,11 @@ class ValidityDisk:
                for i in range(segments)]
         return ConvexPolygon(pts)
 
-    def mbr(self) -> Rect:
-        """Bounding rectangle (the server-cache index key)."""
+    def mbr(self) -> Optional[Rect]:
+        """Bounding rectangle (the server-cache index key), or ``None``
+        for an unbounded disk."""
+        if math.isinf(self.radius):
+            return None
         cx, cy = self.center
         return Rect(cx - self.radius, cy - self.radius,
                     cx + self.radius, cy + self.radius)
@@ -177,10 +194,10 @@ class NNValidityRegion:
         """Network payload: the influence objects (one point each).
 
         Result objects are paid for by the query result itself; pair
-        structure costs one 4-byte id reference per pair.
+        structure costs one id reference per pair.
         """
         influence_oids = {inf.oid for _, inf in self._pairs}
-        return POINT_BYTES * len(influence_oids) + 4 * len(self._pairs)
+        return POINT_BYTES * len(influence_oids) + ID_BYTES * len(self._pairs)
 
 
 class WindowValidityRegion:

@@ -70,7 +70,6 @@ from repro.service.shard import (
 from repro.service.staleness import ServedResponse
 from repro.service.continuous import (
     ContinuousConfig,
-    PatchResponse,
     Subscription,
     SubscriptionHub,
     SubscriptionUpdate,
@@ -105,7 +104,6 @@ __all__ = [
     "ShardedRangeDetail",
     "ServedResponse",
     "ContinuousConfig",
-    "PatchResponse",
     "Subscription",
     "SubscriptionHub",
     "SubscriptionUpdate",

@@ -38,21 +38,26 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional
 
-from repro.core.api import Mutation, QueryDetail, QueryRequest, query_semantics
-from repro.core.validity import POINT_BYTES
+from repro.core.api import (
+    Mutation,
+    QueryDetail,
+    QueryRequest,
+    Response,
+    query_semantics,
+)
+from repro.core.validity import ID_BYTES, delta_bytes
 from repro.obs.events import EventLog
 
 __all__ = [
     "ContinuousConfig",
     "ContinuousDetail",
-    "PatchResponse",
     "Subscription",
     "SubscriptionHub",
     "SubscriptionUpdate",
 ]
 
-#: Wire cost of an invalidation push: one 4-byte subscription token.
-INVALIDATE_BYTES = 4
+#: Wire cost of an invalidation push: one subscription token.
+INVALIDATE_BYTES = ID_BYTES
 
 
 @dataclass(frozen=True)
@@ -78,7 +83,10 @@ class ContinuousConfig:
 
 @dataclass(frozen=True)
 class ContinuousDetail(QueryDetail):
-    """Detail record of a response served from subscription state."""
+    """Detail record of a response served from subscription state: a
+    :class:`~repro.core.api.Response` assembled with zero node accesses,
+    which a :class:`~repro.core.client.MobileClient` caches exactly like
+    a served answer."""
 
     query_kind: str = ""
     #: How this response was produced: "subscribe" (initial fetch),
@@ -88,25 +96,6 @@ class ContinuousDetail(QueryDetail):
     #: Monotonic per-subscription state version.
     generation: int = 0
     degraded: bool = False
-
-
-class PatchResponse:
-    """A response assembled from subscription state (zero node accesses).
-
-    Satisfies the :class:`~repro.core.api.QueryResponse` protocol so a
-    :class:`~repro.core.client.MobileClient` can cache it exactly like
-    a served answer.
-    """
-
-    __slots__ = ("result", "region", "detail")
-
-    def __init__(self, result, region, detail: ContinuousDetail):
-        self.result = list(result)
-        self.region = region
-        self.detail = detail
-
-    def transfer_bytes(self) -> int:
-        return POINT_BYTES * len(self.result) + self.region.transfer_bytes()
 
 
 @dataclass
@@ -120,7 +109,7 @@ class SubscriptionUpdate:
     seq: int
     kind: str  # "patch" | "invalidate"
     reason: str
-    response: Optional[PatchResponse] = None
+    response: Optional[Response] = None
     coalesced: int = 0
     transfer_bytes: int = INVALIDATE_BYTES
 
@@ -147,8 +136,9 @@ class Subscription:
         self.broken = False
         self.broken_reason: Optional[str] = None
         self.closed = False
-        #: Latest server-side view (a :class:`PatchResponse`).
-        self.response: Optional[PatchResponse] = None
+        #: Latest server-side view (a :class:`~repro.core.api.Response`
+        #: with a :class:`ContinuousDetail`).
+        self.response: Optional[Response] = None
         self.generation = 0
         self.pushes = 0
         self.patches = 0
@@ -350,7 +340,7 @@ class SubscriptionHub:
                                               origin="move")
             return self._refetch(sub, loc)
 
-    def _refetch(self, sub: Subscription, loc) -> PatchResponse:
+    def _refetch(self, sub: Subscription, loc) -> Response:
         sub.moves_refetched += 1
         self._count("service.continuous.moves_refetched")
         sem = query_semantics(sub.request)
@@ -362,9 +352,9 @@ class SubscriptionHub:
 
     # -- push plumbing -------------------------------------------------
     def _set_response(self, sub: Subscription, result, region,
-                      origin: str) -> PatchResponse:
+                      origin: str) -> Response:
         sub.generation += 1
-        response = PatchResponse(result, region, ContinuousDetail(
+        response = Response(list(result), region, ContinuousDetail(
             query_kind=sub.kind, origin=origin, generation=sub.generation))
         sub.response = response
         return response
@@ -374,9 +364,8 @@ class SubscriptionHub:
         previous = ({e.oid for e in sub.response.result}
                     if sub.response is not None else set())
         current = {e.oid for e in result}
-        delta = (POINT_BYTES * len(current - previous)
-                 + 4 * len(previous - current)
-                 + region.transfer_bytes())
+        delta = delta_bytes(len(current - previous), len(previous - current),
+                            region)
         response = self._set_response(sub, result, region, origin="patch")
         sub._enqueue(SubscriptionUpdate(
             seq=next(sub._seq), kind="patch", reason=reason,

@@ -494,8 +494,9 @@ class QueryService:
         ser_start = perf_counter()
         transfer = response.transfer_bytes()
         result_size = len(response.result)
-        if isinstance(response, DeltaResponse):
-            result_size = len(response.added) + len(response.removed_ids)
+        inner = getattr(response, "inner", response)  # a replica's wrapper
+        if isinstance(inner, DeltaResponse):
+            result_size = len(inner.added) + len(inner.removed_ids)
         ctx.add_span(
             "serialization",
             offset_ms=(ser_start - t0) * 1e3,

@@ -58,21 +58,14 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.api import QueryBudget, QueryDetail, QueryRequest
-from repro.core.range_validity import RangeValidityRegion
-from repro.core.server import (
-    KNNResponse,
-    LocationServer,
-    RangeResponse,
-    WindowResponse,
-    execute,
-)
+from repro.core.api import QueryBudget, QueryDetail, QueryRequest, Response
+from repro.core.server import LocationServer, execute
 from repro.core.validity import (
     CompositeValidityRegion,
     ValidityDisk,
     WindowValidityRegion,
 )
-from repro.geometry import Point, Rect
+from repro.geometry import Rect
 from repro.geometry.rect import _cut_away
 from repro.index.bulk import bulk_load_str
 from repro.index.entry import LeafEntry
@@ -200,7 +193,7 @@ class ShardedServer:
 
     Drop-in for :class:`LocationServer` wherever the narrow server
     interface is used (the service layer, the benchmarks): same
-    ``answer(request)`` entry point, same response classes, same
+    ``answer(request)`` entry point, same response record, same
     validity-region guarantee on every merged response.
     """
 
@@ -526,7 +519,7 @@ class ShardedServer:
     # kNN
     # ------------------------------------------------------------------
     def _knn(self, location, k: int = 1, vertex_policy: str = "fifo",
-             budget: Optional[QueryBudget] = None) -> KNNResponse:
+             budget: Optional[QueryBudget] = None) -> Response:
         loc = (float(location[0]), float(location[1]))
         live = self._live()
         if not live:
@@ -537,7 +530,7 @@ class ShardedServer:
 
         sub_budget = self._split_budget(budget, len(order))
 
-        def call(s: Shard) -> KNNResponse:
+        def call(s: Shard) -> Response:
             return s.server._knn(loc, k=min(k, s.num_points),
                                  vertex_policy=vertex_policy,
                                  budget=sub_budget)
@@ -545,8 +538,8 @@ class ShardedServer:
         # The nearest shard runs inline: its k-th distance is the
         # pruning bound for everyone else.
         nearest = self._metered(order[0], call)
-        if len(nearest[1].neighbors) >= k:
-            last = nearest[1].neighbors[-1]
+        if len(nearest[1].result) >= k:
+            last = nearest[1].result[-1]
             d2_bound = (last.x - loc[0]) ** 2 + (last.y - loc[1]) ** 2
         else:
             d2_bound = math.inf
@@ -562,7 +555,7 @@ class ShardedServer:
         # the ordering is the same, sqrt waits until the safety radius).
         candidates = sorted(
             ((e.x - loc[0]) ** 2 + (e.y - loc[1]) ** 2, e.oid, e)
-            for _s, resp, _io in queried for e in resp.neighbors)
+            for _s, resp, _io in queried for e in resp.result)
         top = candidates[:k]
         neighbors = [e for _d2, _oid, e in top]
 
@@ -594,13 +587,13 @@ class ShardedServer:
                                for _sid, d in fanout["shard_details"]),
             **fanout,
         )
-        return KNNResponse(neighbors=neighbors, region=region, detail=detail)
+        return Response(neighbors, region, detail)
 
     # ------------------------------------------------------------------
     # window
     # ------------------------------------------------------------------
     def _window(self, focus, width: float, height: float,
-                budget: Optional[QueryBudget] = None) -> WindowResponse:
+                budget: Optional[QueryBudget] = None) -> Response:
         f = (float(focus[0]), float(focus[1]))
         hw, hh = width / 2.0, height / 2.0
         live = self._live()
@@ -641,15 +634,13 @@ class ShardedServer:
             shards_cut=cuts,
             **self._gathered(queried, live, others),
         )
-        return WindowResponse(result=result,
-                              region=WindowValidityRegion(rect),
-                              detail=detail)
+        return Response(result, WindowValidityRegion(rect), detail)
 
     # ------------------------------------------------------------------
     # range
     # ------------------------------------------------------------------
     def _range(self, location, radius: float,
-               budget: Optional[QueryBudget] = None) -> RangeResponse:
+               budget: Optional[QueryBudget] = None) -> Response:
         loc = (float(location[0]), float(location[1]))
         live = self._live()
         r2 = radius * radius
@@ -681,12 +672,7 @@ class ShardedServer:
             validity_radius=validity_radius,
             **self._gathered(queried, live, pruned),
         )
-        return RangeResponse(
-            result=result,
-            region=RangeValidityRegion(Point(loc[0], loc[1]),
-                                       validity_radius),
-            detail=detail,
-        )
+        return Response(result, ValidityDisk(loc, validity_radius), detail)
 
     # ------------------------------------------------------------------
     # instrumentation — the same narrow interface as LocationServer

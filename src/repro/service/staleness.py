@@ -97,7 +97,7 @@ class ServedResponse:
             node_accesses=self.node_accesses, page_faults=self.page_faults)
 
     def __getattr__(self, name):
-        # Per-type conveniences (``neighbors``, ``added`` …) proxy through.
+        # A delta's ``added`` and ``removed_ids`` proxy through.
         return getattr(self.inner, name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

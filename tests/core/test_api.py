@@ -82,7 +82,7 @@ class TestAnswerDispatch:
         delta = server.answer(KNNRequest((0.32, 0.3), k=5,
                                          previous_ids=prev))
         assert hasattr(delta, "added") and hasattr(delta, "removed_ids")
-        current = {e.oid for e in delta.full.neighbors}
+        current = {e.oid for e in delta.full.result}
         assert {e.oid for e in delta.added} == current - set(prev)
 
     def test_unknown_request_rejected(self, server):
@@ -110,7 +110,7 @@ class TestQueryResponseProtocol:
 
     def test_knn_result_aliases_neighbors(self, server):
         resp = server.answer(KNNRequest((0.7, 0.2), k=3))
-        assert resp.result is resp.neighbors
+        assert resp.result is resp.detail.neighbors
 
     def test_delta_response_delegates_to_full(self, server):
         first = server.answer(WindowRequest((0.5, 0.5), 0.2, 0.2))

@@ -45,8 +45,8 @@ def test_degraded_knn_keeps_exact_result(uniform_1k, small_tree):
     degraded = server.answer(KNNRequest(q, k=5, budget=TIGHT))
     assert degraded.detail.degraded
     assert not full.detail.degraded
-    assert ({e.oid for e in degraded.neighbors}
-            == {e.oid for e in full.neighbors})
+    assert ({e.oid for e in degraded.result}
+            == {e.oid for e in full.result})
 
     region = degraded.region
     assert isinstance(region, ValidityDisk)

@@ -36,7 +36,7 @@ class TestServerUpdates:
 
     def test_queries_reflect_updates(self, server):
         nearest = lambda: server.answer(
-            KNNRequest((0.5, 0.5))).neighbors[0].oid
+            KNNRequest((0.5, 0.5))).result[0].oid
         assert nearest() in {0, 1, 2}
         server.insert_object(100, 0.5, 0.5)
         assert nearest() == 100

@@ -14,10 +14,10 @@ class TestServerDelta:
     def test_knn_delta_contents(self, small_tree):
         server = LocationServer(small_tree, UNIT)
         first = server.answer(KNNRequest((0.2, 0.2), k=5))
-        prev = {e.oid for e in first.neighbors}
+        prev = {e.oid for e in first.result}
         delta = server.answer(KNNRequest((0.6, 0.6), k=5,
                                          previous_ids=tuple(prev)))
-        current = {e.oid for e in delta.full.neighbors}
+        current = {e.oid for e in delta.full.result}
         assert {e.oid for e in delta.added} == current - prev
         assert set(delta.removed_ids) == prev - current
 

@@ -10,6 +10,7 @@ from repro.index import bulk_load_str
 from repro.core import LocationServer, MobileClient, compute_range_validity
 from repro.core.api import RangeRequest
 from repro.geometry import Rect
+from repro.service import ShardedServer
 
 UNIT = Rect(0.0, 0.0, 1.0, 1.0)
 
@@ -105,6 +106,22 @@ class TestRangeValidity:
         if math.isfinite(res.validity_radius):
             assert math.isclose(
                 region.area(), math.pi * res.validity_radius ** 2)
+
+    def test_member_a_rounding_step_outside_leaves_a_zero_disk(self):
+        """The squared-distance test admits a point that ``hypot`` puts
+        a rounding step beyond the radius.  Its slack is then zero, not
+        negative, so the disk still holds its own focus, on a single
+        tree as on a sharded fleet."""
+        edge = (0.37170886643127976, 0.6534320209332224)
+        dx, dy = edge[0] - 0.5, edge[1] - 0.5
+        assert dx * dx + dy * dy <= 0.2 * 0.2 and math.hypot(dx, dy) > 0.2
+        points = [edge, (0.9, 0.9), (0.1, 0.1), (0.5, 0.55)]
+        for server in (LocationServer.from_points(points),
+                       ShardedServer.from_points(points, grid=2)):
+            response = server.answer(RangeRequest((0.5, 0.5), 0.2))
+            assert {e.oid for e in response.result} == {0, 3}
+            assert response.detail.validity_radius == 0.0
+            assert response.region.contains((0.5, 0.5))
 
 
 class TestServerClientRange:

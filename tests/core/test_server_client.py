@@ -28,7 +28,7 @@ class TestLocationServer:
     def test_knn_query_response(self, small_tree, uniform_1k):
         server = LocationServer(small_tree, UNIT)
         resp = server.answer(KNNRequest((0.5, 0.5), k=3))
-        assert {e.oid for e in resp.neighbors} == brute_knn_set(
+        assert {e.oid for e in resp.result} == brute_knn_set(
             uniform_1k, (0.5, 0.5), 3)
         assert resp.region.contains((0.5, 0.5))
         assert resp.transfer_bytes() > 0

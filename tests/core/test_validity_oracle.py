@@ -102,7 +102,7 @@ class TestNNRegionOracle:
         resp = server.answer(KNNRequest(
             query, k=k, budget=QueryBudget(max_node_accesses=1)))
         assert resp.detail.degraded
-        cached = {e.oid for e in resp.neighbors}
+        cached = {e.oid for e in resp.result}
         radius = resp.region.radius
         for i in range(10):
             angle = rnd.uniform(0.0, 2.0 * math.pi)

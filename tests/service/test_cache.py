@@ -62,13 +62,13 @@ class TestCacheOracle:
             if service.cache.hits == before:
                 continue  # miss: answered by the index, not under test
             hits += 1
-            served = {e.oid for e in response.neighbors}
+            served = {e.oid for e in response.result}
             assert _knn_set_unchanged(points, probe, served), (
                 f"cache served a wrong kNN set at {probe} (seed={seed}, "
                 f"k={k})")
             # Hit responses are re-ranked by distance at the probe point.
             dists = [math.dist(points[e.oid], probe)
-                     for e in response.neighbors]
+                     for e in response.result]
             assert dists == sorted(dists)
         assert service.cache.hits == hits
 
@@ -124,7 +124,7 @@ class TestCacheOracle:
         response = service.answer(KNNRequest(query, k=k))
         assert service.cache.hits == 1
         assert service.server.io_stats.total_node_accesses == before
-        assert {e.oid for e in response.neighbors}
+        assert {e.oid for e in response.result}
 
 
 class TestCacheMechanics:
@@ -169,7 +169,7 @@ class TestCacheMechanics:
         assert len(service.cache) == 0
         assert service.cache.invalidations == 1
         response = service.answer(request)  # recomputed, not stale
-        assert len(points) in {e.oid for e in response.neighbors}
+        assert len(points) in {e.oid for e in response.result}
 
     def test_stale_epoch_entries_dropped_lazily(self):
         _, server = self._server()
@@ -239,7 +239,7 @@ class TestSurgicalInvalidation:
         response = service.answer(request)  # same key, post-mutation epoch
         assert service.cache.hits == 1
         assert service.server.io_stats.total_node_accesses == before
-        assert len(points) not in {e.oid for e in response.neighbors}
+        assert len(points) not in {e.oid for e in response.result}
 
     def test_overlapping_insert_still_drops_the_entry(self):
         points, _, _ = _instance(3)
@@ -250,7 +250,7 @@ class TestSurgicalInvalidation:
         assert len(service.cache) == 0
         assert service.cache.surgical_drops == 1
         response = service.answer(request)
-        assert len(points) in {e.oid for e in response.neighbors}
+        assert len(points) in {e.oid for e in response.result}
 
     def test_delete_only_touches_entries_holding_the_victim(self):
         _, server = self._server()

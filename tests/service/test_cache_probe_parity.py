@@ -30,12 +30,16 @@ from repro.core.api import (
     KNNRequest,
     QueryResponse,
     RangeRequest,
+    Response,
     WindowRequest,
 )
-from repro.core.range_validity import RangeValidityRegion
-from repro.core.server import KNNResponse, LocationServer, RangeResponse
-from repro.core.validity import CompositeValidityRegion, NNValidityRegion
-from repro.geometry import Point, Rect
+from repro.core.server import LocationServer
+from repro.core.validity import (
+    CompositeValidityRegion,
+    NNValidityRegion,
+    ValidityDisk,
+)
+from repro.geometry import Rect
 from repro.index.entry import LeafEntry
 from repro.service import CacheConfig, ValidityCache
 from repro.service.cache import _Entry, request_key, request_location
@@ -153,13 +157,13 @@ def _empty_clip(points):
     shared bisector line."""
     a, b = (LeafEntry(i, *points[i]) for i in range(2))
     region = NNValidityRegion([(a, b), (b, a)], UNIT)
-    return KNNResponse(neighbors=[a], region=region, detail=None)
+    return Response([a], region, None)
 
 
 def _unbounded(location):
     """A range response valid everywhere (an empty dataset's answer)."""
-    region = RangeValidityRegion(Point(*location), math.inf)
-    return RangeResponse(result=[], region=region, detail=None)
+    region = ValidityDisk(location, math.inf)
+    return Response([], region, None)
 
 
 def _response(draw, servers, points, shape, location, request):
@@ -324,7 +328,7 @@ def test_pretest_never_rejects_what_contains_accepts_on_needles():
         b = LeafEntry(2, r.x + 2.0 * h * h, r.y - h)
         region = NNValidityRegion([(r, a), (r, b)], UNIT)
         cache.admit(KNNRequest((r.x, r.y), k=1),
-                    KNNResponse(neighbors=[r], region=region, detail=None), 0)
+                    Response([r], region, None), 0)
         box = next(reversed(cache._entries.values())).box
         tx, ty = _crossing(*region.halfplanes)
         for vx, vy in region.polygon().vertices:

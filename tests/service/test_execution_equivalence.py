@@ -59,10 +59,10 @@ class TestKernelEquivalence:
         responses = {name: server.answer(KNNRequest((qx, qy), k=k))
                      for name, server in servers.items()}
         baseline = responses["scalar"]
-        expected = [e.oid for e in baseline.neighbors]
+        expected = [e.oid for e in baseline.result]
         rnd = random.Random(int(qx * 1e6) ^ int(qy * 1e6) ^ k)
         for name, resp in responses.items():
-            assert [e.oid for e in resp.neighbors] == expected, name
+            assert [e.oid for e in resp.result] == expected, name
             region = resp.region
             assert region.contains((qx, qy)), name
             # Soundness oracle: anywhere inside the shipped region the

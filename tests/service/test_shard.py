@@ -63,15 +63,15 @@ class TestEquivalence:
         points, query, _ = _instance(seed)
         single, sharded = _pair(points, grid)
         merged = sharded.answer(KNNRequest(query, k=k))
-        assert len(merged.neighbors) == k
+        assert len(merged.result) == k
         # Tie-aware: any correct kNN set is acceptable.
         assert _knn_set_unchanged(points, query,
-                                  {e.oid for e in merged.neighbors})
-        dists = [math.dist(points[e.oid], query) for e in merged.neighbors]
+                                  {e.oid for e in merged.result})
+        dists = [math.dist(points[e.oid], query) for e in merged.result]
         assert dists == sorted(dists)
         reference = single.answer(KNNRequest(query, k=k))
         assert math.isclose(
-            dists[-1], math.dist(points[reference.neighbors[-1].oid], query),
+            dists[-1], math.dist(points[reference.result[-1].oid], query),
             abs_tol=EPS)
 
     @given(seeds, grids,
@@ -111,7 +111,7 @@ class TestMergedRegionSoundness:
         response = sharded.answer(KNNRequest(query, k=k))
         region = response.region
         assert region.contains(query, eps=EPS)
-        served = {e.oid for e in response.neighbors}
+        served = {e.oid for e in response.result}
         mbr = region.mbr() or UNIT
         for _ in range(30):
             probe = (rnd.uniform(mbr.xmin, mbr.xmax),
@@ -197,11 +197,11 @@ class TestScatterGatherMechanics:
     def test_knn_delta_against_full(self):
         points, query, _, sharded = self._sharded()
         full = sharded.answer(KNNRequest(query, k=4))
-        ids = frozenset(e.oid for e in full.neighbors)
+        ids = frozenset(e.oid for e in full.result)
         stale = frozenset(list(ids)[:2] + [9999])
         delta = sharded.answer(
             KNNRequest(query, k=4, previous_ids=stale))
-        assert frozenset(e.oid for e in delta.full.neighbors) == ids
+        assert frozenset(e.oid for e in delta.full.result) == ids
         assert set(delta.removed_ids) == {9999}
         assert {e.oid for e in delta.added} == ids - stale
 
@@ -212,7 +212,7 @@ class TestScatterGatherMechanics:
                        budget=QueryBudget(max_node_accesses=2)))
         assert response.detail.degraded
         assert _knn_set_unchanged(points, query,
-                                  {e.oid for e in response.neighbors})
+                                  {e.oid for e in response.result})
 
     def test_insert_creates_shard_and_is_queryable(self):
         points, _, _, sharded = self._sharded(n=20, grid=4)
@@ -224,7 +224,7 @@ class TestScatterGatherMechanics:
         assert sharded.num_points == len(points) + 1
         assert len(sharded.shards) >= before
         nearest = sharded.answer(KNNRequest((0.01, 0.01), k=1))
-        assert nearest.neighbors[0].oid == oid
+        assert nearest.result[0].oid == oid
         assert sharded.delete_object(oid, 0.015, 0.015)
         assert sharded.num_points == len(points)
 
@@ -275,8 +275,8 @@ class TestScatterGatherMechanics:
             for k in (1, 3, 5):
                 a = inline.answer(KNNRequest(query, k=k))
                 b = pooled.answer(KNNRequest(query, k=k))
-                assert [e.oid for e in a.neighbors] == \
-                    [e.oid for e in b.neighbors]
+                assert [e.oid for e in a.result] == \
+                    [e.oid for e in b.result]
             wa = inline.answer(WindowRequest(query, 0.3, 0.3))
             wb = pooled.answer(WindowRequest(query, 0.3, 0.3))
             assert [e.oid for e in wa.result] == [e.oid for e in wb.result]

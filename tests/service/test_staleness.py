@@ -18,8 +18,8 @@ import math
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from repro.core.api import KNNRequest, RangeRequest, WindowRequest
-from repro.core.server import KNNResponse, LocationServer
+from repro.core.api import KNNRequest, RangeRequest, Response, WindowRequest
+from repro.core.server import LocationServer
 from repro.core.validity import NNValidityRegion
 from repro.geometry import Rect
 from repro.index.entry import LeafEntry
@@ -241,7 +241,7 @@ def test_insert_near_an_empty_clip_knn_region_is_unserveable():
     a, b = LeafEntry(0, 0.4, 0.5), LeafEntry(1, 0.6, 0.5)
     region = NNValidityRegion([(a, b), (b, a)], UNIT)  # the line x = 0.5
     request = KNNRequest((0.5, 0.9), k=1)
-    response = KNNResponse(neighbors=[a], region=region, detail=None)
+    response = Response([a], region, None)
     assert region.contains(request.location)
     pending = [Mutation("insert", 2, 0.5, 0.88)]
     assert shrunk_stale_region(request, response, pending, UNIT) is None
@@ -272,6 +272,6 @@ def test_served_response_proxies_inner(small_server):
     assert wrapped.detail is response.detail
     assert wrapped.region is response.region
     assert wrapped.transfer_bytes() == response.transfer_bytes()
-    assert wrapped.neighbors == response.neighbors  # __getattr__ proxy
+    assert wrapped.entry_bytes == response.entry_bytes  # __getattr__ proxy
     copy = wrapped.with_inner(response)
     assert copy.staleness == 2 and copy.replica_id == 1

@@ -15,7 +15,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_version():
-    assert repro.__version__ == "6.0.0"
+    assert repro.__version__ == "7.0.0"
 
 
 def test_all_exports_resolve():
@@ -64,10 +64,10 @@ def test_build_service_front_door():
         repro.uniform_points(500, seed=3), shards=2,
         cache=repro.CacheConfig(capacity=16))
     response = service.answer(repro.KNNRequest((0.5, 0.5), k=2))
-    assert len(response.neighbors) == 2
+    assert len(response.result) == 2
     again = service.answer(repro.KNNRequest((0.5, 0.5), k=2))
-    assert {e.oid for e in again.neighbors} == {
-        e.oid for e in response.neighbors}
+    assert {e.oid for e in again.result} == {
+        e.oid for e in response.result}
     assert service.cache.hits == 1
 
 
@@ -76,7 +76,7 @@ def test_build_service_accepts_execution_config():
         repro.uniform_points(400, seed=5),
         execution=repro.ExecutionConfig(kernel="auto"))
     response = service.answer(repro.KNNRequest((0.5, 0.5), k=3))
-    assert len(response.neighbors) == 3
+    assert len(response.result) == 3
 
 
 def test_per_type_query_methods_are_removed():
@@ -86,7 +86,7 @@ def test_per_type_query_methods_are_removed():
                  "knn_query_delta", "window_query_delta"):
         assert not hasattr(server, name)
     response = server.answer(repro.KNNRequest((0.5, 0.5), k=1))
-    assert len(response.neighbors) == 1
+    assert len(response.result) == 1
 
 
 def test_removed_service_kwargs_raise():
