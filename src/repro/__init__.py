@@ -26,7 +26,6 @@ from repro.core import (
     MobileClient,
     ProbKNNRequest,
     QueryBudget,
-    QueryResponse,
     QuerySemantics,
     RKNNRequest,
     RangeRequest,
@@ -93,7 +92,7 @@ from repro.service import (
     build_service,
 )
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 #: The canonical public surface (docs/API.md documents every name;
 #: ``python -m repro.service.checkapi`` fails CI when the two drift).
@@ -118,7 +117,6 @@ __all__ = [
     "RKNNRequest",
     "ProbKNNRequest",
     "QueryBudget",
-    "QueryResponse",
     "Response",
     "QuerySemantics",
     "register_query_type",

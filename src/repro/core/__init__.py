@@ -20,7 +20,6 @@ from repro.core.api import (
     QueryBudget,
     QueryDetail,
     QueryRequest,
-    QueryResponse,
     QuerySemantics,
     RangeRequest,
     Response,
@@ -50,7 +49,7 @@ from repro.core.range_validity import (
     RangeValidityResult,
     compute_range_validity,
 )
-from repro.core.server import DeltaResponse, LocationServer
+from repro.core.server import LocationServer
 from repro.core.client import CacheEntry, MobileClient, ClientStats
 
 #: Canonical names of the typed detail hierarchy (see docs/API.md).
@@ -60,7 +59,6 @@ RangeDetail = RangeValidityResult
 
 __all__ = [
     "QueryRequest",
-    "QueryResponse",
     "Response",
     "QueryBudget",
     "QueryDetail",
@@ -93,7 +91,6 @@ __all__ = [
     "RangeValidityResult",
     "compute_range_validity",
     "LocationServer",
-    "DeltaResponse",
     "MobileClient",
     "ClientStats",
     "CacheEntry",

@@ -8,19 +8,18 @@ against:
   :class:`RangeRequest`), each carrying everything the server needs to
   answer it, including the cached result ids that turn a re-query into
   an incremental (delta) request;
-* :class:`Response`, the one record every full answer is — the result
-  entries, the validity region and the per-kind detail, priced by one
-  byte formula — and the :class:`QueryResponse` protocol (``.result``,
-  ``.region``, ``.detail``, ``.transfer_bytes()``) it shares with the
-  delta and replica wrappers, so generic code never needs to know which
-  query type produced a response;
+* :class:`Response`, the one record every answer is — the result
+  entries, the validity region, the per-kind detail and, on a §7
+  re-answer, the delta — priced by one byte formula, so generic code
+  never needs to know which query type or path produced a response;
 * :meth:`repro.core.server.LocationServer.answer`, the single entry
   point dispatching any request to the right processing path.
 
 ``answer(request)`` is the only query entry point: the per-type server
 methods (``knn_query`` etc.) and the mapping-style ``detail["..."]``
-shim were removed in v1.3.0, and the per-kind response classes in
-v7.0.0 — see docs/API.md.
+shim were removed in v1.3.0, the per-kind response classes in v7.0.0,
+and the delta and replica wrappers and the response protocol in v8.0.0
+— see docs/API.md.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.core.validity import POINT_BYTES
+from repro.core.validity import POINT_BYTES, delta_bytes
 from repro.index.entry import LeafEntry
 from repro.index.rstar import check_finite
 
@@ -45,7 +44,6 @@ __all__ = [
     "KNNRequest",
     "WindowRequest",
     "RangeRequest",
-    "QueryResponse",
     "Response",
     "QueryBudget",
     "BudgetClock",
@@ -150,54 +148,36 @@ class BudgetClock:
         return False
 
 
-@runtime_checkable
-class QueryResponse(Protocol):
-    """What every server response exposes, regardless of query type.
-
-    ``result`` is the list of :class:`~repro.index.entry.LeafEntry`
-    objects answering the query; ``region`` is the validity region the
-    client caches (it always has ``contains(location)`` and
-    ``transfer_bytes()``); ``detail`` is the full per-type computation
-    record (influence sets, exact regions, probe counts).
-    """
-
-    @property
-    def result(self) -> List:
-        """The query result entries."""
-
-    @property
-    def region(self):
-        """The shipped validity region (has ``contains`` / ``transfer_bytes``)."""
-
-    @property
-    def detail(self):
-        """The per-type server-side computation record."""
-
-    def transfer_bytes(self) -> int:
-        """Modelled network payload of this response."""
-
-
 @dataclass
 class Response:
-    """One full answer as the server ships it, whatever its kind.
+    """One answer as the server ships it, whatever its kind or path.
 
     ``result`` lists the answering :class:`~repro.index.entry.LeafEntry`
     objects, ``region`` is the validity region the client caches and
     ``detail`` the kind's computation record.  Each result entry costs
     ``entry_bytes`` on the wire: a point, plus whatever the kind tags
-    every entry with.  The §7 delta
-    (:class:`~repro.core.server.DeltaResponse`) and the replica
-    annotation (:class:`~repro.service.staleness.ServedResponse`) wrap
-    one of these.
+    every entry with.  A §7 re-answer against the request's
+    ``previous_ids`` also carries the delta, ``added`` and
+    ``removed_ids`` (both ``None`` on a full answer), and ships only
+    those with the region.  A layer that narrows the guarantee — a
+    lagging replica, a brownout — replaces ``region``; a replica's
+    answer is the :class:`~repro.service.staleness.ServedResponse`
+    subclass.
     """
 
     result: List[LeafEntry]
     region: object
     detail: object
     entry_bytes: int = POINT_BYTES
+    added: Optional[List[LeafEntry]] = None
+    removed_ids: Optional[List[int]] = None
 
     def transfer_bytes(self) -> int:
-        """The result entries plus the region (the paper's cost model)."""
+        """The result entries, or the delta, plus the region (the
+        paper's cost model)."""
+        if self.added is not None:
+            return delta_bytes(len(self.added), len(self.removed_ids),
+                               self.region)
         return (self.entry_bytes * len(self.result)
                 + self.region.transfer_bytes())
 
@@ -346,8 +326,9 @@ class QuerySemantics:
     One instance per query ``kind`` bundles the per-type behaviour that
     used to live as ``isinstance`` ladders across the service tiers:
 
-    * ``execute`` — the full answer to the request on any server
-      shape, a :class:`~repro.core.server.LocationServer` or a
+    * ``execute`` — the full answer to the request, a
+      :class:`Response`, on any server shape, a
+      :class:`~repro.core.server.LocationServer` or a
       :class:`~repro.service.shard.ShardedServer` (both expose
       ``_knn``/``_window``/``_range`` and ``dataset_columns()``); the
       server itself turns it into a §7 delta when the request carries
@@ -382,9 +363,15 @@ class QuerySemantics:
     supports_subscriptions: bool = False
 
     # --- execution ----------------------------------------------------
-    def execute(self, server, request):
+    def execute(self, server, request) -> Response:
         """The full (never delta) answer to ``request`` on ``server``,
-        single-tree or sharded; ``previous_ids`` is not read here."""
+        single-tree or sharded; ``previous_ids`` is not read here.
+
+        It must be a :class:`Response` itself: a kind prices extras on
+        every entry with ``entry_bytes=`` and keeps the rest on
+        ``detail``.  The server refuses anything else with a
+        ``TypeError`` naming the kind.
+        """
         raise NotImplementedError
 
     # --- cache addressing / admissibility -----------------------------
@@ -399,11 +386,12 @@ class QuerySemantics:
         """Query-shape key for the validity cache (None = uncacheable)."""
         return None
 
-    def serve_cached(self, request, inner):
-        """Adapt a cached inner response to ``request`` (e.g. re-rank
-        kNN hits by distance to the probing point).  Return ``inner``
-        unchanged when no adaptation is needed."""
-        return inner
+    def serve_cached(self, request, response):
+        """Adapt a cached response to ``request`` (e.g. re-rank kNN
+        hits by distance to the probing point) with
+        ``dataclasses.replace``, which keeps a replica's annotation.
+        Return ``response`` unchanged when no adaptation is needed."""
+        return response
 
     # --- the mutation certificate -------------------------------------
     def certify(self, request, response, mutations, universe):

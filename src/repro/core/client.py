@@ -11,7 +11,8 @@ paper's motivation claims.
 With ``incremental=True`` the client uses the delta protocol of the
 paper's Section 7 on re-queries: the server ships only the objects
 added and the ids removed relative to the cached result, which the
-client applies locally — same answers, fewer bytes.
+client applies locally and caches under the region that came with
+them — same answers, fewer bytes.
 
 With ``subscribe=True`` (and a server exposing ``subscribe``: a
 :class:`~repro.service.service.QueryService`, over any server shape)
@@ -47,8 +48,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.geometry import distance_sq
 from repro.index.entry import LeafEntry
-from repro.core.api import KNNRequest, QueryResponse, RangeRequest, WindowRequest
-from repro.core.server import DeltaResponse, LocationServer
+from repro.core.api import KNNRequest, RangeRequest, Response, WindowRequest
+from repro.core.server import LocationServer
 from repro.obs.context import new_trace_id
 
 
@@ -92,7 +93,7 @@ class CacheEntry:
     """
 
     key: Tuple
-    response: QueryResponse
+    response: Response
     entries: List[LeafEntry]
     epoch: int
     trace_id: Optional[str] = None
@@ -229,17 +230,15 @@ class MobileClient:
         try:
             if (self.incremental and cached is not None
                     and cached.key == key and hasattr(request, "as_delta")):
-                delta: DeltaResponse = self.server.answer(
+                response = self.server.answer(
                     request.as_delta(e.oid for e in cached.entries))
-                entries = _apply_delta(cached.entries, delta)
-                response = delta.full
-                received = delta.transfer_bytes()
+                entries = _apply_delta(cached.entries, response)
             else:
                 response = self.server.answer(request)
                 entries = list(response.result)
-                received = response.transfer_bytes()
         except Exception as exc:
             return self._stale_fallback(key, fallback, exc)
+        received = response.transfer_bytes()
         self.stats.server_queries += 1
         self.stats.bytes_received += received
         self._count("client.server_queries")
@@ -397,7 +396,7 @@ def _sorted_by_distance(entries: List[LeafEntry], location) -> List[LeafEntry]:
 
 
 def _apply_delta(previous: List[LeafEntry],
-                 delta: DeltaResponse) -> List[LeafEntry]:
+                 delta: Response) -> List[LeafEntry]:
     removed = set(delta.removed_ids)
     entries = [e for e in previous if e.oid not in removed]
     entries.extend(delta.added)

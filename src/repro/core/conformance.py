@@ -7,8 +7,9 @@ full battery for free:
 
 * **registration** — the semantics object is reachable through the
   registry by kind and by request type;
-* **region soundness** — the answer matches the type's oracle and the
-  shipped region contains the query location;
+* **region soundness** — the answer is a
+  :class:`~repro.core.api.Response`, matches the type's oracle and
+  ships a region containing the query location;
 * **cache round-trip** — cache keys are deterministic, and a cached
   response re-served through :meth:`serve_cached` keeps the result set;
 * **the mutation certificate** — :meth:`certify` is tried against
@@ -40,7 +41,7 @@ import math
 import random
 from typing import Iterable, Optional, Sequence
 
-from repro.core.api import Mutation, QuerySemantics, query_semantics
+from repro.core.api import Mutation, QuerySemantics, Response, query_semantics
 from repro.core.server import LocationServer
 
 __all__ = ["check_semantics"]
@@ -188,6 +189,9 @@ def check_semantics(kind, points: Sequence, requests: Iterable,
             assert query_semantics(request) is sem, \
                 "request type does not resolve to this semantics"
         response = sem.execute(server, request)
+        assert type(response) is Response, \
+            f"{sem.kind}: execute returned a {type(response).__name__}, " \
+            f"not a repro.Response"
         loc = sem.location(request)
         ids = _result_ids(response)
 

@@ -160,7 +160,11 @@ def compute_probknn_validity(entries, location, uncertainty: float, k: int,
     t = near + 2.0 * u
     j = np.searchsorted(sorted_d, t)
     band = np.where(j - 1 <= k - 1, 0, np.where(near <= d_k + u, 1, 2))
-    probabilities = np.clip((horizon - near) / (2.0 * u), 0.0, 1.0)
+    if math.isinf(u):
+        # (horizon - d) / 2u = (d_k - d) / 2u + 1, which tends to 1.
+        probabilities = np.ones_like(near)
+    else:
+        probabilities = np.clip((horizon - near) / (2.0 * u), 0.0, 1.0)
 
     # Slacks to every decision boundary: the horizon on both sides, the
     # nearest competitor on each side of o's certain threshold, the

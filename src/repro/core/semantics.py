@@ -241,14 +241,14 @@ class KNNSemantics(QuerySemantics):
             return None
         return ("knn", request.k)
 
-    def serve_cached(self, request, inner):
+    def serve_cached(self, request, response):
         qx, qy = request.location
         ranked = sorted(
-            inner.result,
+            response.result,
             key=lambda e: ((e.x - qx) ** 2 + (e.y - qy) ** 2, e.oid))
-        if list(inner.result) == ranked:
-            return inner
-        return replace(inner, result=ranked)
+        if list(response.result) == ranked:
+            return response
+        return replace(response, result=ranked)
 
     # --- the mutation certificate -------------------------------------
     def certify(self, request, response, mutations, universe):

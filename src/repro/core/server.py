@@ -4,10 +4,8 @@ Wraps an R*-tree and answers location-based queries with (result,
 validity region, influence set) triples, tracking the server-side I/O
 statistics that Section 6 reports.
 
-Every full answer is a :class:`repro.core.api.Response`, and a §7
-re-answer a :class:`DeltaResponse` around one; both implement the
-:class:`repro.core.api.QueryResponse` protocol (``.result``,
-``.region``, ``.detail``, ``.transfer_bytes()``), and
+Every answer is a :class:`repro.core.api.Response` — a §7 re-answer
+too, carrying its ``added`` entries and ``removed_ids`` — and
 :meth:`LocationServer.answer` — the single query entry point — accepts
 any typed request from :mod:`repro.core.api`.
 
@@ -23,11 +21,10 @@ per epoch) for raw CPU throughput.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import replace
+from typing import Dict, Optional, Sequence
 
 from repro.geometry import Rect
-from repro.index.entry import LeafEntry
 from repro.index.rstar import RStarTree
 from repro.index.bulk import bulk_load_str
 from repro.core.api import (
@@ -39,42 +36,8 @@ from repro.core.api import (
 )
 from repro.core.nn_validity import compute_nn_validity
 from repro.core.range_validity import compute_range_validity
-from repro.core.validity import delta_bytes
 from repro.core.window_validity import compute_window_validity
 from repro.kernel import ExecutionConfig, PointColumns
-
-
-@dataclass
-class DeltaResponse:
-    """Incremental re-query response (the §7 delta-transmission idea).
-
-    Instead of the full result, the server ships only the objects
-    *added* since the client's previous result and the ids *removed*
-    from it, together with the fresh validity region.
-    """
-
-    added: List[LeafEntry]
-    removed_ids: List[int]
-    #: The fresh full response (regions, details); its result list is
-    #: what the client reconstructs from its cache plus the delta.
-    full: object
-
-    @property
-    def result(self) -> List[LeafEntry]:
-        """The full fresh result (what the client state converges to)."""
-        return self.full.result
-
-    @property
-    def region(self):
-        return self.full.region
-
-    @property
-    def detail(self):
-        return self.full.detail
-
-    def transfer_bytes(self) -> int:
-        return delta_bytes(len(self.added), len(self.removed_ids),
-                           self.full.region)
 
 
 class LocationServer:
@@ -152,15 +115,13 @@ class LocationServer:
     # ------------------------------------------------------------------
     # the unified entry point
     # ------------------------------------------------------------------
-    def answer(self, request: QueryRequest):
+    def answer(self, request: QueryRequest) -> Response:
         """Answer any registered query request (see :mod:`repro.core.api`).
 
         Dispatch goes through the :class:`~repro.core.api.QuerySemantics`
         registry (see :func:`execute`), so third-party query types
         answered here need no server changes.  Requests carrying
-        ``previous_ids`` are answered incrementally (a
-        :class:`DeltaResponse`); all responses satisfy the
-        :class:`~repro.core.api.QueryResponse` protocol.
+        ``previous_ids`` are answered incrementally (the §7 delta).
         """
         return execute(self, request)
 
@@ -176,15 +137,17 @@ class LocationServer:
     def _knn(self, location, k: int = 1, vertex_policy: str = "fifo",
              rng: Optional[random.Random] = None,
              budget: Optional[QueryBudget] = None) -> Response:
+        # A location outside the universe still gets a region holding it.
+        universe = self.universe.extended(location)
         detail = compute_nn_validity(self.tree, location, k=k,
-                                     universe=self.universe,
+                                     universe=universe,
                                      vertex_policy=vertex_policy, rng=rng,
                                      clock=self._start_clock(budget),
                                      columns=(self.dataset_columns()
                                               if self._columnar else None))
         self.queries_processed += 1
-        return Response(detail.neighbors,
-                        detail.validity_region(self.universe), detail)
+        return Response(detail.neighbors, detail.validity_region(universe),
+                        detail)
 
     def _window(self, focus, width: float, height: float,
                 budget: Optional[QueryBudget] = None) -> Response:
@@ -234,29 +197,27 @@ class LocationServer:
         return out
 
 
-def execute(server, request: QueryRequest):
+def execute(server, request: QueryRequest) -> Response:
     """Answer ``request`` on ``server`` — a :class:`LocationServer` or a
     :class:`~repro.service.shard.ShardedServer` — the one way both
     servers' ``answer`` runs a query.
 
     The kind's :meth:`~repro.core.api.QuerySemantics.execute` computes
-    the full answer; a request carrying ``previous_ids`` gets it as the
-    §7 :class:`DeltaResponse` against those ids, whatever its kind.
+    the full answer, which must be a :class:`~repro.core.api.Response`;
+    a request carrying ``previous_ids`` gets it back with the §7 delta
+    against those ids, whatever its kind.
     """
-    full = query_semantics(request).execute(server, request)
+    semantics = query_semantics(request)
+    full = semantics.execute(server, request)
+    if type(full) is not Response:
+        raise TypeError(f"the {semantics.kind!r} kind's execute returned "
+                        f"a {type(full).__name__}; it must return a "
+                        f"repro.Response itself")
     previous_ids = getattr(request, "previous_ids", None)
     if previous_ids is None:
         return full
-    return delta_response(full, full.result, previous_ids)
-
-
-def delta_response(full, result: List[LeafEntry], previous_ids
-                   ) -> DeltaResponse:
-    """Diff a full response against a client's cached result ids."""
     previous = set(previous_ids)
-    current = {e.oid for e in result}
-    return DeltaResponse(
-        added=[e for e in result if e.oid not in previous],
-        removed_ids=sorted(previous - current),
-        full=full,
-    )
+    current = {e.oid for e in full.result}
+    return replace(full,
+                   added=[e for e in full.result if e.oid not in previous],
+                   removed_ids=sorted(previous - current))

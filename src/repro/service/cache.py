@@ -49,7 +49,7 @@ from typing import Dict, Optional, Tuple
 from repro.core.api import (
     Mutation,
     QueryRequest,
-    QueryResponse,
+    Response,
     query_semantics,
 )
 from repro.geometry import Rect
@@ -99,7 +99,7 @@ class _Entry:
                  "mbr", "box", "rxmin", "rymin", "rxmax", "rymax")
 
     def __init__(self, uid: int, key: Tuple, request: QueryRequest,
-                 response: QueryResponse, epoch: int,
+                 response: Response, epoch: int,
                  cells: Tuple[Tuple[int, int], ...], mbr: Rect,
                  box: Optional[Tuple[float, float, float, float]]):
         self.uid = uid
@@ -205,7 +205,7 @@ class ValidityCache:
     # the read path
     # ------------------------------------------------------------------
     def probe(self, request: QueryRequest, epoch: int
-              ) -> Optional[QueryResponse]:
+              ) -> Optional[Response]:
         """The cached response answering ``request``, if any.
 
         A hit is the newest entry with the same query shape, computed
@@ -250,7 +250,7 @@ class ValidityCache:
     # ------------------------------------------------------------------
     # the write path
     # ------------------------------------------------------------------
-    def admit(self, request: QueryRequest, response: QueryResponse,
+    def admit(self, request: QueryRequest, response: Response,
               epoch: int) -> bool:
         """Index ``response`` under its validity region's MBR.
 

@@ -41,12 +41,13 @@ shrink is impossible (the answer would be wrong at the query point
 itself) the replica is skipped as unserveable.  Correctness is never
 traded for availability; only region size is.
 
-Responses come back wrapped in
-:class:`~repro.service.staleness.ServedResponse`, reporting the
-serving replica, the epoch actually served, the staleness, and the
-failover count; the class attribute ``concurrent_safe = True`` tells
-the service layer queries need no global lock (each replica serializes
-on its own lock, so distinct replicas answer in parallel).
+Every answer is a :class:`~repro.service.staleness.ServedResponse`,
+the replica's own :class:`~repro.core.api.Response` under the region
+it may serve (the shrunk one when it lagged), reporting the serving
+replica, the epoch actually served, the staleness, and the failover
+count; the class attribute ``concurrent_safe = True`` tells the service
+layer queries need no global lock (each replica serializes on its own
+lock, so distinct replicas answer in parallel).
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import hashlib
 import threading
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.api import KNNRequest, Mutation, QueryRequest, query_semantics
@@ -359,20 +360,20 @@ class ReplicaSet:
                     "staleness": staleness,
                     "node_accesses": io.total_node_accesses,
                 })
-            region = None
             if backlog:
                 region = shrunk_stale_region(request, response, backlog,
                                              self.universe)
                 if region is None:
                     self._discard_io(io)
                     return "unserveable", staleness
+                response = replace(response, region=region)
                 replica.stale_served += 1
                 self._count("stale_served")
                 emit_event("replica", event="replica.stale_served",
                            rid=replica.rid, staleness=staleness)
             replica.queries += 1
             return "served", ServedResponse(
-                response, region=region, replica_id=replica.rid,
+                **vars(response), replica_id=replica.rid,
                 epoch=served_epoch, staleness=staleness,
                 # The shrink accounts for the whole backlog snapshot, so
                 # the answer is valid at the primary epoch it implies.

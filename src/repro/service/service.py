@@ -59,10 +59,10 @@ from repro.core.api import (
     Mutation,
     QueryBudget,
     QueryRequest,
-    QueryResponse,
+    Response,
     query_semantics,
 )
-from repro.core.server import DeltaResponse, LocationServer
+from repro.core.server import LocationServer
 from repro.core.validity import CompositeValidityRegion, ValidityDisk
 from repro.geometry import Rect
 from repro.kernel import ExecutionConfig
@@ -101,7 +101,6 @@ from repro.service.retry import (
     is_transient,
 )
 from repro.service.shard import build_server
-from repro.service.staleness import ServedResponse
 from repro.service.tracing import TailSamplingConfig, TraceBuffer
 
 __all__ = ["QueryService", "ResilienceConfig", "build_service"]
@@ -285,7 +284,7 @@ class QueryService:
     # ------------------------------------------------------------------
     # query execution
     # ------------------------------------------------------------------
-    def answer(self, request: QueryRequest) -> QueryResponse:
+    def answer(self, request: QueryRequest) -> Response:
         """Answer one typed request, tracing and metering it.
 
         With a :class:`ResilienceConfig`, transient failures (simulated
@@ -304,7 +303,7 @@ class QueryService:
             return self._answer_traced(request, kind, ctx)
 
     def _answer_traced(self, request: QueryRequest, kind: str,
-                       ctx: TraceContext) -> QueryResponse:
+                       ctx: TraceContext) -> Response:
         """The traced body of :meth:`answer` (one active trace context).
 
         The service records only its own stages (cache probe, retry
@@ -329,7 +328,7 @@ class QueryService:
 
         # The cache front door: a hit never touches the server, the
         # breaker, or the retry loop — zero node accesses, by contract.
-        cached: Optional[QueryResponse] = None
+        cached: Optional[Response] = None
         if self.cache is not None:
             probe_start = perf_counter()
             cached = self.cache.probe(request, self.server.epoch)
@@ -349,7 +348,9 @@ class QueryService:
                 emit_event("cache", event="cache.miss", kind=kind)
 
         if cached is not None:
-            response = self._serve_cached(request, cached)
+            # Only the distance order of kNN hits can differ at the new
+            # point; re-ranking keeps a replica's annotation.
+            response = query_semantics(request).serve_cached(request, cached)
             if level >= LEVEL_CACHE_ONLY:
                 response = self._brownout_shrink(request, response, kind)
             node_accesses: Dict[str, int] = {}
@@ -493,10 +494,8 @@ class QueryService:
         # Serialization: size the payload that would go on the wire.
         ser_start = perf_counter()
         transfer = response.transfer_bytes()
-        result_size = len(response.result)
-        inner = getattr(response, "inner", response)  # a replica's wrapper
-        if isinstance(inner, DeltaResponse):
-            result_size = len(inner.added) + len(inner.removed_ids)
+        result_size = (len(response.result) if response.added is None
+                       else len(response.added) + len(response.removed_ids))
         ctx.add_span(
             "serialization",
             offset_ms=(ser_start - t0) * 1e3,
@@ -517,25 +516,6 @@ class QueryService:
                    node_accesses=trace.total_node_accesses,
                    result_size=result_size)
         return response
-
-    def _serve_cached(self, request: QueryRequest,
-                      cached: QueryResponse) -> QueryResponse:
-        """Adapt a cached response to the probing request.
-
-        The validity-region contract guarantees the result *set* is
-        identical anywhere inside the region; only the distance order
-        of kNN neighbours can differ at the new query point, so that is
-        re-ranked (a k·log k in-memory step — still zero node accesses).
-        Replica-served entries are :class:`ServedResponse` wrappers; the
-        re-ranking preserves their serving annotations.
-        """
-        inner = getattr(cached, "inner", cached)
-        adapted = query_semantics(request).serve_cached(request, inner)
-        if adapted is inner:
-            return cached
-        if inner is cached:
-            return adapted
-        return cached.with_inner(adapted)
 
     # ------------------------------------------------------------------
     # admission plumbing
@@ -575,9 +555,8 @@ class QueryService:
                    level="reduced", kind=kind)
         return clamped
 
-    def _brownout_shrink(self, request: QueryRequest,
-                         response: QueryResponse,
-                         kind: str) -> QueryResponse:
+    def _brownout_shrink(self, request: QueryRequest, response: Response,
+                         kind: str) -> Response:
         """Extra conservative region shrink on cache hits served under a
         ``cache_only`` brownout: intersect the cached region with a disk
         around the query point whose radius is the region's half-extent
@@ -602,13 +581,7 @@ class QueryService:
         self.metrics.counter("service.admission.brownout.cache_only").inc()
         emit_event("admission", event="admission.brownout",
                    level="cache_only", kind=kind)
-        if isinstance(response, ServedResponse):
-            out = response.with_inner(response.inner)
-            out.region = shrunk
-            out.brownout_level = LEVEL_CACHE_ONLY
-            return out
-        return ServedResponse(response, region=shrunk,
-                              brownout_level=LEVEL_CACHE_ONLY)
+        return replace(response, region=shrunk)
 
     # ------------------------------------------------------------------
     # resilience plumbing
@@ -635,20 +608,15 @@ class QueryService:
         access deltas inside the serving replica's critical section, so
         the service lock — which would serialize the whole fleet — is
         skipped and the deltas are read off the
-        :class:`ServedResponse`.  A stale-served answer is
-        valid for the *primary* epoch its shrink accounted for
-        (``valid_for_epoch``), which is the epoch the cache admits under.
+        :class:`~repro.service.staleness.ServedResponse`.  A
+        stale-served answer is valid for the *primary* epoch its shrink
+        accounted for (``valid_for_epoch``), which is the epoch the
+        cache admits under.
         """
         if getattr(self.server, "concurrent_safe", False):
-            epoch = self.server.epoch
             response = self.server.answer(request)
-            valid_epoch = getattr(response, "valid_for_epoch", None)
-            if valid_epoch is None:
-                valid_epoch = epoch
-            node_accesses = dict(getattr(response, "node_accesses",
-                                         None) or {})
-            page_faults = dict(getattr(response, "page_faults", None) or {})
-            return response, node_accesses, page_faults, valid_epoch
+            return (response, dict(response.node_accesses),
+                    dict(response.page_faults), response.valid_for_epoch)
         with self._lock:
             epoch = self.server.epoch
             with self.server.io_stats.measure() as io:
@@ -683,7 +651,7 @@ class QueryService:
 
     def answer_many(self, requests: Sequence[QueryRequest],
                     executor: Optional[Executor] = None
-                    ) -> List[QueryResponse]:
+                    ) -> List[Response]:
         """Answer a batch of requests, preserving order.
 
         With an ``executor`` the batch fans out across its workers (the

@@ -21,12 +21,13 @@ fresher one.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, Sequence
 
 from repro.core.api import (
     Mutation,
     QueryRequest,
-    QueryResponse,
+    Response,
     query_semantics,
 )
 from repro.geometry import Rect
@@ -34,78 +35,32 @@ from repro.geometry import Rect
 __all__ = ["Mutation", "ServedResponse", "shrunk_stale_region"]
 
 
-class ServedResponse:
-    """A :class:`QueryResponse` proxy annotated with how it was served.
+@dataclass(kw_only=True)
+class ServedResponse(Response):
+    """A replica's answer: the :class:`~repro.core.api.Response` it
+    computed, under the region it may serve, annotated with how it was
+    served.
 
-    Wraps the replica's raw response, optionally overriding its region
-    with the staleness-shrunk (or brownout-shrunk) one, and carries the
-    serving metadata the service layer meters: which replica answered,
-    at which epoch, how stale it was, how many failovers the request
-    survived, and the per-phase access deltas measured inside the
-    replica's lock (the concurrent-safe replacement for the service's
-    before/after diff, which would race across parallel replicas).
+    ``region`` is already the staleness-shrunk one when the replica
+    lagged.  The annotation is what the service layer meters: which
+    replica answered, at which epoch, how many unapplied mutations it
+    lagged by, the primary epoch the answer is valid for, how many
+    failovers the request survived, and the per-phase access deltas
+    measured inside the replica's lock (the concurrent-safe replacement
+    for the service's before/after diff, which would race across
+    parallel replicas).
     """
 
-    __slots__ = ("inner", "region", "replica_id", "epoch", "staleness",
-                 "valid_for_epoch", "failovers", "brownout_level",
-                 "node_accesses", "page_faults")
-
-    def __init__(self, inner: QueryResponse, region=None,
-                 replica_id: Optional[int] = None,
-                 epoch: Optional[int] = None,
-                 staleness: int = 0,
-                 valid_for_epoch: Optional[int] = None,
-                 failovers: int = 0,
-                 brownout_level: int = 0,
-                 node_accesses: Optional[Dict[str, int]] = None,
-                 page_faults: Optional[Dict[str, int]] = None):
-        self.inner = inner
-        self.region = inner.region if region is None else region
-        self.replica_id = replica_id
-        self.epoch = epoch
-        self.staleness = staleness
-        self.valid_for_epoch = valid_for_epoch
-        self.failovers = failovers
-        self.brownout_level = brownout_level
-        self.node_accesses = node_accesses if node_accesses is not None else {}
-        self.page_faults = page_faults if page_faults is not None else {}
-
-    @property
-    def result(self):
-        return self.inner.result
-
-    @property
-    def detail(self):
-        return self.inner.detail
-
-    def transfer_bytes(self) -> int:
-        base = self.inner.transfer_bytes()
-        if self.region is not self.inner.region:
-            base += (self.region.transfer_bytes()
-                     - self.inner.region.transfer_bytes())
-        return base
-
-    def with_inner(self, inner: QueryResponse) -> "ServedResponse":
-        """A copy of this annotation around a replacement response
-        (used by the service's cached-kNN re-ranking)."""
-        region = None if self.region is self.inner.region else self.region
-        return ServedResponse(
-            inner, region=region, replica_id=self.replica_id,
-            epoch=self.epoch, staleness=self.staleness,
-            valid_for_epoch=self.valid_for_epoch, failovers=self.failovers,
-            brownout_level=self.brownout_level,
-            node_accesses=self.node_accesses, page_faults=self.page_faults)
-
-    def __getattr__(self, name):
-        # A delta's ``added`` and ``removed_ids`` proxy through.
-        return getattr(self.inner, name)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ServedResponse(replica={self.replica_id}, "
-                f"staleness={self.staleness}, inner={self.inner!r})")
+    replica_id: int
+    epoch: int
+    staleness: int = 0
+    valid_for_epoch: int
+    failovers: int = 0
+    node_accesses: Dict[str, int] = field(default_factory=dict)
+    page_faults: Dict[str, int] = field(default_factory=dict)
 
 
-def shrunk_stale_region(request: QueryRequest, response: QueryResponse,
+def shrunk_stale_region(request: QueryRequest, response: Response,
                         pending: Sequence[Mutation], universe: Rect):
     """The fresh-dataset validity region of a stale answer, or ``None``.
 

@@ -7,8 +7,8 @@ from repro.core import (
     CacheEntry,
     KNNRequest,
     LocationServer,
-    QueryResponse,
     RangeRequest,
+    Response,
     WindowRequest,
     compute_nn_validity,
     compute_range_validity,
@@ -82,7 +82,7 @@ class TestAnswerDispatch:
         delta = server.answer(KNNRequest((0.32, 0.3), k=5,
                                          previous_ids=prev))
         assert hasattr(delta, "added") and hasattr(delta, "removed_ids")
-        current = {e.oid for e in delta.full.result}
+        current = {e.oid for e in delta.result}
         assert {e.oid for e in delta.added} == current - set(prev)
 
     def test_unknown_request_rejected(self, server):
@@ -101,7 +101,7 @@ class TestQueryResponseProtocol:
             (0.51, 0.5), k=2,
             previous_ids=[e.oid for e in responses[0].result])))
         for resp in responses:
-            assert isinstance(resp, QueryResponse)
+            assert type(resp) is Response
             assert isinstance(resp.result, list)
             assert resp.transfer_bytes() > 0
             assert resp.detail is not None
@@ -113,13 +113,16 @@ class TestQueryResponseProtocol:
         assert resp.result is resp.detail.neighbors
 
     def test_delta_response_delegates_to_full(self, server):
-        first = server.answer(WindowRequest((0.5, 0.5), 0.2, 0.2))
-        delta = server.answer(WindowRequest(
-            (0.5, 0.5), 0.2, 0.2,
-            previous_ids=tuple(e.oid for e in first.result)))
-        assert delta.result == delta.full.result
-        assert delta.region is delta.full.region
-        assert delta.detail is delta.full.detail
+        """A delta is the full answer plus the two delta fields."""
+        request = WindowRequest((0.5, 0.5), 0.2, 0.2)
+        first = server.answer(request)
+        delta = server.answer(
+            request.as_delta(e.oid for e in first.result))
+        assert first.added is None and first.removed_ids is None
+        assert delta.added == [] and delta.removed_ids == []
+        assert delta.result == first.result
+        assert delta.region.rect == first.region.rect
+        assert delta.detail.result == first.detail.result
 
 
 class TestCacheEntry:

@@ -17,7 +17,7 @@ class TestServerDelta:
         prev = {e.oid for e in first.result}
         delta = server.answer(KNNRequest((0.6, 0.6), k=5,
                                          previous_ids=tuple(prev)))
-        current = {e.oid for e in delta.full.result}
+        current = {e.oid for e in delta.result}
         assert {e.oid for e in delta.added} == current - prev
         assert set(delta.removed_ids) == prev - current
 
@@ -27,7 +27,7 @@ class TestServerDelta:
         prev = {e.oid for e in first.result}
         delta = server.answer(WindowRequest((0.45, 0.4), 0.2, 0.2,
                                             previous_ids=tuple(prev)))
-        current = {e.oid for e in delta.full.result}
+        current = {e.oid for e in delta.result}
         assert {e.oid for e in delta.added} == current - prev
         assert set(delta.removed_ids) == prev - current
 

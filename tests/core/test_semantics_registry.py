@@ -6,8 +6,10 @@ battery pins the registry mechanics (lookup by kind, by request type,
 by duck-typed ``kind`` attribute), runs the reusable conformance suite
 over all five builtin kinds, registers a brand-new toy query type end
 to end (service answer, validity cache, conformance — with zero
-changes to any service module), shows the conformance suite catching
-unsound mutation certificates and the registry refusing removed hooks,
+changes to any service module), shows every server shape and the
+conformance suite refusing an answer that is not a ``Response``, the
+conformance suite catching unsound mutation certificates and the
+registry refusing removed hooks,
 checks delta-protocol parity for kNN, window and range requests on
 every server shape, and enforces the refactor invariant itself: no
 ``isinstance(request, ...)`` dispatch ladder anywhere in
@@ -39,6 +41,7 @@ from repro.core.api import (
     QueryRequest,
     QuerySemantics,
     RangeRequest,
+    Response,
     WindowRequest,
     query_semantics,
     register_query_type,
@@ -181,16 +184,6 @@ class NearCountDetail(QueryDetail):
     degraded: bool = False
 
 
-@dataclass
-class NearCountResponse:
-    result: List
-    region: AnnulusValidityRegion
-    detail: NearCountDetail
-
-    def transfer_bytes(self) -> int:
-        return POINT_BYTES * len(self.result) + self.region.transfer_bytes()
-
-
 class NearCountSemantics(QuerySemantics):
     kind = "nearcount"
     request_type = NearCountRequest
@@ -208,10 +201,8 @@ class NearCountSemantics(QuerySemantics):
         server.queries_processed += 1
         detail = NearCountDetail(query=(cx, cy), radius=request.radius,
                                  safety_radius=slack)
-        return NearCountResponse(
-            result=hits,
-            region=AnnulusValidityRegion((cx, cy), 0.0, slack),
-            detail=detail)
+        return Response(hits, AnnulusValidityRegion((cx, cy), 0.0, slack),
+                        detail)
 
     def cache_key(self, request):
         return ("nearcount", request.radius)
@@ -254,6 +245,30 @@ class NearCountSemantics(QuerySemantics):
 register_query_type(NearCountSemantics())
 
 
+@dataclass
+class NearCountResponse:
+    """A plugin-defined response class, which v8.0 no longer serves."""
+
+    result: List
+    region: AnnulusValidityRegion
+    detail: NearCountDetail
+
+    def transfer_bytes(self) -> int:
+        return POINT_BYTES * len(self.result) + self.region.transfer_bytes()
+
+
+class OwnResponseClass(NearCountSemantics):
+    def execute(self, server, request):
+        full = super().execute(server, request)
+        return NearCountResponse(full.result, full.region, full.detail)
+
+
+def _swap(monkeypatch, sem):
+    """Register ``sem`` for the length of one test."""
+    monkeypatch.setitem(api_module._REGISTRY, sem.kind, sem)
+    monkeypatch.setitem(api_module._BY_TYPE, sem.request_type, sem)
+
+
 class TestThirdPartyType:
     def test_conformance(self):
         check_semantics("nearcount", _points(),
@@ -285,6 +300,26 @@ class TestThirdPartyType:
         finally:
             service.close()
 
+    @pytest.mark.parametrize("stack", sorted(STACKS))
+    def test_every_stack_refuses_a_response_of_another_class(
+            self, stack, monkeypatch):
+        """An answer is a ``Response`` itself: a kind shipping its own
+        response class, as before v8.0, fails naming the kind."""
+        _swap(monkeypatch, OwnResponseClass())
+        with build_service(_points(), **STACKS[stack]) as service:
+            with pytest.raises(TypeError,
+                               match="'nearcount' kind's execute returned "
+                                     "a NearCountResponse"):
+                service.answer(NearCountRequest((0.5, 0.5)))
+
+    def test_conformance_refuses_a_response_of_another_class(
+            self, monkeypatch):
+        _swap(monkeypatch, OwnResponseClass())
+        with pytest.raises(AssertionError,
+                           match="execute returned a NearCountResponse"):
+            check_semantics("nearcount", _points(),
+                            [NearCountRequest((0.5, 0.5), radius=0.12)])
+
     def test_answer_many_rejects_unregistered_requests(self):
         service = build_service(_points())
         try:
@@ -312,11 +347,6 @@ class TestMutationCertificate:
             register_query_type(legacy())
         assert "nearcount-legacy" not in registered_query_kinds()
 
-    @staticmethod
-    def _swap(monkeypatch, sem):
-        monkeypatch.setitem(api_module._REGISTRY, sem.kind, sem)
-        monkeypatch.setitem(api_module._BY_TYPE, sem.request_type, sem)
-
     def test_suite_catches_a_certified_in_radius_insert(self, monkeypatch):
         class InRadius(NearCountSemantics):
             """The rule before v3.0: an insert anywhere caps the radius
@@ -334,7 +364,7 @@ class TestMutationCertificate:
                 return (region if rho >= region.outer else
                         AnnulusValidityRegion(region.center, 0.0, rho))
 
-        self._swap(monkeypatch, InRadius())
+        _swap(monkeypatch, InRadius())
         with pytest.raises(AssertionError, match="invalidates"):
             check_semantics("nearcount", _points(),
                             [NearCountRequest((0.5, 0.5), radius=0.12)])
@@ -357,7 +387,7 @@ class TestMutationCertificate:
                         return None
                 return response.region
 
-        self._swap(monkeypatch, FirstNeighbour())
+        _swap(monkeypatch, FirstNeighbour())
         with pytest.raises(AssertionError, match="invalidates"):
             check_semantics("knn", _points(), [KNNRequest((0.4, 0.6), k=3)])
 
@@ -365,8 +395,6 @@ class TestMutationCertificate:
 class TestReachBox:
     """A kind's ``reach`` box is checked by the conformance suite: its
     members inside, ``certify`` keeping the region outside it."""
-
-    _swap = staticmethod(TestMutationCertificate._swap)
 
     def test_builtin_boxes_hold_their_members_and_the_none_kinds(self):
         points = _points()
@@ -394,7 +422,7 @@ class TestReachBox:
             def reach(self, request, response):
                 return response.region.rect
 
-        self._swap(monkeypatch, BareRect())
+        _swap(monkeypatch, BareRect())
         with pytest.raises(AssertionError, match="outside the reach box"):
             check_semantics("window", _points(),
                             [WindowRequest((0.5, 0.5), 0.2, 0.1)])
@@ -412,7 +440,7 @@ class TestReachBox:
                            for n in response.result)
                 return box.inflated(near, near)
 
-        self._swap(monkeypatch, Nearest())
+        _swap(monkeypatch, Nearest())
         with pytest.raises(AssertionError, match="outside the reach box"):
             check_semantics("knn", _points(), [KNNRequest((0.4, 0.6), k=3)])
 
@@ -423,7 +451,7 @@ class TestReachBox:
             def reach(self, request, response):
                 return response.region.mbr()
 
-        self._swap(monkeypatch, Disk())
+        _swap(monkeypatch, Disk())
         with pytest.raises(AssertionError, match="lies outside the reach"):
             check_semantics("range", _points(),
                             [RangeRequest((0.3, 0.3), 0.15)])

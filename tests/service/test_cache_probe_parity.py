@@ -14,13 +14,14 @@ The regions cover every shape the service admits: kNN regions (k up to
 3, and empty clips whose polygon vanished while ``contains`` still
 accepts the bisector line), window regions, range regions (including
 the infinite radius whose ``mbr()`` is ``None``), sharded
-``CompositeValidityRegion``s and replica ``ServedResponse`` wrappers.
+``CompositeValidityRegion``s and replica ``ServedResponse``s.
 Probes sit at region vertices, on edges, and just outside them.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
@@ -28,7 +29,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.api import (
     KNNRequest,
-    QueryResponse,
     RangeRequest,
     Response,
     WindowRequest,
@@ -52,7 +52,7 @@ UNIT = Rect(0.0, 0.0, 1.0, 1.0)
 class _ReferenceCache(ValidityCache):
     """The cell-keyed cache the shape-keyed one replaced (reference)."""
 
-    def probe(self, request, epoch: int) -> Optional[QueryResponse]:
+    def probe(self, request, epoch: int) -> Optional[Response]:
         key = request_key(request)
         if key is None or self.config.capacity == 0:
             return None
@@ -178,15 +178,17 @@ def _response(draw, servers, points, shape, location, request):
         return sharded.answer(request)
     response = server.answer(request)
     if how == "served":
-        return ServedResponse(response, replica_id=1)
+        return ServedResponse(**vars(response), replica_id=1, epoch=0,
+                              valid_for_epoch=0)
     if how == "stale":
         x, y = draw(st.tuples(_lattice(40), _lattice(40)).filter(
             lambda xy: xy not in points))
         pending = [Mutation("insert", 10_000, x, y)]
         region = shrunk_stale_region(request, response, pending, UNIT)
         if region is not None:
-            return ServedResponse(response, region=region, replica_id=1,
-                                  staleness=1)
+            return ServedResponse(**vars(replace(response, region=region)),
+                                  replica_id=1, epoch=0, staleness=1,
+                                  valid_for_epoch=1)
     return response
 
 

@@ -11,6 +11,10 @@ and two replicas lagging by up to two mutations, and check:
   bounded-stale replica reads included — equals brute force;
 * a subscription whose first answer is a cache hit computed at another
   point equals brute force after every mutation;
+* a polling and an incremental (§7 delta) mobile client of every kind
+  the delta protocol serves, walking in and out of the data's MBR over
+  the default universe of two lagging replicas, with inserts near
+  them, answer every update as brute force does;
 * ``certify`` agrees with the per-kind rules it replaced wherever those
   were sound (kNN with k = 1, window, fresh probabilistic-kNN answers),
   and keeps every range entry the old minimum-distance test kept.  The
@@ -22,12 +26,14 @@ from __future__ import annotations
 import math
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import (
     CacheConfig,
     ContinuousConfig,
     KNNRequest,
+    MobileClient,
     RangeRequest,
     ReplicaConfig,
     WindowRequest,
@@ -98,10 +104,10 @@ def _mutate(service, live, rnd, next_oid, center):
     return next_oid + 1
 
 
-def _assert_brute_force(live, request, response, where: str):
+def _assert_brute_force(live, request, result, where: str):
     entries = [LeafEntry(oid, x, y) for oid, (x, y) in live.items()]
     must, may = query_semantics(request).oracle(entries, request)
-    ids = {e.oid for e in response.result}
+    ids = {e.oid for e in result}
     assert must <= ids <= may, (
         f"{request.kind} {where}: missing {sorted(must - ids)}, "
         f"extra {sorted(ids - may)}")
@@ -127,7 +133,7 @@ def _assert_region(live, kind, k, response, rnd, where: str, probes=4):
         p = (box.xmin + rnd.random() * (box.xmax - box.xmin),
              box.ymin + rnd.random() * (box.ymax - box.ymin))
         if response.region.contains(p):
-            _assert_brute_force(live, _request(kind, p, k), response,
+            _assert_brute_force(live, _request(kind, p, k), response.result,
                                 f"{where}, at {p} in its region")
             found += 1
             if found == probes:
@@ -151,7 +157,7 @@ def test_answers_after_a_mutation_stream_equal_brute_force(seed, k, kind):
                 hits = service.cache.hits
                 response = service.answer(request)
                 how = "cache hit" if service.cache.hits > hits else "answer"
-                _assert_brute_force(live, request, response,
+                _assert_brute_force(live, request, response.result,
                                     f"{how} after {step} mutations")
                 _assert_region(live, kind, k, response, rnd,
                                f"{how} after {step} mutations")
@@ -186,16 +192,76 @@ def test_subscription_from_a_cache_hit_tracks_brute_force(seed, k, kind):
         hits = service.cache.hits
         sub = service.subscribe(_request(kind, at, k))
         assert service.cache.hits == hits + 1
-        _assert_brute_force(live, _request(kind, at, k), sub.response,
-                            "subscribed from a cache hit")
+        _assert_brute_force(live, _request(kind, at, k),
+                            sub.response.result, "subscribed from a cache hit")
         for step in range(10):
             next_oid = _mutate(service, live, rnd, next_oid, center)
             held = _sync(sub, at)
             where = f"subscription after {step + 1} mutations"
-            _assert_brute_force(live, _request(kind, at, k), held, where)
+            _assert_brute_force(live, _request(kind, at, k), held.result,
+                                where)
             _assert_region(live, kind, k, held, rnd, where)
     finally:
         service.close()
+
+
+# ----------------------------------------------------------------------
+# mobile clients of a lagging replica, in and out of the data's MBR
+# ----------------------------------------------------------------------
+#: The data fill the middle of the unit square the clients walk, so the
+#: service universe — the data's MBR — leaves a border of it uncovered.
+DATA_LO, DATA_HI = 0.2, 0.8
+WALK_SEEDS, WALK_UPDATES, INSERT_EVERY = 2, 200, 10
+
+
+def _ask(client, request):
+    """``request`` as the mobile client's own call."""
+    if request.kind == "knn":
+        return client.knn(request.location, k=request.k)
+    if request.kind == "window":
+        return client.window(request.focus, request.width, request.height)
+    return client.range(request.location, request.radius)
+
+
+@pytest.mark.parametrize("kind", ["knn", "window", "range"])
+def test_clients_of_a_lagging_replica_equal_brute_force(kind):
+    """The follower lags two inserts behind and serves up to two stale,
+    so every answer it gives rests on a certified shrink, and a client
+    caches the shrunk region — the incremental one too, whose answer
+    is a delta.  Outside the data's MBR a kNN region must still hold
+    the query point, or ``certify`` tests inserts against a box without
+    it."""
+    outside = 0
+    for seed in range(WALK_SEEDS):
+        rnd = random.Random(seed)
+        points = [(DATA_LO + (DATA_HI - DATA_LO) * rnd.random(),
+                   DATA_LO + (DATA_HI - DATA_LO) * rnd.random())
+                  for _ in range(300)]
+        live = dict(enumerate(points))
+        next_oid = len(points)
+        with build_service(points, replicas=2, replica=ReplicaConfig(
+                replication_lag=2, default_max_stale=2)) as service:
+            clients = {"polling": MobileClient(service),
+                       "incremental": MobileClient(service,
+                                                   incremental=True)}
+            at = (rnd.random(), rnd.random())
+            for step in range(WALK_UPDATES):
+                at = (_clamp(at[0] + rnd.uniform(-0.02, 0.02)),
+                      _clamp(at[1] + rnd.uniform(-0.02, 0.02)))
+                outside += not service.universe.contains_point(at)
+                if step % INSERT_EVERY == 0:
+                    x = at[0] + rnd.uniform(-0.1, 0.1)
+                    y = at[1] + rnd.uniform(-0.1, 0.1)
+                    service.insert_object(next_oid, x, y)
+                    live[next_oid] = (x, y)
+                    next_oid += 1
+                request = _request(kind, at, 2)
+                for name, client in clients.items():
+                    _assert_brute_force(
+                        live, request, _ask(client, request),
+                        f"{name} client, seed {seed}, update {step}")
+            assert service.server.stale_served > 0
+    assert outside > 0
 
 
 # ----------------------------------------------------------------------

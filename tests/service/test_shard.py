@@ -201,7 +201,7 @@ class TestScatterGatherMechanics:
         stale = frozenset(list(ids)[:2] + [9999])
         delta = sharded.answer(
             KNNRequest(query, k=4, previous_ids=stale))
-        assert frozenset(e.oid for e in delta.full.result) == ids
+        assert frozenset(e.oid for e in delta.result) == ids
         assert set(delta.removed_ids) == {9999}
         assert {e.oid for e in delta.added} == ids - stale
 

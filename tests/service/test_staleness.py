@@ -14,6 +14,7 @@ regions are checked.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -264,14 +265,18 @@ def test_mutation_validates_op():
 
 
 def test_served_response_proxies_inner(small_server):
+    """A replica's answer is the response it computed, annotated; a
+    ``replace`` (the cache's kNN re-ranking) keeps the annotation."""
     request = KNNRequest((0.5, 0.5), k=2)
     response = small_server.answer(request)
-    wrapped = ServedResponse(response, replica_id=1, staleness=2,
-                             valid_for_epoch=5, failovers=1)
-    assert wrapped.result == response.result
-    assert wrapped.detail is response.detail
-    assert wrapped.region is response.region
-    assert wrapped.transfer_bytes() == response.transfer_bytes()
-    assert wrapped.entry_bytes == response.entry_bytes  # __getattr__ proxy
-    copy = wrapped.with_inner(response)
+    served = ServedResponse(**vars(response), replica_id=1, epoch=3,
+                            staleness=2, valid_for_epoch=5, failovers=1)
+    assert isinstance(served, Response)
+    assert served.result == response.result
+    assert served.detail is response.detail
+    assert served.region is response.region
+    assert served.transfer_bytes() == response.transfer_bytes()
+    assert served.entry_bytes == response.entry_bytes
+    copy = replace(served, result=served.result[::-1])
+    assert type(copy) is ServedResponse
     assert copy.staleness == 2 and copy.replica_id == 1

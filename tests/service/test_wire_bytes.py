@@ -33,7 +33,6 @@ from repro import (
     WindowRequest,
     build_service,
 )
-from repro.core.server import DeltaResponse
 from repro.core.validity import (
     AnnulusValidityRegion,
     CompositeValidityRegion,
@@ -42,7 +41,7 @@ from repro.core.validity import (
     WindowValidityRegion,
 )
 from repro.geometry import Rect
-from repro.service import CacheConfig, ReplicaConfig, ServedResponse
+from repro.service import CacheConfig, ReplicaConfig
 
 UNIT = Rect(0.0, 0.0, 1.0, 1.0)
 
@@ -88,17 +87,31 @@ def _region_bytes(region) -> int:
     raise AssertionError(f"no wire price for {region!r}")
 
 
+def _geometry(region):
+    """What a region is, for telling a shrunk one from the original."""
+    if isinstance(region, NNValidityRegion):
+        return ("pairs", tuple((r.oid, i.oid) for r, i in region.pairs))
+    if isinstance(region, WindowValidityRegion):
+        return ("rect", tuple(region.rect))
+    if isinstance(region, ValidityDisk):
+        return ("disk", region.center, region.radius)
+    if isinstance(region, AnnulusValidityRegion):
+        return ("annulus", region.center, region.inner, region.outer)
+    if isinstance(region, CompositeValidityRegion):
+        return ("and",) + tuple(_geometry(c) for c in region.components)
+    raise AssertionError(f"no geometry for {region!r}")
+
+
 def _delta_bytes(added: int, removed: int, region) -> int:
     return POINT * added + ID * removed + _region_bytes(region)
 
 
 def _answer_bytes(request, response) -> int:
     """The model's price of an answer: a delta's added points and
-    removed ids, or every entry, plus the region shipped with it (a
-    replica's own, when it served the answer stale)."""
-    inner = response.inner if isinstance(response, ServedResponse) else response
-    if isinstance(inner, DeltaResponse):
-        return _delta_bytes(len(inner.added), len(inner.removed_ids),
+    removed ids, or every entry, plus the region shipped with it (the
+    shrunk one, when a replica served the answer stale)."""
+    if response.added is not None:
+        return _delta_bytes(len(response.added), len(response.removed_ids),
                             response.region)
     entry = PROB_POINT if request.kind == "probknn" else POINT
     return entry * len(response.result) + _region_bytes(response.region)
@@ -178,7 +191,13 @@ def _stream(service, seed: int = 29):
         for request in _requests(spot)[:3]:
             response = answer(f"late {request.kind}", request)
             if getattr(response, "staleness", 0):
-                stale.append(response.region is not response.inner.region)
+                # The serving replica's own answer, with the region it
+                # computed before the shrink.
+                replica = next(r for r in service.server.replicas
+                               if r.rid == response.replica_id)
+                own = replica.server.answer(request)
+                stale.append(_geometry(response.region)
+                             != _geometry(own.region))
     return rows, stale
 
 

@@ -6,7 +6,8 @@ shape: the cache's cell lookup and the replica router raised
 and a sharded fleet answered it (no neighbours; a range region that
 "contained" the NaN point).  A NaN radius, extent or uncertainty slipped
 through the ``<= 0`` checks.  Every request type now refuses both when
-it is built, before any layer sees it; infinite extents stay valid.
+it is built, before any layer sees it; infinite extents stay valid, and
+every shape answers them.
 """
 
 import math
@@ -77,6 +78,21 @@ def test_infinite_extents_stay_valid():
     ProbKNNRequest((0.5, 0.5), math.inf)
 
 
+@pytest.mark.parametrize("shape", ["single", "shards", "replicas"])
+def test_an_infinite_uncertainty_gives_finite_probabilities(shape):
+    """Each candidate's probability is ``(horizon - d) / 2u`` with the
+    horizon ``d_k + 2u``; as ``u`` grows without bound it tends to 1,
+    which is what an infinite ``u`` reports — not ``inf / inf``."""
+    points = _points(300, 10)
+    with build_service(points, universe=UNIT, **SHAPES[shape]) as service:
+        # pyproject.toml turns numpy's divide RuntimeWarning into an error.
+        response = service.answer(ProbKNNRequest((0.5, 0.5), math.inf, k=2))
+    probabilities = response.detail.probabilities
+    assert len(probabilities) == len(points)
+    assert all(math.isfinite(p) and 0.0 <= p <= 1.0 for p in probabilities)
+    assert set(probabilities) == {1.0}
+
+
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_infinite_range_holds_every_point(shape):
     points = _points(300, 7)
@@ -103,7 +119,7 @@ def test_client_refuses_nan_before_the_service_counts_it(shape):
 
 
 def test_a_delta_reports_its_delta_size_on_every_shape():
-    """A replica wraps the delta in a ``ServedResponse``; the trace and
+    """A replica's delta is a ``ServedResponse``; the trace and
     ``service.result_size`` still count its added plus removed entries,
     as on a single tree and a sharded fleet."""
     points = _points(500, 9)
