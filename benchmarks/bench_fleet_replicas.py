@@ -20,9 +20,13 @@ replicated serving tier:
 
 * **Overload phase** — a fresh admission-gated service
   (``max_queue_depth=0``: every excess request is a queue-full fast
-  reject) takes 2x its capacity in offered load.  The gate: rejects are
-  decided in under 1 ms (p99, client-side), and the latency of
-  *accepted* queries stays within 2x of the unloaded p99.
+  reject) takes 2x its capacity in offered load.  First a query parked
+  inside the server holds the one execution slot while a second client
+  offers its requests, so every offer is shed whatever the thread
+  scheduler does; then the slot is released and two clients run free.
+  The gate: rejects are decided in under 1 ms (p99, client-side), and
+  the latency of *accepted* queries stays within 2x of the unloaded
+  p99.
 
 Both phases append flat metrics to the schema-versioned
 ``BENCH_fleet_replicas.json`` regression trail (see
@@ -218,28 +222,54 @@ def run_overload(seed: int = 4096):
         one_query()
         unloaded_ms.append((perf_counter() - t0) * 1e3)
 
-    # 2x overload: two clients against a single execution slot.  The
-    # gate has no queue, so the losing client is fast-rejected; a real
-    # client backs off briefly before re-offering.
     accepted_ms, reject_ms = [], []
     lock = threading.Lock()
 
+    def offer(crng: random.Random) -> bool:
+        """One client request; True when it was admitted."""
+        q = (crng.random(), crng.random())
+        t0 = perf_counter()
+        try:
+            service.answer(KNNRequest(q, k=10))
+        except AdmissionRejectedError:
+            with lock:
+                reject_ms.append((perf_counter() - t0) * 1e3)
+            return False
+        with lock:
+            accepted_ms.append((perf_counter() - t0) * 1e3)
+        return True
+
+    # Held slot: a query parked inside the server keeps the single
+    # execution slot while a second client offers its requests.  The
+    # gate has no queue, so each offer is fast-rejected whatever the
+    # scheduler does.  The parked query is kept out of accepted_ms.
+    server = service.server
+    parked, release = threading.Event(), threading.Event()
+    answer = server.answer
+
+    def park(request):
+        parked.set()
+        release.wait()
+        return answer(request)
+
+    server.answer = park
+    holder = threading.Thread(target=one_query)
+    holder.start()
+    assert parked.wait(timeout=60), "the held query never reached the server"
+    del server.answer  # only the holder parks
+    crng = random.Random(seed - 1)
+    held_admitted = sum(offer(crng) for _ in range(OVERLOAD_QUERIES))
+    release.set()
+    holder.join()
+
+    # Free-running 2x overload: two clients against the slot; the
+    # losing client is fast-rejected and backs off briefly before
+    # re-offering, as a real client would.
     def client(client_seed: int):
         crng = random.Random(client_seed)
         for _ in range(OVERLOAD_QUERIES):
-            q = (crng.random(), crng.random())
-            t0 = perf_counter()
-            try:
-                service.answer(KNNRequest(q, k=10))
-            except AdmissionRejectedError:
-                dt = (perf_counter() - t0) * 1e3
-                with lock:
-                    reject_ms.append(dt)
+            if not offer(crng):
                 sleep(0.0002)  # client backoff after a shed
-                continue
-            dt = (perf_counter() - t0) * 1e3
-            with lock:
-                accepted_ms.append(dt)
 
     threads = [threading.Thread(target=client, args=(seed + i,))
                for i in range(2)]
@@ -257,6 +287,7 @@ def run_overload(seed: int = 4096):
         "accepted": len(accepted_ms),
         "rejected": len(reject_ms),
         "rejected_queue_full": admission["rejected_queue_full"],
+        "held_admitted": held_admitted,
     }
 
 
@@ -317,6 +348,7 @@ def test_fleet_chaos_gate(benchmark):
     assert chaos["victim_state"] == "down"
     # Overload gate: sheds decide fast, accepted queries stay fast.
     assert overload["rejected"] > 0
+    assert overload["held_admitted"] == 0  # the held slot shed every offer
     assert overload["fast_reject_p99_ms"] < 1.0
     # 0.5 ms absolute grace absorbs scheduler jitter on sub-ms queries.
     assert overload["accepted_p99_ms"] <= (

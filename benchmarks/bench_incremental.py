@@ -19,8 +19,11 @@ tier (:mod:`repro.service.continuous`) and the surgical
 
 * **Cache-under-writes phase** — the identical hot-spot query workload
   with 10% interleaved mutations runs against two identically
-  configured services, one with the surgical mutation hook, one with
-  the ``surgical=False`` invalidate-all baseline.  The gate: the
+  configured services.  One applies each write through the service,
+  whose surgical mutation hook keeps the entries the write cannot
+  reach; the other applies it to the server alone
+  (``service.server.insert_object``), so the epoch bump stales every
+  entry at its next probe: the invalidate-all baseline.  The gate: the
   surgical server-cache hit ratio is **>= 2x** the blunt baseline.
 
 Metrics append to the schema-versioned ``BENCH_incr_*.json`` regression
@@ -182,12 +185,14 @@ def run_cache_under_writes(seed: int = 1777):
 
     def run(surgical: bool) -> dict:
         service = build_service(
-            points, universe=UNIT,
-            cache=CacheConfig(capacity=4 * HOTSPOTS, surgical=surgical))
+            points, universe=UNIT, cache=CacheConfig(capacity=4 * HOTSPOTS))
+        # A write past the service skips the cache hook: blunt baseline.
+        insert = (service.insert_object if surgical
+                  else service.server.insert_object)
         for step in script:
             if step[0] == "mutate":
                 _, oid, x, y = step
-                service.insert_object(oid, x, y)
+                insert(oid, x, y)
             else:
                 service.answer(KNNRequest(step[1], k=K))
         snap = service.cache.snapshot()

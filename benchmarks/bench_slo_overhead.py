@@ -11,6 +11,13 @@ overhead, and **fails (exit 1) when the instrumented service is more
 than 10% slower** — observability that taxes the hot path double-digit
 percent is a regression, not a feature.
 
+The two services take the workload in alternating blocks of
+``BLOCK`` requests, the order flipping every block, and the gate is
+the ratio of their summed times.  Timing whole passes one after the
+other measures how the CPU's speed drifted between the passes as much
+as the stack; interleaving short blocks gives both services the same
+CPU.
+
 The sweep lands in ``BENCH_slo_overhead.json`` (prefix ``slo``) so
 ``compare.py`` also guards run-over-run drift of the overhead itself.
 """
@@ -29,8 +36,8 @@ from repro.service import QueryService, TailSamplingConfig
 #: The gate: instrumented throughput may cost at most this much.
 MAX_OVERHEAD = 0.10
 QUERIES = 2_000 if SCALE == "smoke" else 10_000
-#: Measured passes per variant; the best pass is scored (noise floor).
-REPEATS = 3
+#: Requests per block; the services alternate block by block.
+BLOCK = 25
 
 
 def _requests(n: int):
@@ -60,26 +67,26 @@ def _service(tree, instrumented: bool) -> QueryService:
                         tail=TailSamplingConfig(keep_1_in=10))
 
 
-def _drive(tree, reqs, instrumented: bool):
-    """Best-of-N pass over the workload; returns (elapsed_s, service)."""
-    best = None
-    service = None
-    for _ in range(REPEATS):
-        service = _service(tree, instrumented)
-        t0 = perf_counter()
-        for req in reqs:
-            service.answer(req)
-        elapsed = perf_counter() - t0
-        best = elapsed if best is None else min(best, elapsed)
-    return best, service
+def _drive(tree, reqs):
+    """Both services over the workload in alternating blocks; returns
+    (bare elapsed_s, instrumented elapsed_s, instrumented service)."""
+    services = [_service(tree, False), _service(tree, True)]
+    elapsed = [0.0, 0.0]
+    for block, start in enumerate(range(0, len(reqs), BLOCK)):
+        for which in ((0, 1) if block % 2 == 0 else (1, 0)):
+            service = services[which]
+            t0 = perf_counter()
+            for req in reqs[start:start + BLOCK]:
+                service.answer(req)
+            elapsed[which] += perf_counter() - t0
+    return elapsed[0], elapsed[1], services[1]
 
 
 def run_overhead() -> dict:
     tree = bulk_load_str(uniform_dataset(CONFIG.uniform_cardinalities[0]))
     reqs = _requests(QUERIES)
 
-    base_s, _ = _drive(tree, reqs, instrumented=False)
-    full_s, service = _drive(tree, reqs, instrumented=True)
+    base_s, full_s, service = _drive(tree, reqs)
 
     base_qps = QUERIES / base_s
     full_qps = QUERIES / full_s
@@ -88,7 +95,8 @@ def run_overhead() -> dict:
                                            query_kind="knn")
 
     print_table(
-        f"SLO-stack overhead: {QUERIES} queries, best of {REPEATS}",
+        f"SLO-stack overhead: {QUERIES} queries, alternating blocks of "
+        f"{BLOCK}",
         ["variant", "elapsed_s", "qps"],
         [("bare service", f"{base_s:.3f}", f"{base_qps:,.0f}"),
          ("slo+tail+profile", f"{full_s:.3f}", f"{full_qps:,.0f}"),
@@ -111,7 +119,7 @@ def run_overhead() -> dict:
         "knn_p95_ms": knn["p95"],
     }
     path = write_bench_record("overhead", metrics,
-                              context={"repeats": REPEATS},
+                              context={"block": BLOCK},
                               prefix="slo")
     print(f"\nbench record appended to {path}")
     return metrics

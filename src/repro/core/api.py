@@ -24,7 +24,7 @@ and the delta and replica wrappers and the response protocol in v8.0.0
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, is_dataclass, replace
 from time import perf_counter
 from typing import (
     ClassVar,
@@ -504,7 +504,9 @@ def register_query_type(semantics: QuerySemantics) -> QuerySemantics:
     hook raises ``TypeError`` naming its replacement
     (:meth:`QuerySemantics.certify` for the v3.0 mutation hooks,
     :meth:`QuerySemantics.execute` for ``shard_execute``): registering
-    it silently would drop the rule it holds.
+    it silently would drop the rule it holds.  A ``request_type`` that
+    is not a dataclass raises ``TypeError``: the service sets budgets
+    with :func:`dataclasses.replace`.
     """
     if not isinstance(semantics, QuerySemantics):
         raise TypeError(f"not a QuerySemantics: {semantics!r}")
@@ -517,6 +519,9 @@ def register_query_type(semantics: QuerySemantics) -> QuerySemantics:
         raise ValueError("semantics.kind must be a non-empty string")
     if semantics.request_type is None:
         raise ValueError("semantics.request_type must be set")
+    if not is_dataclass(semantics.request_type):
+        raise TypeError(f"semantics.request_type must be a dataclass, not "
+                        f"{semantics.request_type!r}")
     _REGISTRY[semantics.kind] = semantics
     _BY_TYPE[semantics.request_type] = semantics
     return semantics

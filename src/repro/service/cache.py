@@ -30,8 +30,7 @@ structure (the INSQ-style influence-set cache, arXiv:1602.00363):
   epoch, so hit rates stay high under write traffic.  A mutation
   outside an entry's reach box
   (:meth:`~repro.core.api.QuerySemantics.reach`) re-stamps it without
-  a certificate.  The pre-existing drop-everything hook
-  (:meth:`invalidate_all`) remains as the ``surgical=False`` baseline.
+  a certificate.
 
 A cache hit costs zero node accesses: the request never reaches the
 index, which is what turns a stream of moving-client queries into
@@ -63,17 +62,11 @@ class CacheConfig:
 
     ``capacity`` bounds the number of retained responses (LRU beyond
     it); ``grid`` is the resolution of the uniform cell grid the region
-    MBRs are indexed in; ``admit_degraded`` controls whether
-    budget-degraded responses (tiny conservative regions) are worth
-    caching at all; ``surgical`` selects the mutation hook — overlap
-    tests that keep unaffected entries alive (the default) versus the
-    drop-everything baseline.
+    MBRs are indexed in.
     """
 
     capacity: int = 1024
     grid: int = 16
-    admit_degraded: bool = False
-    surgical: bool = True
 
     def __post_init__(self):
         if self.capacity < 0:
@@ -254,16 +247,15 @@ class ValidityCache:
               epoch: int) -> bool:
         """Index ``response`` under its validity region's MBR.
 
-        Returns False (and caches nothing) for uncacheable requests,
-        regions that expose no finite MBR, and — unless configured
-        otherwise — degraded responses, whose conservative regions are
-        too small to be worth a slot.
+        Returns False (and caches nothing) for uncacheable requests and
+        degraded responses, whose conservative regions are too small to
+        be worth a slot.  A region that exposes no finite MBR is indexed
+        under the whole universe.
         """
         key = request_key(request)
         if key is None or self.config.capacity == 0:
             return False
-        if (not self.config.admit_degraded
-                and bool(getattr(response.detail, "degraded", False))):
+        if getattr(response.detail, "degraded", False):
             return False
         mbr_of = getattr(response.region, "mbr", None)
         mbr = mbr_of() if mbr_of is not None else None
@@ -293,16 +285,6 @@ class ValidityCache:
     # ------------------------------------------------------------------
     # invalidation
     # ------------------------------------------------------------------
-    def invalidate_all(self) -> int:
-        """Drop everything (the blunt mutation hook); returns the count."""
-        with self._lock:
-            dropped = len(self._entries)
-            self._entries.clear()
-            self._grid.clear()
-            if dropped:
-                self.invalidations += 1
-        return dropped
-
     def invalidate_mutation(self, op: str, oid: int, x: float, y: float,
                             epoch: int) -> int:
         """Surgically apply one dataset mutation; returns entries dropped.
@@ -399,7 +381,6 @@ class ValidityCache:
                 "insertions": self.insertions,
                 "evictions": self.evictions,
                 "invalidations": self.invalidations,
-                "surgical": self.config.surgical,
                 "surgical_drops": self.surgical_drops,
                 "surgical_survivals": self.surgical_survivals,
             }

@@ -121,27 +121,31 @@ class CircuitBreaker:
             self.rejections += 1
             raise CircuitOpenError(max(0.0, remaining))
 
-    def record_success(self) -> None:
+    def record_success(self) -> bool:
+        """Count a success; True when it closed the breaker (a recovery)."""
         with self._lock:
-            if self._state == HALF_OPEN:
-                self._probes_in_flight = max(0, self._probes_in_flight - 1)
-                self._probe_successes += 1
-                if self._probe_successes >= self.config.success_threshold:
-                    self._state = CLOSED
-                    self._consecutive_failures = 0
-                    self.recoveries += 1
-            else:
+            if self._state != HALF_OPEN:
                 self._consecutive_failures = 0
+                return False
+            self._probes_in_flight = max(0, self._probes_in_flight - 1)
+            self._probe_successes += 1
+            if self._probe_successes < self.config.success_threshold:
+                return False
+            self._state = CLOSED
+            self._consecutive_failures = 0
+            self.recoveries += 1
+            return True
 
-    def record_failure(self) -> None:
+    def record_failure(self) -> bool:
+        """Count a transient failure; True when it tripped the breaker."""
         with self._lock:
-            if self._state == HALF_OPEN:
-                self._trip()
-                return
             self._consecutive_failures += 1
-            if (self._state == CLOSED and self._consecutive_failures
+            if self._state == HALF_OPEN or (
+                    self._state == CLOSED and self._consecutive_failures
                     >= self.config.failure_threshold):
                 self._trip()
+                return True
+            return False
 
     def _trip(self) -> None:
         """Transition to OPEN (lock held)."""

@@ -51,9 +51,9 @@ import random
 import threading
 import time
 from concurrent.futures import Executor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, is_dataclass, replace
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.api import (
     Mutation,
@@ -104,6 +104,16 @@ from repro.service.shard import build_server
 from repro.service.tracing import TailSamplingConfig, TraceBuffer
 
 __all__ = ["QueryService", "ResilienceConfig", "build_service"]
+
+
+class _Executed(NamedTuple):
+    """The execute stage's outcome: the server's answer, the reads of
+    the attempt that produced it, and the epoch it is valid for."""
+
+    response: Response
+    node_accesses: Dict[str, int]
+    page_faults: Dict[str, int]
+    epoch: int
 
 
 @dataclass(frozen=True)
@@ -240,13 +250,9 @@ class QueryService:
         returns.
         """
         if self.cache is not None:
-            if self.cache.config.surgical:
-                dropped = self.cache.invalidate_mutation(
-                    op, oid, x, y, epoch=self.server.epoch)
-                self.metrics.counter(
-                    "service.cache.surgical_drops").inc(dropped)
-            else:  # the blunt baseline: every cached region dies
-                self.cache.invalidate_all()
+            dropped = self.cache.invalidate_mutation(
+                op, oid, x, y, epoch=self.server.epoch)
+            self.metrics.counter("service.cache.surgical_drops").inc(dropped)
         if self._hub is not None:
             self._hub.notify(Mutation(op, int(oid), float(x), float(y)))
 
@@ -282,42 +288,49 @@ class QueryService:
         return self._hub
 
     # ------------------------------------------------------------------
-    # query execution
+    # the request path: admit -> probe -> execute -> price -> record
     # ------------------------------------------------------------------
     def answer(self, request: QueryRequest) -> Response:
         """Answer one typed request, tracing and metering it.
 
-        With a :class:`ResilienceConfig`, transient failures (simulated
-        page-read errors) are retried with capped exponential backoff
-        and full jitter outside the service lock; persistent failure
-        streaks trip the circuit breaker, which then rejects requests
-        with :class:`~repro.service.faults.CircuitOpenError` until its
-        reset timeout allows a probe.  Budget-exhausted (degraded)
+        Five stages run in order under the query's one trace: admit,
+        probe (the validity cache), execute (a cache miss only: the
+        admission gate, and the circuit breaker and retries around one
+        server pass), price and record.  Budget-exhausted (degraded)
         responses are successes: correct results, shrunk regions.
         """
-        request = self._with_default_budget(request)
         kind = getattr(request, "kind", type(request).__name__)
         trace_id = (getattr(request, "trace_id", None)
                     or f"q-{next(self._ids)}")
         with start_trace(trace_id, events=self.events, kind=kind) as ctx:
-            return self._answer_traced(request, kind, ctx)
+            request, level = self._admit(request, kind, ctx.trace)
+            response = self._probe(request, kind, level, ctx)
+            executed = None
+            if response is None:
+                executed = self._execute(request, kind, level, ctx)
+                response = executed.response
+            self._price(response, executed, kind, ctx)
+            self._record(request, response, executed, kind, ctx.trace)
+            return response
 
-    def _answer_traced(self, request: QueryRequest, kind: str,
-                       ctx: TraceContext) -> Response:
-        """The traced body of :meth:`answer` (one active trace context).
-
-        The service records only its own stages (cache probe, retry
-        backoff, serialization) on the context; the layers below attach
-        their own child spans — per-shard fan-out workers, the disk's
-        phase blocks — through the same propagated context, into the
-        one record the service finishes and keeps (``ctx.trace``).
-        """
-        trace = ctx.trace
-        t0 = trace.monotonic_origin
+    def _admit(self, request: QueryRequest, kind: str,
+               trace: QueryTrace) -> Tuple[QueryRequest, int]:
+        """Stage 1: refuse a request no registered kind answers or that
+        is not a dataclass (budgets are set with ``replace``), apply the
+        default budget, and sample the brownout level — once per query,
+        so one request sees one consistent shedding policy."""
         emit_event("query", event="query.start", kind=kind)
-
-        # Admission first: the brownout level is sampled once per query
-        # so one request sees one consistent shedding policy.
+        default = (self.resilience.default_budget
+                   if self.resilience is not None else None)
+        try:
+            query_semantics(request)
+            if not is_dataclass(request):
+                raise TypeError(f"not a request dataclass: {request!r}")
+            if default is not None and getattr(request, "budget",
+                                               None) is None:
+                request = replace(request, budget=default)
+        except TypeError as exc:
+            self._fail(trace, kind, exc)
         level = LEVEL_NORMAL
         if self.admission is not None:
             level = self.admission.level()
@@ -325,197 +338,257 @@ class QueryService:
             if level >= LEVEL_REJECT:
                 self._shed(trace, kind, AdmissionRejectedError(
                     "brownout: shedding all load"))
+        return request, level
 
-        # The cache front door: a hit never touches the server, the
-        # breaker, or the retry loop — zero node accesses, by contract.
-        cached: Optional[Response] = None
-        if self.cache is not None:
-            probe_start = perf_counter()
-            cached = self.cache.probe(request, self.server.epoch)
-            ctx.add_span(
-                "cache_probe",
-                offset_ms=(probe_start - t0) * 1e3,
-                duration_ms=(perf_counter() - probe_start) * 1e3,
-                meta={"hit": cached is not None},
-            )
-            if cached is not None:
-                self.metrics.counter("service.cache.hits").inc()
-                self.metrics.counter("service.cache.hits",
-                                     labels={"query_kind": kind}).inc()
-                emit_event("cache", event="cache.hit", kind=kind)
-            else:
-                self.metrics.counter("service.cache.misses").inc()
-                emit_event("cache", event="cache.miss", kind=kind)
+    def _probe(self, request: QueryRequest, kind: str, level: int,
+               ctx: TraceContext) -> Optional[Response]:
+        """Stage 2: the cache front door.  A hit never touches the
+        server, the breaker, or the retry loop — zero node accesses, by
+        contract; a ``cache_only`` brownout shrinks its region."""
+        if self.cache is None:
+            return None
+        start = perf_counter()
+        cached = self.cache.probe(request, self.server.epoch)
+        ctx.add_span("cache_probe",
+                     offset_ms=(start - ctx.trace.monotonic_origin) * 1e3,
+                     duration_ms=(perf_counter() - start) * 1e3,
+                     meta={"hit": cached is not None})
+        if cached is None:
+            self.metrics.counter("service.cache.misses").inc()
+            emit_event("cache", event="cache.miss", kind=kind)
+            return None
+        self._count("service.cache.hits", kind)
+        emit_event("cache", event="cache.hit", kind=kind)
+        # Only the distance order of kNN hits can differ at the new
+        # point; re-ranking keeps a replica's annotation.
+        response = query_semantics(request).serve_cached(request, cached)
+        if level >= LEVEL_CACHE_ONLY:
+            response = self._brownout_shrink(request, response, kind)
+        self.metrics.gauge("service.cache.size").set(len(self.cache))
+        return response
 
-        if cached is not None:
-            # Only the distance order of kNN hits can differ at the new
-            # point; re-ranking keeps a replica's annotation.
-            response = query_semantics(request).serve_cached(request, cached)
-            if level >= LEVEL_CACHE_ONLY:
-                response = self._brownout_shrink(request, response, kind)
-            node_accesses: Dict[str, int] = {}
-            page_faults: Dict[str, int] = {}
-        else:
-            # A miss under a cache-only brownout never executes — that
-            # is the whole point of the level: the disk is saturated.
-            if level >= LEVEL_CACHE_ONLY:
-                self._shed(trace, kind, AdmissionRejectedError(
-                    "brownout: cache-only, request missed"))
-            acquired = False
-            exec_start = t0
-            if self.admission is not None:
-                budget = getattr(request, "budget", None)
-                deadline = budget.deadline_ms if budget is not None else None
-                gate_start = perf_counter()
-                try:
-                    wait_ms = self.admission.try_acquire(deadline_ms=deadline)
-                except AdmissionRejectedError as exc:
-                    # Fast reject: meter how fast (the <1ms contract).
-                    self.metrics.histogram(
-                        "service.admission.reject_ms").record(
-                            (perf_counter() - gate_start) * 1e3)
-                    self._shed(trace, kind, exc)
-                acquired = True
-            retry = (self.resilience.retry
-                     if self.resilience is not None else None)
-            attempt = 0
-            # Everything past the acquire runs under the finally that
-            # releases the slot — a failure anywhere here must not leak
-            # admission concurrency.
+    def _execute(self, request: QueryRequest, kind: str, level: int,
+                 ctx: TraceContext) -> _Executed:
+        """Stage 3: run a cache miss on the server and admit its answer.
+
+        A miss under a cache-only brownout never executes — that is the
+        whole point of the level: the disk is saturated.  Otherwise the
+        admission gate takes a slot (fast reject when it cannot), a
+        ``reduced`` brownout clamps the budget, and the breaker-and-retry
+        loop runs :meth:`_execute_once`.
+        """
+        trace = ctx.trace
+        if level >= LEVEL_CACHE_ONLY:
+            self._shed(trace, kind, AdmissionRejectedError(
+                "brownout: cache-only, request missed"))
+        acquired = False
+        if self.admission is not None:
+            budget = getattr(request, "budget", None)
+            gate_start = exec_start = perf_counter()
             try:
-                if acquired:
-                    self.metrics.counter("service.admission.accepted").inc()
-                    if wait_ms > 0.0:
-                        ctx.add_span("admission_wait",
-                                     offset_ms=(gate_start - t0) * 1e3,
-                                     duration_ms=wait_ms)
-                        self.metrics.histogram(
-                            "service.admission.wait_ms").record(wait_ms)
-                    if level >= LEVEL_REDUCED:
-                        request = self._brownout_budget(request, kind)
-                    exec_start = perf_counter()
-                while True:
-                    if self.breaker is not None:
-                        try:
-                            self.breaker.before_call()
-                        except CircuitOpenError as exc:
-                            self.metrics.counter(
-                                "service.breaker.rejections").inc()
-                            emit_event("breaker", event="breaker.reject",
-                                       kind=kind)
-                            self._fail(trace, kind, exc)
-                    try:
-                        (response, node_accesses, page_faults,
-                         epoch) = self._execute_once(request)
-                    except Exception as exc:
-                        transient = is_transient(exc)
-                        if self.breaker is not None and transient:
-                            trips_before = self.breaker.trips
-                            self.breaker.record_failure()
-                            if self.breaker.trips > trips_before:
-                                emit_event("breaker", event="breaker.trip",
-                                           trips=self.breaker.trips)
-                            if self.breaker.trips:
-                                self.metrics.gauge(
-                                    "service.breaker.trips").set(
-                                        self.breaker.trips)
-                        retryable = (
-                            transient and retry is not None
-                            and attempt + 1 < retry.max_attempts
-                            # Retrying into an open breaker or an
-                            # overloaded gate only deepens the problem.
-                            and not isinstance(exc, (AdmissionRejectedError,
-                                                     CircuitOpenError)))
-                        if (retryable and self.retry_budget is not None
-                                and not self.retry_budget.try_spend()):
-                            retryable = False
-                            self.metrics.counter(
-                                "service.retry_budget.exhausted").inc()
-                            emit_event("retry",
-                                       event="retry.budget_exhausted",
-                                       kind=kind)
-                        if retryable:
-                            with self._rng_lock:
-                                delay = retry.backoff_s(attempt,
-                                                        self._retry_rng)
-                            self.metrics.counter("service.retries").inc()
-                            self.metrics.counter(
-                                "service.retries",
-                                labels={"query_kind": kind}).inc()
-                            trace.retries += 1
-                            ctx.add_span(
-                                "retry_backoff",
-                                offset_ms=(perf_counter() - t0) * 1e3,
-                                duration_ms=delay * 1e3,
-                                meta={"attempt": attempt + 1,
-                                      "error":
-                                      f"{type(exc).__name__}: {exc}"},
-                            )
-                            emit_event("retry", event="query.retry",
-                                       attempt=attempt + 1,
-                                       delay_ms=delay * 1e3,
-                                       error=f"{type(exc).__name__}: {exc}")
-                            if delay > 0.0:
-                                self._sleep(delay)
-                            attempt += 1
-                            continue
-                        self._fail(trace, kind, exc)
-                    else:
-                        if self.breaker is not None:
-                            recoveries_before = self.breaker.recoveries
-                            self.breaker.record_success()
-                            if self.breaker.recoveries > recoveries_before:
-                                emit_event("breaker", event="breaker.recover",
-                                           recoveries=self.breaker.recoveries)
-                        break
-            finally:
-                if acquired:
-                    self.admission.release(
-                        (perf_counter() - exec_start) * 1e3)
-            if self.cache is not None:
-                self.cache.admit(request, response, epoch)
+                wait_ms = self.admission.try_acquire(deadline_ms=(
+                    budget.deadline_ms if budget is not None else None))
+            except AdmissionRejectedError as exc:
+                # Fast reject: meter how fast (the <1ms contract).
+                self.metrics.histogram("service.admission.reject_ms").record(
+                    (perf_counter() - gate_start) * 1e3)
+                self._shed(trace, kind, exc)
+            acquired = True
+        # Everything past the acquire runs under the finally that
+        # releases the slot — a failure anywhere here must not leak
+        # admission concurrency.
+        try:
+            if acquired:
+                self.metrics.counter("service.admission.accepted").inc()
+                if wait_ms > 0.0:
+                    ctx.add_span("admission_wait", offset_ms=(
+                        gate_start - trace.monotonic_origin) * 1e3,
+                        duration_ms=wait_ms)
+                    self.metrics.histogram(
+                        "service.admission.wait_ms").record(wait_ms)
+                if level >= LEVEL_REDUCED:
+                    request = self._brownout_budget(request, kind)
+                exec_start = perf_counter()
+            executed = self._retrying(request, kind, ctx)
+        finally:
+            if acquired:
+                self.admission.release((perf_counter() - exec_start) * 1e3)
         if self.cache is not None:
+            self.cache.admit(request, executed.response, executed.epoch)
             self.metrics.gauge("service.cache.size").set(len(self.cache))
+        return executed
 
-        trace.node_accesses = node_accesses
-        trace.page_faults = page_faults
-        clip_seconds = getattr(response.detail, "clip_seconds", 0.0)
-        if clip_seconds:
-            # Clipping runs between TPNN probes, so its time is part of
-            # the (last attempt's) probing span; a cache hit has none.
-            probing = next((s for s in reversed(trace.spans)
-                            if s.name == "tpnn_probing"), None)
-            if probing is not None:
-                ctx.add_span("bisector_clipping",
-                             offset_ms=probing.offset_ms,
-                             duration_ms=clip_seconds * 1e3,
-                             parent_id=probing.span_id)
+    def _retrying(self, request: QueryRequest, kind: str,
+                  ctx: TraceContext) -> _Executed:
+        """The breaker-and-retry loop around :meth:`_execute_once`.
 
+        An open breaker rejects before any attempt.  A transient failure
+        counts against the breaker and is retried while attempts and the
+        retry budget last — never an admission rejection or an open
+        breaker: retrying into either only deepens the problem.
+        """
+        breaker = self.breaker
+        retry = self.resilience.retry if self.resilience is not None else None
+        for attempt in itertools.count():
+            if breaker is not None:
+                try:
+                    breaker.before_call()
+                except CircuitOpenError as exc:
+                    self.metrics.counter("service.breaker.rejections").inc()
+                    emit_event("breaker", event="breaker.reject", kind=kind)
+                    self._fail(ctx.trace, kind, exc)
+            try:
+                executed = self._execute_once(request)
+            except Exception as exc:
+                transient = is_transient(exc)
+                if breaker is not None and transient:
+                    if breaker.record_failure():
+                        emit_event("breaker", event="breaker.trip",
+                                   trips=breaker.trips)
+                    if breaker.trips:
+                        self.metrics.gauge("service.breaker.trips").set(
+                            breaker.trips)
+                if not (transient and retry is not None
+                        and attempt + 1 < retry.max_attempts
+                        and not isinstance(exc, (AdmissionRejectedError,
+                                                 CircuitOpenError))
+                        and self._spend_retry(kind)):
+                    self._fail(ctx.trace, kind, exc)
+                self._backoff(retry, attempt, exc, kind, ctx)
+                continue
+            if breaker is not None and breaker.record_success():
+                emit_event("breaker", event="breaker.recover",
+                           recoveries=breaker.recoveries)
+            return executed
+
+    def _spend_retry(self, kind: str) -> bool:
+        """Take one retry from the service-wide budget, if there is one."""
+        if self.retry_budget is None or self.retry_budget.try_spend():
+            return True
+        self.metrics.counter("service.retry_budget.exhausted").inc()
+        emit_event("retry", event="retry.budget_exhausted", kind=kind)
+        return False
+
+    def _backoff(self, retry: RetryPolicy, attempt: int, exc: Exception,
+                 kind: str, ctx: TraceContext) -> None:
+        """Trace, meter and sleep the backoff before retry ``attempt + 1``."""
+        with self._rng_lock:
+            delay = retry.backoff_s(attempt, self._retry_rng)
+        self._count("service.retries", kind)
+        trace = ctx.trace
+        trace.retries += 1
+        error = f"{type(exc).__name__}: {exc}"
+        ctx.add_span("retry_backoff",
+                     offset_ms=(perf_counter() - trace.monotonic_origin) * 1e3,
+                     duration_ms=delay * 1e3,
+                     meta={"attempt": attempt + 1, "error": error})
+        emit_event("retry", event="query.retry", attempt=attempt + 1,
+                   delay_ms=delay * 1e3, error=error)
+        if delay > 0.0:
+            self._sleep(delay)
+
+    def _price(self, response: Response, executed: Optional[_Executed],
+               kind: str, ctx: TraceContext) -> None:
+        """Stage 4: charge the trace what the query cost — the executed
+        attempt's reads (a cache hit read nothing), its clip time, the
+        serialized payload — then finish and keep it."""
+        trace = ctx.trace
+        if executed is not None:
+            trace.node_accesses = executed.node_accesses
+            trace.page_faults = executed.page_faults
+            clip_seconds = getattr(executed.response.detail,
+                                   "clip_seconds", 0.0)
+            if clip_seconds:
+                # Clipping runs between TPNN probes, so its time is part
+                # of the (last attempt's) probing span.
+                probing = next((s for s in reversed(trace.spans)
+                                if s.name == "tpnn_probing"), None)
+                if probing is not None:
+                    ctx.add_span("bisector_clipping",
+                                 offset_ms=probing.offset_ms,
+                                 duration_ms=clip_seconds * 1e3,
+                                 parent_id=probing.span_id)
         # Serialization: size the payload that would go on the wire.
-        ser_start = perf_counter()
+        start = perf_counter()
         transfer = response.transfer_bytes()
-        result_size = (len(response.result) if response.added is None
-                       else len(response.added) + len(response.removed_ids))
-        ctx.add_span(
-            "serialization",
-            offset_ms=(ser_start - t0) * 1e3,
-            duration_ms=(perf_counter() - ser_start) * 1e3,
-            meta={"transfer_bytes": transfer},
-        )
+        trace.result_size = (
+            len(response.result) if response.added is None
+            else len(response.added) + len(response.removed_ids))
+        ctx.add_span("serialization",
+                     offset_ms=(start - trace.monotonic_origin) * 1e3,
+                     duration_ms=(perf_counter() - start) * 1e3,
+                     meta={"transfer_bytes": transfer})
         trace.transfer_bytes = transfer
-        trace.result_size = result_size
         trace.degraded = bool(getattr(response.detail, "degraded", False))
         if trace.degraded:
             emit_event("degraded", event="query.degraded", kind=kind)
         self._keep(trace)
-        self._record(kind, trace,
-                     delta=getattr(request, "previous_ids", None) is not None,
-                     detail=response.detail, response=response)
+
+    def _record(self, request: QueryRequest, response: Response,
+                executed: Optional[_Executed], kind: str,
+                trace: QueryTrace) -> None:
+        """Stage 5: meter the finished query, observe it for the SLOs and
+        log ``query.finish``.
+
+        The replica that answered and how stale it was come from the
+        execute stage's outcome only: a cache hit ran no replica.
+        """
+        m = self.metrics
+        by_kind = {"query_kind": kind}
+        self._count("service.queries", kind)
+        if getattr(request, "previous_ids", None) is not None:
+            m.counter("service.queries.delta", labels=by_kind).inc()
+        if trace.degraded:
+            self._count("service.degraded", kind)
+        m.counter("service.bytes_on_wire").inc(trace.transfer_bytes)
+        m.histogram(
+            "service.latency_ms",
+            labels={"query_kind": kind,
+                    "degraded": "true" if trace.degraded else "false"},
+            buckets=DEFAULT_LATENCY_BUCKETS_MS).record(trace.duration_ms)
+        m.histogram("service.transfer_bytes", labels=by_kind).record(
+            trace.transfer_bytes)
+        m.histogram("service.result_size", labels=by_kind).record(
+            trace.result_size)
+        for phase, count in trace.node_accesses.items():
+            m.counter("service.node_accesses",
+                      labels={"phase": phase}).inc(count)
+        for phase, count in trace.page_faults.items():
+            m.counter("service.page_faults",
+                      labels={"phase": phase}).inc(count)
+        # Per-shard breakdowns are metered by the sharded server itself
+        # (bind_metrics); the service only records the fan-out shape.
+        fanout = getattr(response.detail, "per_shard_node_accesses", None)
+        if fanout is not None:
+            m.counter("service.shard.fanouts").inc()
+            m.histogram("service.shard.fanout_width").record(len(fanout))
+        served = executed.response if executed is not None else None
+        rid = getattr(served, "replica_id", None)
+        staleness = 0
+        if rid is not None:
+            by_replica = {"replica": str(rid)}
+            m.counter("service.replica.queries", labels=by_replica).inc()
+            staleness = served.staleness
+            if staleness:
+                m.counter("service.replica.stale_served").inc()
+                m.counter("service.replica.stale_served",
+                          labels=by_replica).inc()
+                m.histogram("service.replica.staleness",
+                            labels=by_replica).record(staleness)
+        if self.slo is not None:
+            self.slo.observe(kind, latency_ms=trace.duration_ms,
+                             error=False, staleness=staleness)
+            self._slo_tick()
         emit_event("query", event="query.finish", kind=kind,
                    duration_ms=trace.duration_ms,
                    node_accesses=trace.total_node_accesses,
-                   result_size=result_size)
-        return response
+                   result_size=trace.result_size)
+
+    def _count(self, name: str, kind: str) -> None:
+        """Bump a family's unlabelled total and its ``query_kind`` series
+        (the totals are what stats_snapshot and the bench trails read)."""
+        self.metrics.counter(name).inc()
+        self.metrics.counter(name, labels={"query_kind": kind}).inc()
 
     # ------------------------------------------------------------------
     # admission plumbing
@@ -523,9 +596,7 @@ class QueryService:
     def _shed(self, trace: QueryTrace, kind: str,
               exc: AdmissionRejectedError) -> None:
         """Record an admission rejection and raise it — never queued."""
-        self.metrics.counter("service.admission.rejected").inc()
-        self.metrics.counter("service.admission.rejected",
-                             labels={"query_kind": kind}).inc()
+        self._count("service.admission.rejected", kind)
         emit_event("admission", event="admission.reject", kind=kind,
                    reason=exc.reason)
         self._fail(trace, kind, exc)
@@ -544,16 +615,10 @@ class QueryService:
         if cfg.brownout_budget is None or (
                 budget is not None and budget is not default):
             return request
-        try:
-            clamped = replace(request, budget=cfg.brownout_budget)
-        except TypeError:
-            # Not a dataclass request (an exotic/invalid type): leave it
-            # unclamped and let execution fail it through the traced path.
-            return request
         self.metrics.counter("service.admission.brownout.reduced").inc()
         emit_event("admission", event="admission.brownout",
                    level="reduced", kind=kind)
-        return clamped
+        return replace(request, budget=cfg.brownout_budget)
 
     def _brownout_shrink(self, request: QueryRequest, response: Response,
                          kind: str) -> Response:
@@ -586,15 +651,7 @@ class QueryService:
     # ------------------------------------------------------------------
     # resilience plumbing
     # ------------------------------------------------------------------
-    def _with_default_budget(self, request: QueryRequest) -> QueryRequest:
-        """Apply the configured default budget to budget-less requests."""
-        if (self.resilience is None
-                or self.resilience.default_budget is None
-                or getattr(request, "budget", None) is not None):
-            return request
-        return replace(request, budget=self.resilience.default_budget)
-
-    def _execute_once(self, request: QueryRequest):
+    def _execute_once(self, request: QueryRequest) -> _Executed:
         """One pass through the server; returns the response, this
         attempt's phase-attributed access deltas, and the dataset epoch
         the answer is valid for.  The storage layer records disk-level
@@ -615,13 +672,14 @@ class QueryService:
         """
         if getattr(self.server, "concurrent_safe", False):
             response = self.server.answer(request)
-            return (response, dict(response.node_accesses),
-                    dict(response.page_faults), response.valid_for_epoch)
+            return _Executed(response, dict(response.node_accesses),
+                             dict(response.page_faults),
+                             response.valid_for_epoch)
         with self._lock:
             epoch = self.server.epoch
             with self.server.io_stats.measure() as io:
                 response = self.server.answer(request)
-        return response, io.node_accesses, io.page_faults, epoch
+        return _Executed(response, io.node_accesses, io.page_faults, epoch)
 
     def _keep(self, trace: QueryTrace) -> None:
         """Finish a query's trace, retain it and feed the profiler."""
@@ -634,9 +692,7 @@ class QueryService:
         """Record a failed query and re-raise its error."""
         trace.error = f"{type(exc).__name__}: {exc}"
         self._keep(trace)
-        self.metrics.counter("service.errors").inc()
-        self.metrics.counter("service.errors",
-                             labels={"query_kind": kind}).inc()
+        self._count("service.errors", kind)
         emit_event("query", event="query.error", kind=kind,
                    error=trace.error)
         # Admission sheds are the *mitigation*, not the symptom: counting
@@ -672,61 +728,6 @@ class QueryService:
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
-    def _record(self, kind: str, trace: QueryTrace, delta: bool,
-                detail=None, response=None) -> None:
-        m = self.metrics
-        by_kind = {"query_kind": kind}
-        # Unlabeled series are the pre-aggregated totals (what
-        # stats_snapshot and the bench trails read); the labeled series
-        # of the same family carry the dimensional breakdown.
-        m.counter("service.queries").inc()
-        m.counter("service.queries", labels=by_kind).inc()
-        if delta:
-            m.counter("service.queries.delta", labels=by_kind).inc()
-        if trace.degraded:
-            m.counter("service.degraded").inc()
-            m.counter("service.degraded", labels=by_kind).inc()
-        m.counter("service.bytes_on_wire").inc(trace.transfer_bytes)
-        m.histogram(
-            "service.latency_ms",
-            labels={"query_kind": kind,
-                    "degraded": "true" if trace.degraded else "false"},
-            buckets=DEFAULT_LATENCY_BUCKETS_MS).record(trace.duration_ms)
-        m.histogram("service.transfer_bytes", labels=by_kind).record(
-            trace.transfer_bytes)
-        m.histogram("service.result_size", labels=by_kind).record(
-            trace.result_size)
-        for phase, count in trace.node_accesses.items():
-            m.counter("service.node_accesses",
-                      labels={"phase": phase}).inc(count)
-        for phase, count in trace.page_faults.items():
-            m.counter("service.page_faults",
-                      labels={"phase": phase}).inc(count)
-        # Per-shard breakdowns are metered by the sharded server itself
-        # (bind_metrics), with shard labels; the service only
-        # records the fan-out shape here.
-        fanout = getattr(detail, "per_shard_node_accesses", None)
-        if fanout is not None:
-            m.counter("service.shard.fanouts").inc()
-            m.histogram("service.shard.fanout_width").record(len(fanout))
-        # Replica-served responses carry their serving annotations.
-        rid = getattr(response, "replica_id", None)
-        staleness = 0
-        if rid is not None:
-            by_replica = {"replica": str(rid)}
-            m.counter("service.replica.queries", labels=by_replica).inc()
-            staleness = getattr(response, "staleness", 0)
-            if staleness:
-                m.counter("service.replica.stale_served").inc()
-                m.counter("service.replica.stale_served",
-                          labels=by_replica).inc()
-                m.histogram("service.replica.staleness",
-                            labels=by_replica).record(staleness)
-        if self.slo is not None:
-            self.slo.observe(kind, latency_ms=trace.duration_ms,
-                             error=False, staleness=staleness)
-            self._slo_tick()
-
     def _slo_tick(self) -> None:
         """Fold the SLO engine's recommendation into admission control.
 

@@ -33,7 +33,14 @@ import pytest
 
 import repro
 import repro.service as service_pkg
-from repro import CacheConfig, LocationServer, build_service
+from repro import (
+    AdmissionConfig,
+    CacheConfig,
+    LocationServer,
+    QueryBudget,
+    ResilienceConfig,
+    build_service,
+)
 from repro.core import api as api_module
 from repro.core.api import (
     KNNRequest,
@@ -51,6 +58,7 @@ from repro.core.conformance import check_semantics
 from repro.core.probknn import ProbKNNRequest
 from repro.core.rknn import RKNNRequest
 from repro.core.semantics import KNNSemantics, WindowSemantics
+from repro.service.admission import LEVEL_REDUCED
 from repro.core.validity import AnnulusValidityRegion, POINT_BYTES
 from repro.geometry import bisector_halfplane
 
@@ -65,6 +73,14 @@ STACKS = {
     "single": {},
     "sharded": {"shards": 2},
     "replicated": {"replicas": 2},
+}
+
+#: The three shapes, plus a single tree with a default budget: the
+#: service applies that budget inside the trace, after the lookup.
+REFUSING_STACKS = {
+    **STACKS,
+    "budgeted": {"resilience": ResilienceConfig(
+        default_budget=QueryBudget(deadline_ms=50))},
 }
 
 #: A fresh interpreter whose eight threads make their first registry
@@ -137,14 +153,46 @@ class TestRegistryLookup:
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "0"
 
-    @pytest.mark.parametrize("stack", sorted(STACKS))
+    @pytest.mark.parametrize("stack", sorted(REFUSING_STACKS))
     def test_every_stack_refuses_an_unregistered_request(self, stack):
-        service = build_service(_points(), **STACKS[stack])
+        """Inside its trace, before any default budget is applied."""
+        service = build_service(_points(), **REFUSING_STACKS[stack])
+        message = "no query type registered for kind 'bogus'"
         try:
-            with pytest.raises(TypeError, match="no query type registered"):
+            with pytest.raises(TypeError, match=message):
                 service.answer("bogus")
+            (trace,) = service.recent_traces()
+            assert message in trace.error
+            assert service.metrics.snapshot()["counters"][
+                "service.errors"] == 1
         finally:
             service.close()
+
+    def test_a_plain_class_request_of_a_registered_kind_fails_traced(self):
+        """Only dataclass requests reach the brownout budget clamp."""
+        class DuckKNN:
+            kind = "knn"
+            trace_id = None
+            budget = None
+
+        service = build_service(_points(), resilience=ResilienceConfig(
+            admission=AdmissionConfig()))
+        service.admission.forced_level = LEVEL_REDUCED
+        with pytest.raises(TypeError, match="not a request dataclass"):
+            service.answer(DuckKNN())
+        (trace,) = service.recent_traces()
+        assert "not a request dataclass" in trace.error
+        assert service.metrics.snapshot()["counters"]["service.errors"] == 1
+
+    def test_registration_refuses_a_plain_class_request_type(self):
+        class PlainRequest:
+            kind = "plain"
+
+        plain = type("PlainSemantics", (NearCountSemantics,), {
+            "kind": "plain", "request_type": PlainRequest})
+        with pytest.raises(TypeError, match="must be a dataclass"):
+            register_query_type(plain())
+        assert "plain" not in registered_query_kinds()
 
 
 class TestBuiltinConformance:

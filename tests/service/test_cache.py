@@ -336,13 +336,17 @@ class TestSurgicalInvalidation:
                                   epoch=server.epoch + 2)
         assert cache.probe(request, server.epoch + 2) is None
 
-    def test_surgical_false_restores_the_blunt_baseline(self):
+    def test_a_write_past_the_hook_stales_every_entry(self):
+        """A write applied to the server alone bumps the epoch without
+        certifying anything, so the next probe drops every entry: the
+        invalidate-all baseline bench_incremental.py measures against."""
         points, _, _ = _instance(3)
-        service = build_service(
-            points, cache=CacheConfig(capacity=64, surgical=False))
-        service.answer(KNNRequest((0.2, 0.2), k=2))
-        service.insert_object(len(points), 0.9, 0.9)  # unrelated, but...
-        assert len(service.cache) == 0  # ...the baseline drops everything
+        service = build_service(points, cache=CacheConfig(capacity=64))
+        request = KNNRequest((0.2, 0.2), k=2)
+        service.answer(request)
+        service.server.insert_object(len(points), 0.9, 0.9)  # unrelated
+        assert service.cache.probe(request, service.epoch) is None
+        assert len(service.cache) == 0
         assert service.cache.surgical_drops == 0
 
     def test_lagging_entries_are_not_restamped(self):
@@ -374,5 +378,4 @@ class TestSurgicalInvalidation:
         service.answer(KNNRequest((0.2, 0.2), k=2))
         service.insert_object(len(points), 0.9, 0.9)
         snap = json.loads(json.dumps(service.cache.snapshot()))
-        assert snap["surgical"] is True
         assert snap["surgical_survivals"] == 1

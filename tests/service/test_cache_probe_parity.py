@@ -86,8 +86,7 @@ class _ReferenceCache(ValidityCache):
         key = request_key(request)
         if key is None or self.config.capacity == 0:
             return False
-        if (not self.config.admit_degraded
-                and bool(getattr(response.detail, "degraded", False))):
+        if getattr(response.detail, "degraded", False):
             return False
         mbr_of = getattr(response.region, "mbr", None)
         mbr = mbr_of() if mbr_of is not None else None
@@ -246,8 +245,7 @@ def test_probe_matches_reference_scan(points, data):
     server = LocationServer.from_points(points, universe=UNIT)
     sharded = ShardedServer.from_points(points, grid=2, universe=UNIT)
     config = CacheConfig(capacity=data.draw(st.integers(1, 8)),
-                         grid=data.draw(st.sampled_from([1, 2, 4, 16])),
-                         admit_degraded=data.draw(st.booleans()))
+                         grid=data.draw(st.sampled_from([1, 2, 4, 16])))
     cache, reference = ValidityCache(UNIT, config), _ReferenceCache(UNIT,
                                                                     config)
     epoch = 0

@@ -144,8 +144,7 @@ def test_reach_scan_keeps_what_the_full_scan_keeps(points, data):
     server = LocationServer.from_points(points, universe=UNIT)
     sharded = ShardedServer.from_points(points, grid=2, universe=UNIT)
     config = CacheConfig(capacity=data.draw(st.integers(1, 12)),
-                         grid=data.draw(st.sampled_from([1, 4, 16])),
-                         admit_degraded=data.draw(st.booleans()))
+                         grid=data.draw(st.sampled_from([1, 4, 16])))
     cache, reference = (ValidityCache(UNIT, config),
                         _FullScanCache(UNIT, config))
     epoch = 0

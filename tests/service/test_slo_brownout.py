@@ -64,8 +64,8 @@ def _good(service, n: int) -> None:
 
 
 def _bad(service, n: int) -> None:
-    """Issue n failing queries; once brownout escalates to reject the
-    gate sheds them before they can fail."""
+    """Send n failing queries: an unregistered kind fails before the
+    gate can shed it, so each is observed as an error."""
     for _ in range(n):
         with pytest.raises((TypeError, AdmissionRejectedError)):
             service.answer(Bogus())

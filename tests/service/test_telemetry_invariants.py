@@ -41,6 +41,7 @@ from repro import (
     WindowRequest,
     build_service,
 )
+from repro.datasets.synthetic import uniform_points
 from repro.obs import collapse_trace
 from repro.service import BreakerConfig, RetryPolicy
 from repro.storage import FaultPlan, inject_faults
@@ -263,3 +264,42 @@ def test_trace_node_accesses_equal_the_reads_the_query_caused(stack):
                 service.insert_object(10_000 + i, rnd.random(), rnd.random())
     assert mismatched == []
     assert reads > 0
+
+
+def test_only_executed_answers_are_metered_as_replica_work():
+    """A cache hit on an entry a replica served ran no replica.  After
+    every answer, the service's per-replica query series sum to what
+    the replicas answered, its stale-serve count equals theirs, and the
+    staleness SLO saw one bad observation per answer executed stale."""
+    service = build_service(
+        uniform_points(500, seed=1), replicas=2, cache=CacheConfig(),
+        replica=ReplicaConfig(replication_lag=2, default_max_stale=2),
+        slo=SLOEngine([SLOConfig("fresh", objective="staleness",
+                                 target=0.5)]))
+    metrics, replicas = service.metrics, service.server
+    rnd = random.Random(11)
+    hits = executed_stale = 0
+    with service:
+        for i in range(80):
+            x, y = 0.5 + rnd.gauss(0.0, 0.01), 0.5 + rnd.gauss(0.0, 0.01)
+            if i % 2:  # near the clients: it drops cached entries
+                service.insert_object(10_000 + i, x + 0.05, y)
+            before = service.cache.hits
+            response = service.answer(KNNRequest((x, y), k=3))
+            if service.cache.hits > before:
+                hits += 1
+            elif response.staleness:
+                executed_stale += 1
+            answered = sum(row["queries"]
+                           for row in replicas.replica_snapshot())
+            assert metrics.counter_total("service.replica.queries") \
+                == answered, i
+            stale = metrics.snapshot()["counters"].get(
+                "service.replica.stale_served", 0)
+            assert stale == replicas.stale_served, i
+            service.slo.evaluate()
+            observed = service.slo.snapshot()["slos"]["fresh"]["observed"]
+            assert observed["bad"] == executed_stale, i
+    # The walk exercised what it checks: hits on replica-served entries
+    # and answers a lagging replica served stale.
+    assert hits > 0 and executed_stale > 0
