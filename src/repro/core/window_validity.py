@@ -18,7 +18,8 @@ rectangle.  Server processing (Section 4 / Figure 17):
    itself — retrieves the candidate outer points;
 3. outer Minkowski rectangles overlapping the inner region are carved
    out.  The paper ships a **conservative rectangle** (Figure 19); the
-   exact rectilinear region is also produced here for analysis.
+   exact rectilinear region is also available for analysis, built from
+   the kept holes on first access.
 
 Influence objects are the points whose Minkowski boundaries form the
 edges of the *final* conservative rectangle: an outer object whose cut
@@ -30,7 +31,7 @@ roughly two inner plus two outer).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.geometry import Point, Rect, RectilinearRegion
@@ -62,8 +63,10 @@ class WindowValidityResult(QueryDetail):
     inner_region: Rect
     #: The rectangle shipped to the client (Figure 19).
     conservative_region: Rect
-    #: Ground-truth region (inner region minus outer Minkowski holes).
-    exact_region: RectilinearRegion
+    #: The outer Minkowski rectangles overlapping the inner region, in
+    #: retrieval order: the holes :attr:`exact_region` carves out (none
+    #: when it is a lower bound).
+    holes: List[Rect]
     #: True when the hole count exceeded ``exact_region_hole_cap`` and
     #: ``exact_region`` was downgraded to the conservative rectangle (a
     #: sound under-approximation).  Happens only for degenerate queries —
@@ -73,6 +76,24 @@ class WindowValidityResult(QueryDetail):
     #: the window result is exact, but the shipped region collapsed to
     #: the focus point (the client re-queries on any movement).
     degraded: bool = False
+    _exact_region: Optional[RectilinearRegion] = field(
+        default=None, init=False, repr=False, compare=False)
+
+    @property
+    def exact_region(self) -> RectilinearRegion:
+        """Ground-truth region (inner region minus the outer Minkowski
+        holes), or the conservative rectangle when it is a lower bound.
+
+        Only analysis reads it, so it is built on first access: the
+        serving path ships :attr:`conservative_region` alone.
+        """
+        if self._exact_region is None:
+            if self.exact_region_is_lower_bound:
+                region = RectilinearRegion(self.conservative_region)
+            else:
+                region = RectilinearRegion(self.inner_region, self.holes)
+            self._exact_region = region
+        return self._exact_region
 
     @property
     def influence_set(self) -> List[LeafEntry]:
@@ -136,7 +157,7 @@ def compute_window_validity(tree: RStarTree, focus, width: float, height: float,
             outer_influence=[],
             inner_region=point_rect,
             conservative_region=point_rect,
-            exact_region=RectilinearRegion(point_rect),
+            holes=[],
             exact_region_is_lower_bound=True,
             degraded=True,
         )
@@ -154,23 +175,21 @@ def compute_window_validity(tree: RStarTree, focus, width: float, height: float,
     with tree.disk.phase(influence_phase):
         candidates = annulus_query(tree, extended, window)
 
+    # (entry, Minkowski rectangle, its overlap area with the inner region)
     holes = []
     for e in candidates:
         mink = Rect.around((e.x, e.y), width, height)
         overlap = mink.intersection(inner_region)
-        if overlap is not None and overlap.area() > 0.0:
-            holes.append((e, mink))
+        if overlap is not None:
+            area = overlap.area()
+            if area > 0.0:
+                holes.append((e, mink, area))
 
     conservative, cuts = _conservative_cut(focus, inner_region, holes)
     inner_influence, outer_influence = _attribute_influence(
         conservative, inner_region, side_blockers, cuts)
 
     capped = len(holes) > exact_region_hole_cap
-    if capped:
-        exact = RectilinearRegion(conservative)
-    else:
-        exact = RectilinearRegion(inner_region, [mink for _, mink in holes])
-
     return WindowValidityResult(
         focus=focus,
         window=window,
@@ -179,7 +198,7 @@ def compute_window_validity(tree: RStarTree, focus, width: float, height: float,
         outer_influence=outer_influence,
         inner_region=inner_region,
         conservative_region=conservative,
-        exact_region=exact,
+        holes=[] if capped else [mink for _, mink, _ in holes],
         exact_region_is_lower_bound=capped,
     )
 
@@ -203,10 +222,16 @@ def _inner_validity(focus: Point, window: Rect, inner: List[LeafEntry],
         if region is None:
             region = Rect(focus.x, focus.y, focus.x, focus.y)
         return region, no_blockers
-    slack_right = min(e.x - window.xmin for e in inner)
-    slack_left = min(window.xmax - e.x for e in inner)
-    slack_up = min(e.y - window.ymin for e in inner)
-    slack_down = min(window.ymax - e.y for e in inner)
+    # Rounding is monotone, so ``min(x) - c`` is ``min(x - c)`` and
+    # ``c - max(x)`` is ``min(c - x)``, bit for bit.  (``zip(*inner)``
+    # would allocate one iterator per entry, a burst that sets off the
+    # garbage collector.)
+    xs = [e.x for e in inner]
+    ys = [e.y for e in inner]
+    slack_right = min(xs) - window.xmin
+    slack_left = window.xmax - max(xs)
+    slack_up = min(ys) - window.ymin
+    slack_down = window.ymax - max(ys)
     unclipped = Rect(focus.x - slack_left, focus.y - slack_down,
                      focus.x + slack_right, focus.y + slack_up)
     region = unclipped.intersection(universe)
@@ -230,16 +255,19 @@ def _inner_validity(focus: Point, window: Rect, inner: List[LeafEntry],
 
 
 def _conservative_cut(focus: Point, inner_region: Rect,
-                      holes: List[Tuple[LeafEntry, Rect]]
+                      holes: List[Tuple[LeafEntry, Rect, float]]
                       ) -> Tuple[Rect, List[Tuple[LeafEntry, str, float]]]:
     """Shrink the inner region to a hole-free rectangle (Figure 19).
 
-    Each overlapping outer Minkowski rectangle is removed by moving one
-    edge of the current rectangle; among the cuts that keep the focus
-    inside, the one preserving the most area is chosen.  Holes are
-    processed largest-overlap-first so dominating obstacles are handled
-    before slivers they may already cover.  Returns the final rectangle
-    and the applied cuts (entry, side, new coordinate).
+    ``holes`` holds ``(entry, Minkowski rectangle, overlap area)``
+    triples, the area being the rectangle's overlap with
+    ``inner_region``.  Each overlapping outer Minkowski rectangle is
+    removed by moving one edge of the current rectangle; among the cuts
+    that keep the focus inside, the one preserving the most area is
+    chosen.  Holes are processed largest-overlap-first so dominating
+    obstacles are handled before slivers they may already cover.
+    Returns the final rectangle and the applied cuts (entry, side, new
+    coordinate).
 
     Both the processing order and the per-hole cut choice are decided on
     *normalized, quantized* areas with deterministic tie-breaks (object
@@ -253,11 +281,11 @@ def _conservative_cut(focus: Point, inner_region: Rect,
     cuts: List[Tuple[LeafEntry, str, float]] = []
     norm = inner_region.area() or 1.0
 
-    def _hole_key(hole: Tuple[LeafEntry, Rect]) -> Tuple[float, int]:
-        entry, mink = hole
-        return (-round(mink.overlap_area(inner_region) / norm, 9), entry.oid)
+    def _hole_key(hole: Tuple[LeafEntry, Rect, float]) -> Tuple[float, int]:
+        entry, _, area = hole
+        return (-round(area / norm, 9), entry.oid)
 
-    for entry, mink in sorted(holes, key=_hole_key):
+    for entry, mink, _ in sorted(holes, key=_hole_key):
         overlap = mink.intersection(region)
         if overlap is None or overlap.area() <= 0.0:
             continue  # an earlier cut already removed this hole

@@ -327,11 +327,14 @@ class RStarTree:
     # ------------------------------------------------------------------
     # window query
     # ------------------------------------------------------------------
-    def window(self, rect: Rect) -> List[LeafEntry]:
-        """All data points inside the (closed) query rectangle.
+    def window(self, rect: Rect,
+               exclude: Optional[Rect] = None) -> List[LeafEntry]:
+        """All data points inside the (closed) query rectangle, less
+        those inside the closed ``exclude`` rectangle.
 
         Every visited node — including the root — is charged to the
-        simulated disk, matching the paper's node-access counting.
+        simulated disk, matching the paper's node-access counting;
+        ``exclude`` prunes no node.
         """
         xmin, ymin, xmax, ymax = rect
         result: List[LeafEntry] = []
@@ -345,6 +348,11 @@ class RStarTree:
                 # rect.contains_point of every entry
                 xs, ys = cols
                 hits = (xmin <= xs) & (xs <= xmax) & (ymin <= ys) & (ys <= ymax)
+                if exclude is not None:
+                    # and not exclude.contains_point
+                    ex0, ey0, ex1, ey1 = exclude
+                    hits &= ~((ex0 <= xs) & (xs <= ex1)
+                              & (ey0 <= ys) & (ys <= ey1))
                 result.extend(compress(entries, hits.tolist()))
             else:
                 # rect.intersects of every child MBR

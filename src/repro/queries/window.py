@@ -26,9 +26,8 @@ def annulus_query(tree: RStarTree, outer: Rect, inner: Rect) -> List[LeafEntry]:
     algorithm (Section 4 / Figure 17): candidate outer influence objects
     live in the extended window minus the original window.  A single
     traversal of ``outer`` is used — exactly what the paper charges for
-    the second query of Figure 34 — with the inner part filtered out
-    in memory.  Points on the closed boundary of ``inner`` belong to the
-    window result, so they are filtered out too.
+    the second query of Figure 34 — whose leaf pass drops the inner
+    part.  Points on the closed boundary of ``inner`` belong to the
+    window result, so they are dropped too.
     """
-    return [e for e in tree.window(outer)
-            if not inner.contains_point((e.x, e.y))]
+    return tree.window(outer, exclude=inner)

@@ -183,6 +183,9 @@ class ReplicaSet:
         #: Set by bind_metrics: failovers are counted, and attributed to
         #: the replica that failed, as they happen.
         self._metrics = None
+        #: Set by bind_events: where kills, revives and failed applies,
+        #: which run outside any query's trace, are logged.
+        self._events = None
 
     def bind_metrics(self, registry) -> None:
         """Report replica-routing counters into ``registry`` with labels.
@@ -199,6 +202,16 @@ class ReplicaSet:
             bind = getattr(replica.server, "bind_metrics", None)
             if bind is not None:
                 bind(registry, extra_labels={"replica": str(replica.rid)})
+
+    def bind_events(self, events) -> None:
+        """Log ``replica.kill``, ``replica.revive`` and
+        ``replica.apply_failed`` into the
+        :class:`~repro.obs.events.EventLog` ``events``."""
+        self._events = events
+
+    def _log(self, event: str, **fields) -> None:
+        if self._events is not None:
+            self._events.emit("replica", event=event, **fields)
 
     # ------------------------------------------------------------------
     # construction
@@ -434,8 +447,8 @@ class ReplicaSet:
                         # and the next mutation or sync() retries.
                         replica.pending.appendleft(head)
                         self._count("replication_retries")
-                        emit_event("replica", event="replica.apply_failed",
-                                   rid=replica.rid, op=mutation.op)
+                        self._log("replica.apply_failed",
+                                  rid=replica.rid, op=mutation.op)
                         break
 
     @staticmethod
@@ -505,7 +518,7 @@ class ReplicaSet:
         """Chaos hook: hard-kill a replica (requests to it fail)."""
         replica = self._by_rid(rid)
         replica.alive = False
-        emit_event("replica", event="replica.kill", rid=rid)
+        self._log("replica.kill", rid=rid)
 
     def revive(self, rid: int) -> None:
         """Chaos hook: bring a killed replica back, catching up its
@@ -515,7 +528,7 @@ class ReplicaSet:
             while replica.pending:
                 self._apply_locked(replica, replica.pending.popleft())
             replica.alive = True
-        emit_event("replica", event="replica.revive", rid=rid)
+        self._log("replica.revive", rid=rid)
 
     def _by_rid(self, rid: int) -> Replica:
         for replica in self.replicas:

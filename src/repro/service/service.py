@@ -161,12 +161,18 @@ class QueryService:
         self.cache = cache
         self.continuous = continuous
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: The structured event log every traced stage reports into.
+        self.events = events if events is not None else EventLog()
         # Layers that meter themselves (shard fan-out workers, replica
         # routing) report into the service registry with their own
-        # label dimensions.
+        # label dimensions; the replica tier logs its lifecycle events,
+        # which no query's trace carries, into the service's event log.
         bind = getattr(server, "bind_metrics", None)
         if bind is not None:
             bind(self.metrics)
+        bind_events = getattr(server, "bind_events", None)
+        if bind_events is not None:
+            bind_events(self.events)
         #: The SLO engine, if objectives are declared: every finished or
         #: failed query is observed, and its recommended brownout level
         #: becomes the admission controller's floor (see _slo_tick).
@@ -182,8 +188,6 @@ class QueryService:
             self.profiler: Optional[PhaseProfiler] = profile
         else:
             self.profiler = PhaseProfiler() if profile else None
-        #: The structured event log every traced stage reports into.
-        self.events = events if events is not None else EventLog()
         self.resilience = resilience
         self.breaker: Optional[CircuitBreaker] = None
         if resilience is not None and resilience.breaker is not None:
@@ -530,8 +534,9 @@ class QueryService:
         """Stage 5: meter the finished query, observe it for the SLOs and
         log ``query.finish``.
 
-        The replica that answered and how stale it was come from the
-        execute stage's outcome only: a cache hit ran no replica.
+        The fan-out shape, the replica that answered and how stale it
+        was come from the execute stage's outcome only: a cache hit ran
+        no shard and no replica.
         """
         m = self.metrics
         by_kind = {"query_kind": kind}
@@ -556,13 +561,14 @@ class QueryService:
         for phase, count in trace.page_faults.items():
             m.counter("service.page_faults",
                       labels={"phase": phase}).inc(count)
+        served = executed.response if executed is not None else None
         # Per-shard breakdowns are metered by the sharded server itself
         # (bind_metrics); the service only records the fan-out shape.
-        fanout = getattr(response.detail, "per_shard_node_accesses", None)
+        fanout = getattr(getattr(served, "detail", None),
+                         "per_shard_node_accesses", None)
         if fanout is not None:
             m.counter("service.shard.fanouts").inc()
             m.histogram("service.shard.fanout_width").record(len(fanout))
-        served = executed.response if executed is not None else None
         rid = getattr(served, "replica_id", None)
         staleness = 0
         if rid is not None:

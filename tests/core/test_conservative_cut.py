@@ -34,7 +34,8 @@ def cut_instances(draw):
         # Contract: the focus is never strictly inside a hole.
         if hole.contains_point_open((fx, fy)):
             continue
-        holes.append((LeafEntry(i, (hx1 + hx2) / 2, (hy1 + hy2) / 2), hole))
+        holes.append((LeafEntry(i, (hx1 + hx2) / 2, (hy1 + hy2) / 2), hole,
+                      hole.overlap_area(inner)))
     return Point(fx, fy), inner, holes
 
 
@@ -49,10 +50,10 @@ class TestConservativeCutProperties:
         # 2. The final rectangle is within the inner region.
         assert inner.contains_rect(final)
         # 3. No hole overlaps the final rectangle's interior.
-        for _, hole in holes:
+        for _, hole, _ in holes:
             assert final.overlap_area(hole) <= 1e-12
         # 4. Every recorded cut names a hole from the input.
-        input_oids = {e.oid for e, _ in holes}
+        input_oids = {e.oid for e, _, _ in holes}
         assert all(e.oid in input_oids for e, _, _ in cuts)
 
     @given(cut_instances())

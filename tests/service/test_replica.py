@@ -12,7 +12,9 @@ import random
 
 import pytest
 
+from repro import build_service
 from repro.core.api import KNNRequest, RangeRequest, WindowRequest
+from repro.datasets.synthetic import uniform_points
 from repro.geometry import Rect
 from repro.service import (
     BreakerConfig,
@@ -276,6 +278,33 @@ def test_query_service_failover_metrics(points):
     service.answer(req)
     counters = service.metrics.snapshot()["counters"]
     assert counters["service.replica.failovers"] == 1
+
+
+def test_lifecycle_events_reach_the_service_event_log():
+    """Kill and revive run outside any query's trace, yet the service's
+    event log holds them."""
+    service = build_service(uniform_points(300, seed=1), replicas=2)
+    with service:
+        service.server.kill(1)
+        service.server.revive(1)
+    events = [e["event"] for e in service.events.tail(category="replica")]
+    assert events == ["replica.kill", "replica.revive"]
+
+
+def test_failed_follower_apply_reaches_the_service_event_log(monkeypatch):
+    service = build_service(uniform_points(300, seed=1), replicas=2)
+    follower = service.server.replicas[1]
+
+    def broken(*_args):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(follower.server, "insert_object", broken)
+    with service:
+        service.insert_object(9001, 0.2, 0.2)
+    (event,) = service.events.tail(category="replica")
+    assert event["event"] == "replica.apply_failed"
+    assert (event["rid"], event["op"]) == (1, "insert")
+    assert follower.staleness == 1  # re-queued for the next attempt
 
 
 def test_failover_total_is_the_sum_of_its_replica_series(points):

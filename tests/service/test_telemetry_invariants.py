@@ -266,19 +266,20 @@ def test_trace_node_accesses_equal_the_reads_the_query_caused(stack):
     assert reads > 0
 
 
-def test_only_executed_answers_are_metered_as_replica_work():
-    """A cache hit on an entry a replica served ran no replica.  After
-    every answer, the service's per-replica query series sum to what
-    the replicas answered, its stale-serve count equals theirs, and the
-    staleness SLO saw one bad observation per answer executed stale."""
+def _walk_metering_executed_answers(shards: int) -> None:
+    """kNN answers near one point through a cached, lagging replica pair
+    of ``shards`` x ``shards`` servers, with inserts near them; after
+    every answer the service's replica and fan-out series count only
+    the answers that executed."""
     service = build_service(
-        uniform_points(500, seed=1), replicas=2, cache=CacheConfig(),
+        uniform_points(500, seed=1), replicas=2, shards=shards,
+        cache=CacheConfig(),
         replica=ReplicaConfig(replication_lag=2, default_max_stale=2),
         slo=SLOEngine([SLOConfig("fresh", objective="staleness",
                                  target=0.5)]))
     metrics, replicas = service.metrics, service.server
     rnd = random.Random(11)
-    hits = executed_stale = 0
+    hits = executed = executed_stale = 0
     with service:
         for i in range(80):
             x, y = 0.5 + rnd.gauss(0.0, 0.01), 0.5 + rnd.gauss(0.0, 0.01)
@@ -288,8 +289,10 @@ def test_only_executed_answers_are_metered_as_replica_work():
             response = service.answer(KNNRequest((x, y), k=3))
             if service.cache.hits > before:
                 hits += 1
-            elif response.staleness:
-                executed_stale += 1
+            else:
+                executed += 1
+                if response.staleness:
+                    executed_stale += 1
             answered = sum(row["queries"]
                            for row in replicas.replica_snapshot())
             assert metrics.counter_total("service.replica.queries") \
@@ -300,6 +303,35 @@ def test_only_executed_answers_are_metered_as_replica_work():
             service.slo.evaluate()
             observed = service.slo.snapshot()["slos"]["fresh"]["observed"]
             assert observed["bad"] == executed_stale, i
+            fanouts = metrics.counter_total("service.shard.fanouts")
+            assert fanouts == (executed if shards > 1 else 0), i
     # The walk exercised what it checks: hits on replica-served entries
     # and answers a lagging replica served stale.
     assert hits > 0 and executed_stale > 0
+
+
+def test_only_executed_answers_are_metered_as_replica_work():
+    """A cache hit on an entry a replica served ran no replica.  After
+    every answer, the service's per-replica query series sum to what
+    the replicas answered, its stale-serve count equals theirs, and the
+    staleness SLO saw one bad observation per answer executed stale."""
+    _walk_metering_executed_answers(shards=1)
+
+
+def test_only_executed_answers_are_metered_as_shard_fanouts():
+    """The same walk on replicas of 2x2 shard fleets: a cache hit on an
+    entry a fan-out computed ran no shard, so fan-outs equal the
+    executed answers."""
+    _walk_metering_executed_answers(shards=2)
+
+
+def test_a_cache_hit_is_not_a_shard_fanout():
+    service = build_service(uniform_points(500, seed=1), shards=2,
+                            cache=CacheConfig())
+    with service:
+        for _ in range(5):
+            service.answer(KNNRequest((0.5, 0.5), k=3))
+    assert service.cache.hits == 4
+    snapshot = service.metrics.snapshot()
+    assert snapshot["counters"]["service.shard.fanouts"] == 1
+    assert snapshot["histograms"]["service.shard.fanout_width"]["count"] == 1
