@@ -132,7 +132,7 @@ def run_patch_vs_requery(seed: int = 2003):
         for sub in subs:
             updates = sub.drain()
             if updates and updates[-1].kind == "invalidate":
-                sub.move(sub._state.point)  # escape hatch: re-query
+                sub.move(sub.request.location)  # escape hatch: re-query
         pushes = sum(s.pushes for s in subs)
     refetches = sum(s.moves_refetched for s in subs)
     patch_cost = _accesses(patched) - base - mutation_cost

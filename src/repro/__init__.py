@@ -92,7 +92,7 @@ from repro.service import (
     build_service,
 )
 
-__version__ = "9.0.0"
+__version__ = "10.0.0"
 
 #: The canonical public surface (docs/API.md documents every name;
 #: ``python -m repro.service.checkapi`` fails CI when the two drift).

@@ -335,19 +335,18 @@ class QuerySemantics:
       ``previous_ids``;
     * ``location`` / ``cache_key`` / ``serve_cached`` —
       :class:`~repro.service.cache.ValidityCache` addressing and
-      admissibility;
-    * ``certify`` — the one mutation certificate: is an answer still
-      exact inside its region after a list of mutations, and if not,
-      what part of the region is left?  The cache keeps an entry iff it
-      returns the entry's own region, a lagging replica serves the
-      region it returns, and a subscription patch ships it;
+      admissibility, and re-serving an answer at another location;
+    * ``certify`` — the one mutation rule: the answer after a list of
+      mutations.  The cache keeps an entry iff it returns the entry's
+      own answer, a lagging replica serves the region of a copy that
+      keeps its result, and a subscription pushes whatever it returns;
     * ``reach`` — a box outside which no mutation changes the answer
       anywhere in its region, so the cache re-stamps an entry without
       a ``certify`` call for a mutation outside it;
-    * ``subscribe_init`` / ``continuous_apply`` / ``continuous_move`` /
-      ``refetch_request`` — continuous-query patching hooks (gated on
-      ``supports_subscriptions``); the defaults fetch, patch through
-      ``certify`` and re-serve while the region holds the client;
+    * ``subscribe_init`` / ``refetch_request`` — the answer a
+      subscription holds (gated on ``supports_subscriptions``); the hub
+      patches it through ``certify`` and moves it through
+      ``serve_cached``;
     * ``oracle`` — a brute-force reference answer, powering the
       reusable :func:`repro.core.conformance.check_semantics` suite.
 
@@ -359,7 +358,7 @@ class QuerySemantics:
     kind: str = ""
     #: The concrete request dataclass (used for registry lookups by type).
     request_type: Optional[type] = None
-    #: Whether :meth:`subscribe_init` / :meth:`continuous_apply` exist.
+    #: Whether the continuous hub may hold answers of this kind.
     supports_subscriptions: bool = False
 
     # --- execution ----------------------------------------------------
@@ -386,32 +385,38 @@ class QuerySemantics:
         """Query-shape key for the validity cache (None = uncacheable)."""
         return None
 
-    def serve_cached(self, request, response):
-        """Adapt a cached response to ``request`` (e.g. re-rank kNN
-        hits by distance to the probing point) with
-        ``dataclasses.replace``, which keeps a replica's annotation.
-        Return ``response`` unchanged when no adaptation is needed."""
+    def serve_cached(self, request, response) -> Optional[Response]:
+        """``response`` served at ``request``'s location: itself when it
+        needs no adaptation, a ``dataclasses.replace`` copy (which keeps
+        a replica's annotation) when it does — e.g. kNN hits re-ranked
+        by distance to the probing point — or ``None`` when it cannot be
+        served there (never on a cache hit, whose region holds the
+        location).  The hub re-serves an unadapted answer to a moved
+        subscriber only while its region holds the location."""
         return response
 
-    # --- the mutation certificate -------------------------------------
-    def certify(self, request, response, mutations, universe):
-        """Where does ``response`` stay exact after ``mutations``?
+    # --- the mutation rule --------------------------------------------
+    def certify(self, request, response, mutations, universe
+                ) -> Optional[Response]:
+        """The answer after ``mutations``, exact inside its region:
 
-        * **Unchanged** — ``response.region`` itself (the same object)
-          when no mutation can change ``response.result`` anywhere in
-          that region;
-        * **shrunk** — otherwise a region inside ``response.region``
-          that still contains the request's location, inside which
-          ``response.result`` is the exact answer on the mutated
-          dataset;
-        * ``None`` — no such region can be certified.
+        * **unchanged** — ``response`` itself (the same object) when no
+          mutation can change ``response.result`` anywhere in
+          ``response.region``;
+        * **a copy** (``dataclasses.replace``) — a region shrunk inside
+          ``response.region`` that still contains the request's
+          location, a patched result, or both, exact on the mutated
+          dataset.  A region-only copy keeps the very ``result`` list
+          (a lagging replica serves only such a copy);
+        * ``None`` — no such answer can be certified.
 
         The region read is the one given (its rectangle, centre,
         radius, half-planes or MBR); the request's location serves only
         the final "does the answer still hold here" test.  The default
-        knows no rule: unchanged for no mutations, ``None`` otherwise.
+        knows no rule: ``response`` for no mutations, ``None``
+        otherwise.
         """
-        return response.region if not mutations else None
+        return response if not mutations else None
 
     def reach(self, request, response):
         """A :class:`~repro.geometry.Rect` outside which no insert or
@@ -419,7 +424,7 @@ class QuerySemantics:
         ``response.region``, or ``None``: a mutation anywhere may.
 
         A box is a promise about :meth:`certify`: every member of the
-        result lies inside it, and ``certify`` returns ``response.region``
+        result lies inside it, and ``certify`` returns ``response``
         itself for an insert, or a delete of a non-member, at any point
         outside it.  Return one only where that is provable, rounding
         included.  Only the validity cache reads it.  The default is
@@ -428,44 +433,12 @@ class QuerySemantics:
         return None
 
     # --- continuous queries -------------------------------------------
-    def subscribe_init(self, hub, sub, request) -> None:
-        """Fetch the answer to ``request`` and install it on ``sub``."""
-        response = hub.owner.answer(
+    def subscribe_init(self, hub, request) -> Response:
+        """The answer a new subscription to ``request`` holds, with any
+        state it is patched from on its ``detail`` (kNN's candidates).
+        The default is the hub ``owner``'s fresh answer."""
+        return hub.owner.answer(
             self.refetch_request(request, self.location(request)))
-        sub._state = response.detail
-        sub._needs_refresh = False
-        hub._set_response(sub, list(response.result), response.region,
-                          origin="subscribe")
-
-    def continuous_apply(self, hub, sub, mutation) -> tuple:
-        """Fold one mutation into the subscription.
-
-        Returns ``("skip",)``, ``("exhausted",)`` or
-        ``("patch", result, region)``.  The default keeps the fetched
-        result and ships :meth:`certify`'s region for it.
-        """
-        current = sub.response
-        # The fetched detail under the subscription's current region.
-        answer = Response(current.result, current.region, sub._state)
-        region = self.certify(sub.request, answer, (mutation,),
-                              hub.owner.universe)
-        if region is None:
-            return ("exhausted",)
-        if region is current.region:
-            return ("skip",)
-        return ("patch", list(current.result), region)
-
-    def continuous_move(self, hub, sub, location):
-        """Relocate the subscription without a re-query, if possible.
-
-        Returns ``("patch", result, region)`` to install a repaired
-        answer, ``("serve", response)`` to re-serve the current response
-        unchanged (the default, while its region holds ``location``),
-        or ``None`` to force the escape-hatch re-fetch.
-        """
-        if sub.response.region.contains(location):
-            return ("serve", sub.response)
-        return None
 
     def refetch_request(self, request, location):
         """A fresh (non-delta) copy of ``request`` at ``location``."""
@@ -493,6 +466,11 @@ _REMOVED_HOOKS = {
     "stale_region": _CERTIFY,
     "shard_execute": ("removed in v5.0: implement execute(server, "
                       "request), which runs on every server shape"),
+    "continuous_apply": ("removed in v10.0: certify(request, response, "
+                         "mutations, universe) returns the patched answer"),
+    "continuous_move": ("removed in v10.0: serve_cached(request, "
+                        "response) re-serves the held answer at the new "
+                        "location"),
 }
 
 
@@ -502,11 +480,13 @@ def register_query_type(semantics: QuerySemantics) -> QuerySemantics:
     Returns the registered object so the call composes as a statement
     or decorator-style tail call.  A semantics still defining a removed
     hook raises ``TypeError`` naming its replacement
-    (:meth:`QuerySemantics.certify` for the v3.0 mutation hooks,
-    :meth:`QuerySemantics.execute` for ``shard_execute``): registering
-    it silently would drop the rule it holds.  A ``request_type`` that
-    is not a dataclass raises ``TypeError``: the service sets budgets
-    with :func:`dataclasses.replace`.
+    (:meth:`QuerySemantics.certify` for the v3.0 mutation hooks and
+    ``continuous_apply``, :meth:`QuerySemantics.execute` for
+    ``shard_execute``, :meth:`QuerySemantics.serve_cached` for
+    ``continuous_move``): registering it silently would drop the rule
+    it holds.  A ``request_type`` that is not a dataclass raises
+    ``TypeError``: the service sets budgets with
+    :func:`dataclasses.replace`.
     """
     if not isinstance(semantics, QuerySemantics):
         raise TypeError(f"not a QuerySemantics: {semantics!r}")

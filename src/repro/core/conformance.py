@@ -12,17 +12,19 @@ full battery for free:
   ships a region containing the query location;
 * **cache round-trip** — cache keys are deterministic, and a cached
   response re-served through :meth:`serve_cached` keeps the result set;
-* **the mutation certificate** — :meth:`certify` is tried against
-  mutations aimed at the answer's decision boundaries (inserts on
-  rings just inside and just outside the farthest member's distance,
-  an insert at the query location, a delete of each member) and a few
-  uniform ones.
-  Whatever region it certifies — the original unchanged or a shrunk
-  one — must contain the query location and lie inside the original,
-  and a fresh execute on the mutated dataset must agree with the
-  answer at the location and at probes across the region;
+* **the mutation rule** — :meth:`certify` returns ``None`` or a
+  :class:`~repro.core.api.Response`, the answer itself for no
+  mutations, and a copy that only shrinks the region keeps the very
+  ``result`` list.  It is tried against mutations aimed at the answer's
+  decision boundaries (inserts on rings just inside and just outside
+  the farthest member's distance, an insert at the query location, a
+  delete of each member) and a few uniform ones, each alone and each
+  list folded one at a time as the subscription hub does.  Every answer
+  it certifies must hold the query location in a region inside the one
+  it was given, and agree with a fresh execute on the dataset mutated
+  so far at the location and at probes across its region;
 * **the reach box** — when :meth:`reach` returns one, every member lies
-  inside it, and :meth:`certify` returns the region itself for an
+  inside it, and :meth:`certify` returns the answer itself for an
   insert and for a non-member delete just outside each side of the box
   and far from it.
 
@@ -57,16 +59,6 @@ _RING_SCALES = (0.999, 1.001)
 
 def _result_ids(response) -> set:
     return {e.oid for e in response.result}
-
-
-def _fresh_server(points, mutations: Sequence[Mutation]) -> LocationServer:
-    server = LocationServer.from_points(points)
-    for m in mutations:
-        if m.op == "insert":
-            server.insert_object(m.oid, m.x, m.y)
-        else:
-            server.delete_object(m.oid, m.x, m.y)
-    return server
 
 
 def _random_mutations(server: LocationServer, rng: random.Random,
@@ -138,8 +130,8 @@ def _check_reach(sem, request, response, universe, entries,
         for m in (Mutation("insert", next_oid, x, y),
                   Mutation("delete", other, x, y)):
             assert sem.certify(request, response, (m,), universe) \
-                is response.region, \
-                f"{sem.kind}: certify changes the region for the {m.op} " \
+                is response, \
+                f"{sem.kind}: certify changes the answer for the {m.op} " \
                 f"of oid {m.oid} at ({x!r}, {y!r}), outside the reach box " \
                 f"{tuple(box)}"
 
@@ -157,6 +149,53 @@ def _probes(region, universe, rng: random.Random):
              box.ymin + rng.random() * (box.ymax - box.ymin))
         if region.contains(p):
             yield p
+
+
+def _fold(sem, request, response, points, mutations, universe,
+          rng: random.Random) -> None:
+    """Fold ``mutations`` through ``certify`` one at a time, feeding
+    every answer back in (after ``None``, a fresh execute, as the hub
+    refetches), and check each against the dataset mutated so far."""
+    server = LocationServer.from_points(points)
+    live = {e.oid for e in server.tree.points()}
+    loc = sem.location(request)
+    answer = response
+    for m in mutations:
+        if m.op == "delete" and m.oid not in live:
+            continue
+        if answer is None:
+            answer = sem.execute(server, request)
+        after = sem.certify(request, answer, (m,), universe)
+        if m.op == "insert":
+            server.insert_object(m.oid, m.x, m.y)
+            live.add(m.oid)
+        else:
+            server.delete_object(m.oid, m.x, m.y)
+            live.discard(m.oid)
+        if after is None:
+            answer = None
+            continue
+        assert isinstance(after, Response), \
+            f"{sem.kind}: certify returned a {type(after).__name__}, " \
+            f"not None or a repro.Response"
+        what = ("kept" if after is answer else
+                "shrank" if after.result is answer.result else "patched")
+        label = f"{sem.kind}: certify {what} a region the {m.op} of " \
+                f"oid {m.oid} at ({m.x:.6g}, {m.y:.6g})"
+        ids = _result_ids(after)
+        if after.result is not answer.result:
+            assert ids != _result_ids(answer), \
+                f"{sem.kind}: certify copied the result list unchanged " \
+                f"for the {m.op} of oid {m.oid}: a region-only change " \
+                f"keeps the result list itself"
+        assert after.region.contains(loc, _EPS), \
+            f"{label} to one excluding the query location"
+        for p in [loc] + list(_probes(after.region, universe, rng)):
+            assert answer.region.contains(p, _EPS), \
+                f"{label} to one reaching beyond the original at {p}"
+            fresh = sem.execute(server, sem.refetch_request(request, p))
+            assert _result_ids(fresh) == ids, f"{label} invalidates at {p}"
+        answer = after
 
 
 def check_semantics(kind, points: Sequence, requests: Iterable,
@@ -215,24 +254,14 @@ def check_semantics(kind, points: Sequence, requests: Iterable,
             assert _result_ids(served) == ids, \
                 f"{sem.kind}: serve_cached changed the result set"
 
-        # --- the mutation certificate --------------------------------
-        assert sem.certify(request, response, (), universe) \
-            is response.region, \
-            f"{sem.kind}: certify changed the region of no mutations"
+        # --- the mutation rule ---------------------------------------
+        unchanged = sem.certify(request, response, (), universe)
+        assert unchanged is response, \
+            f"{sem.kind}: certify of no mutations returned a " \
+            f"{type(unchanged).__name__}, not the answer itself"
         _check_reach(sem, request, response, universe, entries, next_oid)
-        for m in _targeted_mutations(response, loc, next_oid) + uniform:
-            region = sem.certify(request, response, (m,), universe)
-            if region is None:
-                continue
-            what = "kept" if region is response.region else "shrank"
-            label = f"{sem.kind}: certify {what} a region the {m.op} of " \
-                    f"oid {m.oid} at ({m.x:.6g}, {m.y:.6g})"
-            assert region.contains(loc, _EPS), \
-                f"{label} to one excluding the query location"
-            mutated = _fresh_server(points, [m])
-            for p in [loc] + list(_probes(region, universe, rng)):
-                assert response.region.contains(p, _EPS), \
-                    f"{label} to one reaching beyond the original at {p}"
-                fresh = sem.execute(mutated, sem.refetch_request(request, p))
-                assert _result_ids(fresh) == ids, \
-                    f"{label} invalidates at {p}"
+        targeted = _targeted_mutations(response, loc, next_oid)
+        for m in targeted + uniform:
+            _fold(sem, request, response, points, [m], universe, rng)
+        for mutations in (targeted, uniform):
+            _fold(sem, request, response, points, mutations, universe, rng)

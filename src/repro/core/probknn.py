@@ -43,7 +43,7 @@ simulated node accesses, budgets ignored, never degraded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar, List, Optional, Tuple
 
 import numpy as np
@@ -222,7 +222,7 @@ class ProbKNNSemantics(QuerySemantics):
             slack = min(slack, d_m - (d_o + 2.0 * detail.uncertainty))
         return slack if slack > 0.0 else None
 
-    # --- the mutation certificate -------------------------------------
+    # --- the mutation rule --------------------------------------------
     def certify(self, request, response, mutations, universe):
         """Each mutation's slack from every decision boundary, halved,
         caps the annulus's outer radius; one that crosses a boundary
@@ -243,20 +243,17 @@ class ProbKNNSemantics(QuerySemantics):
                 return None
             rho = min(rho, slack / 2.0)
         if rho >= bound:
-            return region
+            return response
         if outer is None or rho < region.inner:
             return None
         shrunk = AnnulusValidityRegion(region.center, region.inner, rho)
-        return shrunk if shrunk.contains(request.location) else None
+        return (replace(response, region=shrunk)
+                if shrunk.contains(request.location) else None)
 
     # --- continuous ---------------------------------------------------
-    def continuous_move(self, hub, sub, location):
-        # Stored distances are centre-relative: a new centre means a
-        # fresh computation, so every move takes the escape hatch.
-        return None
-
     def refetch_request(self, request, location):
-        return replace_location(request, location)
+        return replace(request, location=(float(location[0]),
+                                          float(location[1])))
 
     # --- oracle -------------------------------------------------------
     def oracle(self, points, request) -> Tuple[set, set]:
@@ -277,13 +274,6 @@ class ProbKNNSemantics(QuerySemantics):
             if d <= horizon + eps:
                 may.add(e.oid)
         return must, may
-
-
-def replace_location(request: ProbKNNRequest,
-                     location) -> ProbKNNRequest:
-    from dataclasses import replace
-    return replace(request, location=(float(location[0]),
-                                      float(location[1])))
 
 
 register_query_type(ProbKNNSemantics())

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -100,10 +100,11 @@ class RKNNDetail(QueryDetail):
     """How a reverse-kNN answer was derived (and what keeps it alive).
 
     ``member_knn`` maps each member oid to its sorted k smallest
-    distances to other data objects — the exact competitor list the
-    staleness and continuous tiers fold pending inserts into.
-    ``candidates`` is the sector-filtered candidate set with
-    ``candidate_radii`` their exact k-NN distances.
+    distances to other data objects — the exact competitor list
+    ``certify`` folds inserts into.  ``candidates`` is the
+    sector-filtered candidate set with ``candidate_radii`` their exact
+    k-NN distances.  A certified copy carries the folded lists, the
+    candidates grown by its inserts and the shrunk safety radius.
     """
 
     kind = "rknn"
@@ -302,16 +303,16 @@ class RKNNSemantics(QuerySemantics):
     def cache_key(self, request) -> Optional[tuple]:
         return ("rknn", request.k)
 
-    # --- the mutation certificate -------------------------------------
+    # --- the mutation rule --------------------------------------------
     def certify(self, request, response, mutations, universe):
         """Any delete gives ``None`` (thresholds grow: members may
         join).  Inserts fold into the members' k-NN radii; one that
         shrinks no radius and keeps at least the safety radius from
-        joining has no effect, the others add member and safety
-        disks."""
-        region = response.region
+        joining has no effect.  The others add member and safety disks,
+        and the copy's detail carries the folded competitor lists,
+        candidates and safety radius, which the next call folds into."""
         if not mutations:
-            return region
+            return response
         if any(m.op == "delete" for m in mutations):
             return None
         detail: RKNNDetail = response.detail
@@ -328,31 +329,18 @@ class RKNNSemantics(QuerySemantics):
                          for member, radius in changed)
             slack = min(slack, gap)
         if not radii and slack >= detail.safety_radius:
-            return region
-        shrunk = _shrunk(region, detail, radii.values(), slack, universe)
-        return shrunk if shrunk.contains(request.location) else None
+            return response
+        shrunk = _shrunk(response.region, detail, radii.values(), slack,
+                         universe)
+        if not shrunk.contains(request.location):
+            return None
+        return replace(response, region=shrunk, detail=replace(
+            detail,
+            member_knn={oid: tuple(knn) for oid, knn in member_knn.items()},
+            candidates=tuple(candidates),
+            safety_radius=min(detail.safety_radius, slack)))
 
     # --- continuous ---------------------------------------------------
-    def subscribe_init(self, hub, sub, request) -> None:
-        response = hub.owner.answer(request)
-        sub._state = _RknnSubState(request, response.detail)
-        sub._needs_refresh = False
-        hub._set_response(sub, list(response.result), response.region,
-                          origin="subscribe")
-
-    def continuous_apply(self, hub, sub, mutation) -> tuple:
-        if mutation.op == "delete":
-            return ("exhausted",)  # thresholds grow: members may join
-        state: _RknnSubState = sub._state
-        folded = _fold_insert(state.detail, state.member_knn,
-                              state.candidates, mutation)
-        if folded is None:
-            return ("exhausted",)  # result changes: re-fetch
-        changed, gap = folded
-        region = _shrunk(sub.response.region, state.detail, changed, gap,
-                         hub.owner.universe)
-        return ("patch", list(sub.response.result), region)
-
     def refetch_request(self, request, location):
         return replace(request, location=location)
 
@@ -373,26 +361,6 @@ class RKNNSemantics(QuerySemantics):
             if d < radius + eps:
                 may.add(o.oid)
         return must, may
-
-
-@dataclass
-class _RknnSubState:
-    """Server-retained reverse-kNN subscription state.
-
-    ``member_knn`` is a mutable working copy of the members' competitor
-    lists (pending inserts are folded in exactly); ``candidates`` grows
-    with every applied insert so the refutation bound stays valid.
-    """
-
-    request: RKNNRequest
-    detail: RKNNDetail
-    member_knn: Dict[int, List[float]] = field(init=False)
-    candidates: List[LeafEntry] = field(init=False)
-
-    def __post_init__(self):
-        self.member_knn = {oid: list(knn)
-                           for oid, knn in self.detail.member_knn.items()}
-        self.candidates = list(self.detail.candidates)
 
 
 register_query_type(RKNNSemantics())

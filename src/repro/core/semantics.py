@@ -2,8 +2,7 @@
 
 Everything the serving stack used to decide with ``isinstance`` ladders
 — how to execute a request, how to key and adapt a cached answer, what
-a dataset mutation does to an answer, how to patch a continuous
-subscription — lives here as the three built-in
+a dataset mutation does to an answer — lives here as the three built-in
 :class:`~repro.core.api.QuerySemantics` registrations.  The service
 modules (:mod:`repro.service.cache`, :mod:`repro.service.staleness`,
 :mod:`repro.service.continuous`, …) look the behaviour up through
@@ -12,10 +11,11 @@ request type, which is what lets reverse-kNN (:mod:`repro.core.rknn`),
 probabilistic kNN (:mod:`repro.core.probknn`) and third-party types
 plug into every tier without touching them.
 
-The mutation rules live in one hook per kind, ``certify``: the cache,
-the lagging replicas and the subscription patches all derive from it.
-Next to it, ``reach`` bounds where a mutation can matter at all — a box
-built from what ``certify`` reads, outside which it keeps the region —
+The mutation rules live in one hook per kind, ``certify``, which
+returns the answer after the mutations: the cache, the lagging replicas
+and the subscriptions all derive from it.  Next to it, ``reach`` bounds
+where a mutation can matter at all — a box built from what ``certify``
+reads, outside which it keeps the answer —
 so the cache certifies only the entries whose box holds a mutation.
 ``repro.core`` never imports ``repro.service`` (the dependency edge
 points the other way); the hub reaches these hooks with itself as an
@@ -24,9 +24,11 @@ argument.
 kNN subscriptions — the anchor/horizon invariant
 ------------------------------------------------
 Subscribing a ``k``-NN query fetches ``k + margin`` neighbours of the
-query point (the *anchor*) in one go and keeps the whole candidate set
-server-side.  With ``horizon`` the distance of the farthest retrieved
-candidate from the anchor, the retrieval guarantees the invariant
+query point (the *anchor*) in one go and holds the top ``k`` with the
+whole candidate set on the answer's detail (INSQ's influential set:
+the answer plus the objects that can displace it).  With ``horizon``
+the distance of the farthest retrieved candidate from the anchor, the
+retrieval guarantees the invariant
 
     every live non-candidate object is at distance >= horizon
     from the anchor,
@@ -48,23 +50,23 @@ patched validity region is the intersection of
 * the safety disk of radius ``(horizon - dist(anchor, p) - d_k(p)) / 2``
   centred on ``p``, inside which no non-candidate can catch up.
 
-Both pieces are computed from cached state with **zero node accesses**.
-When the condition fails — the margin is exhausted by deletes, or the
-client wandered too close to the horizon — the subscription falls back
-to a full re-query (the soundness escape hatch).  The machine changes
-the result, which ``certify`` never does, so kNN keeps it; window and
-range subscriptions patch through ``certify`` for every mutation that
-leaves their result alone.
+Both pieces are computed from the candidates with **zero node
+accesses**, by ``certify`` after a mutation and by ``serve_cached`` at
+a subscriber's new point.  When the condition fails — the margin is
+exhausted by deletes, or the client wandered too close to the horizon —
+either returns ``None`` and the subscription falls back to a full
+re-query (the soundness escape hatch).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.api import (
     KNNRequest,
+    QueryDetail,
     QuerySemantics,
     RangeRequest,
     WindowRequest,
@@ -132,23 +134,26 @@ def _widened(box: Rect, dx: float, dy: float) -> Rect:
 # ----------------------------------------------------------------------
 # the kNN subscription machine
 # ----------------------------------------------------------------------
-class _KnnState:
-    __slots__ = ("k", "anchor", "horizon", "point", "candidates")
+@dataclass(frozen=True, eq=False)
+class _KnnCandidates(QueryDetail):
+    """The detail of a kNN subscription's answer: the fetched candidates
+    (oid → entry), the anchor they were fetched at, their horizon, and
+    the point the answer is ranked at."""
 
-    def __init__(self, k: int, anchor: Tuple[float, float], horizon: float,
-                 point: Tuple[float, float],
-                 candidates: Dict[int, LeafEntry]):
-        self.k = k
-        self.anchor = anchor
-        self.horizon = horizon
-        self.point = point
-        self.candidates = candidates
+    kind = "knn"
+
+    k: int
+    anchor: Tuple[float, float]
+    horizon: float
+    point: Tuple[float, float]
+    candidates: Dict[int, LeafEntry]
+    universe: Rect
 
 
-def _knn_served(state: _KnnState, universe: Rect):
+def _knn_served(state: _KnnCandidates):
     """Top-k + patched region at ``state.point``, or ``None`` when the
     margin cannot prove the candidate set covers the true top-k."""
-    point = state.point
+    point, universe = state.point, state.universe
     cands = sorted(state.candidates.values(),
                    key=lambda e: (_dist(e.point, point), e.oid))
     k = state.k
@@ -178,25 +183,37 @@ def _knn_served(state: _KnnState, universe: Rect):
     return members, CompositeValidityRegion([fences, disk])
 
 
-def _knn_apply(state: _KnnState, m) -> str:
-    """Fold one mutation into the candidate set (idempotent by oid)."""
+def _ranked(response, state: _KnnCandidates):
+    """``response`` ranked again from ``state``'s candidates, or
+    ``None`` when the margin cannot serve it."""
+    served = _knn_served(state)
+    if served is None:
+        return None
+    members, region = served
+    return replace(response, result=members, region=region, detail=state)
+
+
+def _knn_fold(response, m):
+    """A subscription's answer after mutation ``m`` (idempotent by oid)."""
+    state = response.detail
+    candidates = state.candidates
     if m.op == "insert":
-        if m.oid in state.candidates:
-            return "skip"
+        if m.oid in candidates:
+            return response
         if _dist((m.x, m.y), state.anchor) >= state.horizon:
-            return "skip"  # invariant untouched, old region still sound
-        state.candidates[m.oid] = m.entry
-        return "patch"  # region must shrink against the newcomer
-    if m.oid not in state.candidates:
-        return "skip"
-    was_member = m.oid in {
-        e.oid for e in sorted(
-            state.candidates.values(),
-            key=lambda e: (_dist(e.point, state.point), e.oid))[:state.k]}
-    del state.candidates[m.oid]
+            return response  # invariant untouched, old region still sound
+        # The region must shrink against the newcomer.
+        return _ranked(response, replace(
+            state, candidates={**candidates, m.oid: m.entry}))
+    if m.oid not in candidates:
+        return response
+    state = replace(state, candidates={
+        oid: e for oid, e in candidates.items() if oid != m.oid})
+    if any(e.oid == m.oid for e in response.result):
+        return _ranked(response, state)
     # A deleted non-member only removes a competitor: the shipped
-    # result and region both stay sound without a push.
-    return "patch" if was_member else "silent"
+    # result and region both stay sound.
+    return replace(response, detail=state)
 
 
 def _corners(box: Rect):
@@ -242,6 +259,11 @@ class KNNSemantics(QuerySemantics):
         return ("knn", request.k)
 
     def serve_cached(self, request, response):
+        """A subscription's answer is ranked from its candidates at the
+        request's point; any other is re-ranked by distance to it."""
+        state = response.detail
+        if isinstance(state, _KnnCandidates):
+            return _ranked(response, replace(state, point=request.location))
         qx, qy = request.location
         ranked = sorted(
             response.result,
@@ -250,16 +272,24 @@ class KNNSemantics(QuerySemantics):
             return response
         return replace(response, result=ranked)
 
-    # --- the mutation certificate -------------------------------------
+    # --- the mutation rule --------------------------------------------
     def certify(self, request, response, mutations, universe):
-        """A deleted member or an insert joining an under-full result
-        gives ``None``.  An insert walled off from the region's MBR by
-        every member's bisector has no effect; the others add their
-        member x insert bisector pairs to the region."""
+        """A subscription's answer is ranked again from its candidates.
+        For any other a deleted member or an insert joining an
+        under-full result gives ``None``.  An insert walled off from the
+        region's MBR by every member's bisector has no effect; the
+        others add their member x insert bisector pairs to the
+        region."""
+        if isinstance(response.detail, _KnnCandidates):
+            for m in mutations:
+                response = _knn_fold(response, m)
+                if response is None:
+                    return None
+            return response
         region = response.region
         inserts = _inserts(response, mutations)
         if not inserts:
-            return region if inserts is not None else None
+            return response if inserts is not None else None
         members = response.result
         if len(members) < request.k:
             return None  # the insert joins an under-full result
@@ -269,7 +299,7 @@ class KNNSemantics(QuerySemantics):
             reaching = [m for m in inserts
                         if not _walled_off(members, m, corners)]
         if not reaching:
-            return region
+            return response
         try:
             closer_than_inserts = NNValidityRegion(
                 [(n, m.entry) for m in reaching for n in members], universe)
@@ -277,7 +307,8 @@ class KNNSemantics(QuerySemantics):
             return None
         if not closer_than_inserts.contains(request.location):
             return None  # an insert beats a member at the location itself
-        return CompositeValidityRegion([region, closer_than_inserts])
+        return replace(response, region=CompositeValidityRegion(
+            [region, closer_than_inserts]))
 
     def reach(self, request, response):
         """The region's MBR widened by the largest distance from one of
@@ -298,7 +329,9 @@ class KNNSemantics(QuerySemantics):
         return _widened(box, far, far)
 
     # --- continuous ---------------------------------------------------
-    def subscribe_init(self, hub, sub, request) -> None:
+    def subscribe_init(self, hub, request):
+        """Fetch ``k + margin`` neighbours and hold the top ``k``, with
+        every fetched neighbour as a candidate."""
         fetch = replace(request, k=request.k + hub.config.margin,
                         previous_ids=None)
         response = hub.owner.answer(fetch)
@@ -309,43 +342,22 @@ class KNNSemantics(QuerySemantics):
         horizon = math.inf
         if len(cands) >= fetch.k:
             horizon = max(_dist(e.point, anchor) for e in cands)
-        sub._state = _KnnState(k=request.k, anchor=anchor, horizon=horizon,
+        state = _KnnCandidates(k=request.k, anchor=anchor, horizon=horizon,
                                point=anchor,
-                               candidates={e.oid: e for e in cands})
-        sub._needs_refresh = False
-        served = _knn_served(sub._state, hub.owner.universe)
+                               candidates={e.oid: e for e in cands},
+                               universe=hub.owner.universe)
+        served = _ranked(response, state)
         if served is not None:
-            members, region = served
-        elif len(cands) < request.k:
+            return served
+        if len(cands) < request.k:
             # The answer is "everything there is"; the fetched region
             # (however the server shaped it) bounds that claim.
-            members, region = cands, response.region
-        else:
-            # Distance tie exactly at the horizon: correct here, but
-            # nowhere else provably — serve a point-sized region.
-            members, region = (sorted(
-                cands, key=lambda e: (_dist(e.point, anchor), e.oid))[:request.k],
-                ValidityDisk(anchor, 0.0))
-        hub._set_response(sub, members, region, origin="subscribe")
-
-    def continuous_apply(self, hub, sub, mutation) -> tuple:
-        code = _knn_apply(sub._state, mutation)
-        if code != "patch":
-            return (code,)
-        served = _knn_served(sub._state, hub.owner.universe)
-        if served is None:
-            return ("exhausted",)
-        return ("patch",) + served
-
-    def continuous_move(self, hub, sub, location):
-        state = sub._state
-        previous = state.point
-        state.point = location
-        served = _knn_served(state, hub.owner.universe)
-        if served is not None:
-            return ("patch",) + served
-        state.point = previous
-        return None
+            return replace(response, detail=state)
+        # Distance tie exactly at the horizon: correct here, but
+        # nowhere else provably — serve a point-sized region.
+        return replace(response, result=sorted(
+            cands, key=lambda e: (_dist(e.point, anchor), e.oid))[:request.k],
+            region=ValidityDisk(anchor, 0.0), detail=state)
 
     def refetch_request(self, request, location):
         return replace(request, location=location, previous_ids=None)
@@ -364,47 +376,35 @@ class KNNSemantics(QuerySemantics):
         return must, may
 
 
-class _MembershipPatches(QuerySemantics):
-    """Subscription patches of the set-valued kinds (window, range).
-
-    Two mutations change the result: a member's delete (the region
-    stays — the member was in the answer at every point of it) and an
-    insert that joins the answer (:meth:`_join`).  Every other mutation
-    leaves the result alone and goes to :meth:`certify`.  Patched
-    results are listed in oid order.
-    """
-
-    def _join(self, request, region, m):
-        """``(joins, region)``: does insert ``m`` join the answer, and
-        if so the region of the enlarged answer (``None``: none)."""
-        raise NotImplementedError
-
-    def continuous_apply(self, hub, sub, mutation) -> tuple:
-        current = sub.response
-        member = any(e.oid == mutation.oid for e in current.result)
-        if member:
-            if mutation.op == "insert":
-                return ("skip",)  # the fetch already saw it
-            return ("patch", _by_oid(e for e in current.result
-                                     if e.oid != mutation.oid),
-                    current.region)
-        if mutation.op == "insert":
-            joins, region = self._join(sub.request, current.region, mutation)
-            if joins:
-                if region is None:
-                    return ("exhausted",)
-                return ("patch", _by_oid(list(current.result)
-                                         + [mutation.entry]), region)
-        region = self.certify(sub.request, current, (mutation,),
-                              hub.owner.universe)
-        if region is None:
-            return ("exhausted",)
-        if region is current.region:
-            return ("skip",)
-        return ("patch", _by_oid(current.result), region)
+def _certify_members(sem, request, response, mutations):
+    """A window or range answer after ``mutations``: a member's delete
+    drops it under the same region (it was in the answer at every point
+    of it), a non-member's delete changes nothing, and every insert goes
+    to the kind's ``_certify_insert``."""
+    for m in mutations:
+        if m.op == "insert":
+            response = sem._certify_insert(request, response, m)
+            if response is None:
+                return None
+        elif any(e.oid == m.oid for e in response.result):
+            response = replace(response, result=_by_oid(
+                e for e in response.result if e.oid != m.oid))
+    return response
 
 
-class WindowSemantics(_MembershipPatches):
+def _joined(response, m, region):
+    """``response`` with insert ``m`` joined under ``region`` (``None``:
+    no region can be certified), or itself when it already holds ``m``.
+    Patched results are listed in oid order."""
+    if any(e.oid == m.oid for e in response.result):
+        return response  # the fetch already saw it
+    if region is None:
+        return None
+    return replace(response, result=_by_oid([*response.result, m.entry]),
+                   region=region)
+
+
+class WindowSemantics(QuerySemantics):
     """The window query centred on the client (paper Section 4)."""
 
     kind = "window"
@@ -425,7 +425,7 @@ class WindowSemantics(_MembershipPatches):
             return None
         return ("window", request.width, request.height)
 
-    # --- the mutation certificate -------------------------------------
+    # --- the mutation rule --------------------------------------------
     @staticmethod
     def _zone(request, m) -> Rect:
         """The foci whose query window contains the inserted point."""
@@ -443,30 +443,32 @@ class WindowSemantics(_MembershipPatches):
         return get() if get is not None else None
 
     def certify(self, request, response, mutations, universe):
-        """A deleted member gives ``None``; an insert whose zone misses
-        the region has no effect, one whose zone holds the focus gives
-        ``None``, and any other zone is cut away from the rectangle.  A
-        region without a rectangle (a brownout composite) is bounded by
-        its MBR and gives ``None`` on any zone that reaches it."""
-        region = response.region
-        inserts = _inserts(response, mutations)
-        if not inserts:
-            return region if inserts is not None else None
+        """A deleted member leaves the answer; an insert whose zone
+        holds the focus joins it, the rectangle shrinking to the zone.
+        Any other insert whose zone misses the region has no effect,
+        and any other zone is cut away from the rectangle.  A region
+        without a rectangle (a brownout composite) is bounded by its MBR
+        and gives ``None`` on any zone that reaches it."""
+        return _certify_members(self, request, response, mutations)
+
+    def _certify_insert(self, request, response, m):
+        zone = self._zone(request, m)
         focus = request.focus
+        region = response.region
         rect = getattr(region, "rect", None)
+        if zone.contains_point(focus):
+            shrunk = rect.intersection(zone) if rect is not None else None
+            return _joined(response, m, None if shrunk is None
+                           else WindowValidityRegion(shrunk))
         bound = self._bound(region)
         if bound is None:
             return None
-        cut = False
-        for m in inserts:
-            zone = self._zone(request, m)
-            if not zone.intersects(bound):
-                continue
-            if rect is None or zone.contains_point(focus):
-                return None
-            rect = bound = _cut_away(rect, zone, focus)
-            cut = True
-        return WindowValidityRegion(rect) if cut else region
+        if not zone.intersects(bound):
+            return response
+        if rect is None:
+            return None
+        return replace(response, region=WindowValidityRegion(
+            _cut_away(rect, zone, focus)))
 
     def reach(self, request, response):
         """The bound :meth:`certify` tests zones against, widened by
@@ -477,15 +479,6 @@ class WindowSemantics(_MembershipPatches):
         return _widened(bound, request.width / 2.0, request.height / 2.0)
 
     # --- continuous ---------------------------------------------------
-    def _join(self, request, region, m):
-        zone = self._zone(request, m)
-        if not zone.contains_point(request.focus):
-            return False, None
-        rect = getattr(region, "rect", None)
-        shrunk = rect.intersection(zone) if rect is not None else None
-        return True, (WindowValidityRegion(shrunk)
-                      if shrunk is not None else None)
-
     def refetch_request(self, request, location):
         return replace(request, focus=location, previous_ids=None)
 
@@ -500,7 +493,7 @@ class WindowSemantics(_MembershipPatches):
         return must, may
 
 
-class RangeSemantics(_MembershipPatches):
+class RangeSemantics(QuerySemantics):
     """The circular range query (the Section 7 extension)."""
 
     kind = "range"
@@ -518,34 +511,38 @@ class RangeSemantics(_MembershipPatches):
             return None
         return ("range", request.radius)
 
-    # --- the mutation certificate -------------------------------------
+    # --- the mutation rule --------------------------------------------
     def certify(self, request, response, mutations, universe):
-        """A deleted member gives ``None``.  An insert at distance ``d``
-        from the region's centre has no effect when ``d - radius`` is at
-        least the region's radius, gives ``None`` within ``radius`` of
-        the location, and otherwise caps the region's radius at
-        ``d - radius`` (moving less keeps it out of range)."""
+        """A deleted member leaves the answer.  An insert at distance
+        ``d`` from the region's centre joins it when ``d`` is at most
+        the query radius, capping the region's radius at ``radius - d``
+        (judged at the centre: the answer was computed there, whichever
+        point the subscriber asked from).  Otherwise it has no effect
+        when ``d - radius`` is at least the region's radius, gives
+        ``None`` within ``radius`` of the location, and caps the
+        region's radius at ``d - radius`` (moving less keeps it out of
+        range).  A region without a centre (a brownout composite) gives
+        ``None`` on any insert."""
+        return _certify_members(self, request, response, mutations)
+
+    def _certify_insert(self, request, response, m):
         region = response.region
-        inserts = _inserts(response, mutations)
-        if not inserts:
-            return region if inserts is not None else None
         center = getattr(region, "center", None)
         if center is None:
             return None  # a brownout composite: no disk to shrink
         radius = float(request.radius)
-        validity = region.radius
+        d = _dist((m.x, m.y), center)
+        if d <= radius:
+            return _joined(response, m, ValidityDisk(
+                center, max(min(region.radius, radius - d), 0.0)))
+        if d - radius >= region.radius:
+            return response
         loc = request.location
-        for m in inserts:
-            d = _dist((m.x, m.y), center)
-            if d - radius >= validity:
-                continue
-            if _dist((m.x, m.y), loc) <= radius:
-                return None  # the insert is in range at the location
-            validity = d - radius
-        if validity == region.radius:
-            return region
-        shrunk = ValidityDisk(center, max(validity, 0.0))
-        return shrunk if shrunk.contains(loc) else None
+        if _dist((m.x, m.y), loc) <= radius:
+            return None  # the insert is in range at the location
+        shrunk = ValidityDisk(center, max(d - radius, 0.0))
+        return (replace(response, region=shrunk)
+                if shrunk.contains(loc) else None)
 
     def reach(self, request, response):
         """The region's centre plus or minus the query radius plus the
@@ -560,18 +557,6 @@ class RangeSemantics(_MembershipPatches):
                         far, far)
 
     # --- continuous ---------------------------------------------------
-    def _join(self, request, region, m):
-        # Judged at the region's own centre: the answer was computed
-        # there, whichever point the subscriber asked from.
-        if getattr(region, "center", None) is None:
-            return True, None  # a brownout composite: no disk to judge by
-        radius = float(request.radius)
-        d = _dist((m.x, m.y), region.center)
-        if d > radius:
-            return False, None
-        return True, ValidityDisk(
-            region.center, max(min(region.radius, radius - d), 0.0))
-
     def refetch_request(self, request, location):
         return replace(request, location=location, previous_ids=None)
 

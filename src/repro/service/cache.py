@@ -24,9 +24,9 @@ structure (the INSQ-style influence-set cache, arXiv:1602.00363):
 * entries are evicted LRU once ``capacity`` is exceeded;
 * the dataset-mutation hook is **surgical** (:meth:`invalidate_mutation`):
   a mutation drops only the entries whose answer it can change
-  somewhere in their region — the kind's mutation certificate
+  somewhere in their region — the kind's mutation rule
   (:meth:`~repro.core.api.QuerySemantics.certify`) must return the
-  entry's own region — and re-stamps every survivor to the new dataset
+  entry's own answer — and re-stamps every survivor to the new dataset
   epoch, so hit rates stay high under write traffic.  A mutation
   outside an entry's reach box
   (:meth:`~repro.core.api.QuerySemantics.reach`) re-stamps it without
@@ -292,9 +292,9 @@ class ValidityCache:
         ``epoch`` is the dataset epoch *after* the mutation.  An entry
         survives — re-stamped to the new epoch, still servable — iff its
         kind's :meth:`~repro.core.api.QuerySemantics.certify` returns the
-        entry's own region for the mutation: no point of the region sees
-        a different answer.  Everything else (a shrunk or uncertifiable
-        region, an entry whose epoch already lagged) is dropped.  The
+        entry's own answer for the mutation: no point of the region sees
+        a different answer.  Everything else (a shrunk or patched copy,
+        ``None``, an entry whose epoch already lagged) is dropped.  The
         certificates are conservative — sound in the only direction that
         matters: never keep an entry the mutation could touch.
 
@@ -332,7 +332,7 @@ class ValidityCache:
                 response = entry.response
                 if query_semantics(entry.request).certify(
                         entry.request, response, mutations,
-                        universe) is response.region:
+                        universe) is response:
                     entry.epoch = epoch
                 else:
                     drops.append(entry)

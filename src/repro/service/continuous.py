@@ -9,14 +9,15 @@ bounded queue.
 
 Per-kind maintenance
 --------------------
-The per-kind rules live with the kinds in :mod:`repro.core`, reached
-through the registry (``subscribe_init``, ``continuous_apply``,
-``continuous_move``): kNN keeps an anchor/horizon candidate margin
-(:mod:`repro.core.semantics`), the other kinds patch with the mutation
-certificate's region
-(:meth:`~repro.core.api.QuerySemantics.certify`).  When no patch can be
-certified the subscription falls back to a full re-query (the
-soundness escape hatch).
+Each subscription holds one answer (``Subscription.answer``, from the
+kind's ``subscribe_init``; kNN's carries an anchor/horizon candidate
+margin, :mod:`repro.core.semantics`).  Every mutation goes through the
+kind's one rule, :meth:`~repro.core.api.QuerySemantics.certify`: the
+held answer itself changes nothing, ``None`` invalidates (the next
+:meth:`SubscriptionHub.move` re-queries: the soundness escape hatch),
+and a copy is held — pushed when its region or result ids changed.  A
+move asks the kind's ``serve_cached`` for the held answer at the new
+location.
 
 Push semantics
 --------------
@@ -60,6 +61,10 @@ __all__ = [
 INVALIDATE_BYTES = ID_BYTES
 
 
+def _oids(result) -> set:
+    return {e.oid for e in result}
+
+
 @dataclass(frozen=True)
 class ContinuousConfig:
     """Tuning of the continuous-query tier.
@@ -90,8 +95,8 @@ class ContinuousDetail(QueryDetail):
 
     query_kind: str = ""
     #: How this response was produced: "subscribe" (initial fetch),
-    #: "patch" (mutation repair), "move" (client relocation repaired
-    #: from the margin) or "refetch" (escape hatch re-query).
+    #: "patch" (mutation repair), "move" (client relocation served from
+    #: the held answer) or "refetch" (escape hatch re-query).
     origin: str = "subscribe"
     #: Monotonic per-subscription state version.
     generation: int = 0
@@ -136,9 +141,12 @@ class Subscription:
         self.broken = False
         self.broken_reason: Optional[str] = None
         self.closed = False
-        #: Latest server-side view (a :class:`~repro.core.api.Response`
+        #: Latest shipped view (a :class:`~repro.core.api.Response`
         #: with a :class:`ContinuousDetail`).
         self.response: Optional[Response] = None
+        #: The answer every mutation is certified against; ``None``
+        #: once invalidated, until :meth:`move` fetches it again.
+        self.answer: Optional[Response] = None
         self.generation = 0
         self.pushes = 0
         self.patches = 0
@@ -151,8 +159,6 @@ class Subscription:
         self._queue: Deque[SubscriptionUpdate] = deque()
         self._lock = threading.RLock()
         self._seq = itertools.count(1)
-        self._state = None
-        self._needs_refresh = False
 
     @property
     def pending(self) -> int:
@@ -174,8 +180,8 @@ class Subscription:
             return out
 
     def move(self, location):
-        """Re-anchor at ``location``; patched from the margin when
-        sound, otherwise a full re-query.  Returns the response."""
+        """Serve at ``location`` from the held answer when sound,
+        otherwise by a full re-query.  Returns the response."""
         return self._hub.move(self, location)
 
     def close(self) -> None:
@@ -261,7 +267,8 @@ class SubscriptionHub:
             raise ValueError(f"cannot subscribe a {request.kind!r} request")
         with self._lock:
             sub = Subscription(next(self._ids), request, self, capacity)
-            sem.subscribe_init(self, sub, request)
+            self._install(sub, sem.subscribe_init(self, request),
+                          origin="subscribe")
             self._subs[sub.sid] = sub
         self._count("service.continuous.subscriptions")
         self._emit("push.subscribe", sid=sub.sid, kind=request.kind)
@@ -285,40 +292,47 @@ class SubscriptionHub:
         """
         with self._lock:
             subs = list(self._subs.values())
+        mutations, universe = (mutation,), self.owner.universe
         for sub in subs:
             try:
-                self._apply(sub, mutation)
+                self._apply(sub, mutations, universe)
             except Exception as exc:  # no silent staleness, ever
                 self._break(sub, f"{type(exc).__name__}: {exc}")
 
-    def _apply(self, sub: Subscription, m: Mutation) -> None:
+    def _apply(self, sub: Subscription, mutations, universe) -> None:
         with sub._lock:
             if sub.closed or sub.broken:
                 return
-            if sub._needs_refresh:
-                # Margin already exhausted: keep the client informed
+            held = sub.answer
+            if held is None:
+                # Already invalidated: keep the client informed
                 # (coalesced) until it re-queries via move().
                 self._push_invalidate(sub, "stale")
                 return
-            outcome = query_semantics(sub.request).continuous_apply(
-                self, sub, m)
-            if outcome[0] in ("skip", "silent"):
+            after = query_semantics(sub.request).certify(
+                sub.request, held, mutations, universe)
+            if after is held:
                 return
-            if outcome[0] == "exhausted":
-                sub._needs_refresh = True
+            if after is None:
+                sub.answer = None
                 self._push_invalidate(sub, "margin_exhausted")
                 return
-            _, result, region = outcome
-            self._push_patch(sub, result, region, reason=m.op)
+            if after.region is held.region and (
+                    after.result is held.result
+                    or _oids(after.result) == _oids(held.result)):
+                sub.answer = after  # only the detail moved on
+                return
+            self._push_patch(sub, after, reason=mutations[0].op)
 
     # -- client relocation ---------------------------------------------
     def move(self, sub: Subscription, location):
         """Serve ``sub`` at a new ``location``.
 
-        The kind's ``continuous_move`` repairs the answer from
-        subscription state (zero node accesses) or re-serves it while
-        its region holds ``location``.  Anything else takes the escape
-        hatch: a full re-query that re-anchors the subscription.
+        The kind's ``serve_cached`` adapts the held answer to
+        ``location`` (zero node accesses): a new answer is held, the
+        held one is re-served while its region holds ``location``.
+        Anything else takes the escape hatch: a full re-query that
+        re-anchors the subscription.
         """
         loc = (float(location[0]), float(location[1]))
         with sub._lock:
@@ -327,17 +341,18 @@ class SubscriptionHub:
             if sub.broken:
                 raise RuntimeError(
                     f"subscription is broken: {sub.broken_reason}")
-            if not sub._needs_refresh and sub.response is not None:
-                patched = query_semantics(sub.request).continuous_move(
-                    self, sub, loc)
-                if patched is not None:
+            held = sub.answer
+            if held is not None:
+                sem = query_semantics(sub.request)
+                served = sem.serve_cached(
+                    sem.refetch_request(sub.request, loc), held)
+                if served is not None and (served is not held
+                                           or held.region.contains(loc)):
                     sub.moves_patched += 1
                     self._count("service.continuous.moves_patched")
-                    if patched[0] == "serve":
-                        return patched[1]
-                    _, result, region = patched
-                    return self._set_response(sub, result, region,
-                                              origin="move")
+                    if served is held:
+                        return sub.response
+                    return self._install(sub, served, origin="move")
             return self._refetch(sub, loc)
 
     def _refetch(self, sub: Subscription, loc) -> Response:
@@ -345,28 +360,31 @@ class SubscriptionHub:
         self._count("service.continuous.moves_refetched")
         sem = query_semantics(sub.request)
         request = sem.refetch_request(sub.request, loc)
-        sem.subscribe_init(self, sub, request)
+        self._install(sub, sem.subscribe_init(self, request),
+                      origin="refetch")
         sub.request = request
         self._emit("push.refetch", sid=sub.sid, kind=sub.kind)
         return sub.response
 
     # -- push plumbing -------------------------------------------------
-    def _set_response(self, sub: Subscription, result, region,
-                      origin: str) -> Response:
+    def _install(self, sub: Subscription, answer: Response,
+                 origin: str) -> Response:
+        sub.answer = answer
         sub.generation += 1
-        response = Response(list(result), region, ContinuousDetail(
-            query_kind=sub.kind, origin=origin, generation=sub.generation))
-        sub.response = response
-        return response
+        sub.response = Response(
+            list(answer.result), answer.region,
+            ContinuousDetail(query_kind=sub.kind, origin=origin,
+                             generation=sub.generation),
+            entry_bytes=answer.entry_bytes)
+        return sub.response
 
-    def _push_patch(self, sub: Subscription, result, region,
+    def _push_patch(self, sub: Subscription, answer: Response,
                     reason: str) -> None:
-        previous = ({e.oid for e in sub.response.result}
-                    if sub.response is not None else set())
-        current = {e.oid for e in result}
+        previous = _oids(sub.response.result)
+        current = _oids(answer.result)
         delta = delta_bytes(len(current - previous), len(previous - current),
-                            region)
-        response = self._set_response(sub, result, region, origin="patch")
+                            answer.region)
+        response = self._install(sub, answer, origin="patch")
         sub._enqueue(SubscriptionUpdate(
             seq=next(sub._seq), kind="patch", reason=reason,
             response=response, transfer_bytes=delta))

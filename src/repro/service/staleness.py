@@ -8,15 +8,17 @@ with one crucial strengthening: a stale answer is only served when it
 can be made **provably correct for the fresh dataset**, by shrinking
 its validity region against the replica's pending-mutation backlog.
 
-:func:`shrunk_stale_region` is the query kind's mutation certificate,
-:meth:`~repro.core.api.QuerySemantics.certify`, applied to the backlog:
-the rules per kind live with the kind in :mod:`repro.core`.  The region
-it returns is a subset of the stale region in which the stale result
-equals the fresh result — the answer is valid for the **primary** epoch
-at serve time, which is what makes admitting it to the
+:func:`shrunk_stale_region` applies the query kind's mutation rule,
+:meth:`~repro.core.api.QuerySemantics.certify`, to the backlog: the
+rules per kind live with the kind in :mod:`repro.core`.  It serves the
+region of the answer ``certify`` returns when that answer keeps the
+stale result list itself — a subset of the stale region in which the
+stale result equals the fresh result.  The answer is valid for the
+**primary** epoch at serve time, which is what makes admitting it to the
 :class:`~repro.service.cache.ValidityCache` sound.  Returning ``None``
-means "unserveable from this replica": the caller fails over to a
-fresher one.
+(an uncertifiable answer, or a patched result, which would contradict
+a §7 delta's ``added`` and ``removed_ids``) means "unserveable from this
+replica": the caller fails over to a fresher one.
 """
 
 from __future__ import annotations
@@ -70,5 +72,8 @@ def shrunk_stale_region(request: QueryRequest, response: Response,
     provably equals the fresh result, or ``None`` when no such region
     containing the query point exists (the answer is unserveable stale).
     """
-    return query_semantics(request).certify(request, response, pending,
-                                            universe)
+    after = query_semantics(request).certify(request, response, pending,
+                                             universe)
+    if after is None or after.result is not response.result:
+        return None
+    return after.region

@@ -56,8 +56,8 @@ from repro.core.api import (
 )
 from repro.core.conformance import check_semantics
 from repro.core.probknn import ProbKNNRequest
-from repro.core.rknn import RKNNRequest
-from repro.core.semantics import KNNSemantics, WindowSemantics
+from repro.core.rknn import RKNNRequest, RKNNSemantics
+from repro.core.semantics import KNNSemantics, RangeSemantics, WindowSemantics
 from repro.service.admission import LEVEL_REDUCED
 from repro.core.validity import AnnulusValidityRegion, POINT_BYTES
 from repro.geometry import bisector_halfplane
@@ -269,9 +269,10 @@ class NearCountSemantics(QuerySemantics):
                 return None  # the insert joins the count
             rho = min(rho, d - request.radius)
         if rho >= region.outer:
-            return region
+            return response
         shrunk = AnnulusValidityRegion(region.center, 0.0, rho)
-        return shrunk if shrunk.contains(request.location) else None
+        return (replace(response, region=shrunk)
+                if shrunk.contains(request.location) else None)
 
     def refetch_request(self, request, location):
         return replace(request, location=(float(location[0]),
@@ -386,7 +387,10 @@ class TestMutationCertificate:
         ("cache_survives", "certify"),
         ("stale_region", "certify"),
         ("shard_execute", "execute"),
-    ], ids=["cache_survives", "stale_region", "shard_execute"])
+        ("continuous_apply", "certify"),
+        ("continuous_move", "serve_cached"),
+    ], ids=["cache_survives", "stale_region", "shard_execute",
+            "continuous_apply", "continuous_move"])
     def test_registering_a_removed_hook_raises(self, hook, replacement):
         legacy = type("LegacyNearCount", (NearCountSemantics,), {
             "kind": "nearcount-legacy",
@@ -409,8 +413,9 @@ class TestMutationCertificate:
                         return None
                     rho = min(rho, abs(math.dist((m.x, m.y), region.center)
                                        - request.radius))
-                return (region if rho >= region.outer else
-                        AnnulusValidityRegion(region.center, 0.0, rho))
+                return (response if rho >= region.outer else
+                        replace(response, region=AnnulusValidityRegion(
+                            region.center, 0.0, rho)))
 
         _swap(monkeypatch, InRadius())
         with pytest.raises(AssertionError, match="invalidates"):
@@ -433,11 +438,63 @@ class TestMutationCertificate:
                     halfplane = bisector_halfplane(n.point, (m.x, m.y))
                     if not all(halfplane.contains(c) for c in corners):
                         return None
-                return response.region
+                return response
 
         _swap(monkeypatch, FirstNeighbour())
         with pytest.raises(AssertionError, match="invalidates"):
             check_semantics("knn", _points(), [KNNRequest((0.4, 0.6), k=3)])
+
+    def test_suite_refuses_a_certify_returning_a_region(self, monkeypatch):
+        class Regions(RangeSemantics):
+            """The rule before v10.0: a shrunk region, not an answer."""
+
+            def certify(self, request, response, mutations, universe):
+                after = super().certify(request, response, mutations,
+                                        universe)
+                if after is None or after is response:
+                    return after
+                return after.region
+
+        _swap(monkeypatch, Regions())
+        with pytest.raises(AssertionError, match=(
+                r"^range: certify returned a ValidityDisk, "
+                r"not None or a repro\.Response")):
+            check_semantics("range", _points(),
+                            [RangeRequest((0.3, 0.3), 0.15)])
+
+    def test_suite_refuses_a_region_only_copy_with_a_new_result_list(
+            self, monkeypatch):
+        class NewList(KNNSemantics):
+            def certify(self, request, response, mutations, universe):
+                after = super().certify(request, response, mutations,
+                                        universe)
+                if after is None or after is response:
+                    return after
+                return replace(after, result=list(after.result))
+
+        _swap(monkeypatch, NewList())
+        with pytest.raises(AssertionError,
+                           match="keeps the result list itself"):
+            check_semantics("knn", _points(), [KNNRequest((0.4, 0.6), k=3)])
+
+    def test_suite_folds_mutations_through_the_carried_detail(
+            self, monkeypatch):
+        class Forgets(RKNNSemantics):
+            """Right for one mutation, but each copy carries the
+            competitor lists it was given, not the folded ones."""
+
+            def certify(self, request, response, mutations, universe):
+                after = super().certify(request, response, mutations,
+                                        universe)
+                if after is None or after is response:
+                    return after
+                return replace(after, detail=response.detail)
+
+        _swap(monkeypatch, Forgets())
+        with pytest.raises(AssertionError, match="invalidates"):
+            check_semantics("rknn", _points(),
+                            [RKNNRequest((0.4, 0.6), k=2),
+                             RKNNRequest((0.7, 0.2), k=4)])
 
 
 class TestReachBox:
@@ -567,3 +624,22 @@ def test_no_isinstance_dispatch_ladders_left_in_the_service_tier():
                  if pattern.search(p.read_text())]
     assert offenders == [], (
         f"isinstance(request, ...) dispatch found in {offenders}")
+
+
+class TestHookTable:
+    """docs/QUERIES.md's hook table is the one list of hooks, as
+    docs/API.md is for ``checkapi``."""
+
+    def test_the_table_names_exactly_the_public_hooks(self):
+        queries = pathlib.Path(__file__).resolve().parents[2] / "docs" \
+            / "QUERIES.md"
+        section = queries.read_text().split(
+            "## The `QuerySemantics` hook contract", 1)[1].split("\n## ", 1)[0]
+        rows = [re.match(r"\| `(\w+)", line).group(1)
+                for line in section.splitlines()
+                if re.match(r"\| `\w+", line)]
+        hooks = {name for name in dir(QuerySemantics)
+                 if not name.startswith("_")
+                 and callable(getattr(QuerySemantics, name))}
+        assert len(rows) == len(set(rows)), rows
+        assert set(rows) == hooks | {"supports_subscriptions"}

@@ -62,7 +62,7 @@ class _FullScanCache(ValidityCache):
                 if (entry.epoch == epoch - 1
                         and query_semantics(entry.request).certify(
                             entry.request, response, mutations, universe)
-                        is response.region):
+                        is response):
                     entry.epoch = epoch
                     survived += 1
                 else:
@@ -124,7 +124,7 @@ def _mutation(draw, points, admitted, step):
         x, y = draw(st.sampled_from([(math.nan, 0.5), (0.5, math.nan)]))
     else:
         x, y = draw(st.tuples(_lattice(40), _lattice(40)))
-    # A delete of a non-member: certify keeps every region for it.
+    # A delete of a non-member: certify keeps every answer for it.
     op = draw(st.sampled_from(["insert", "delete"]))
     return op, 30_000 + step, x, y
 

@@ -1,9 +1,11 @@
 """The mutation certificate across the full stack, against brute force.
 
 Every mutation-facing path derives from one hook per kind,
-:meth:`~repro.core.api.QuerySemantics.certify`: the validity cache
-keeps an entry iff it returns the entry's own region, a lagging replica
-serves the region it returns, and a subscription patch ships it.  These
+:meth:`~repro.core.api.QuerySemantics.certify`, which returns the
+answer after the mutations: the validity cache keeps an entry iff it
+returns the entry's own answer, a lagging replica serves the region of
+a copy that keeps its result (``shrunk_stale_region``), and a
+subscription pushes whatever it returns.  These
 properties run all five kinds through ``build_service`` with a cache
 and two replicas lagging by up to two mutations, and check:
 
@@ -15,10 +17,11 @@ and two replicas lagging by up to two mutations, and check:
   the delta protocol serves, walking in and out of the data's MBR over
   the default universe of two lagging replicas, with inserts near
   them, answer every update as brute force does;
-* ``certify`` agrees with the per-kind rules it replaced wherever those
-  were sound (kNN with k = 1, window, fresh probabilistic-kNN answers),
-  and keeps every range entry the old minimum-distance test kept.  The
-  old rules are kept below as references.
+* ``certify`` and ``shrunk_stale_region`` agree with the per-kind rules
+  they replaced wherever those were sound (kNN with k = 1, window,
+  fresh probabilistic-kNN answers), and keep every range entry the old
+  minimum-distance test kept.  The old rules are kept below as
+  references.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from repro.core.validity import CompositeValidityRegion, NNValidityRegion
 from repro.geometry import Rect, bisector_halfplane
 from repro.geometry.rect import _cut_away
 from repro.index.entry import LeafEntry
+from repro.service.staleness import shrunk_stale_region
 
 UNIT = Rect(0.0, 0.0, 1.0, 1.0)
 KINDS = ("knn", "window", "range", "rknn", "probknn")
@@ -366,8 +370,7 @@ def test_certify_agrees_with_the_rules_it_replaced(seed):
         response = server.answer(request)
         sem = query_semantics(request)
         for m in _mutations(points, response, center, rnd, 12):
-            kept = sem.certify(request, response, (m,), UNIT) \
-                is response.region
+            kept = sem.certify(request, response, (m,), UNIT) is response
             old = _old_cache_survives(kind, request, response, m)
             if kind == "range":
                 assert kept or not old, (kind, m)  # the disk keeps more
@@ -378,7 +381,7 @@ def test_certify_agrees_with_the_rules_it_replaced(seed):
         for _ in range(4):
             pending = _mutations(points, response, center, rnd,
                                  rnd.randint(1, 3))
-            new = sem.certify(request, response, pending, UNIT)
+            new = shrunk_stale_region(request, response, pending, UNIT)
             old = _old_stale_region(kind, request, response, pending)
             assert (new is None) == (old is None), (kind, pending)
             if new is None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -21,7 +22,9 @@ from repro import (
     CacheConfig,
     ContinuousConfig,
     KNNRequest,
+    MobileClient,
     RangeRequest,
+    RKNNRequest,
     WindowRequest,
     build_service,
 )
@@ -127,7 +130,7 @@ class TestKnnPatches:
         points = [(0.5 + 0.01 * i, 0.5) for i in range(30)]
         service = build_service(points)
         sub = service.subscribe(KNNRequest((0.5, 0.5), k=2))
-        horizon = sub._state.horizon
+        horizon = sub.answer.detail.horizon
         assert math.isfinite(horizon)
         service.insert_object(len(points), 0.95, 0.95)  # far outside
         assert math.dist((0.95, 0.95), (0.5, 0.5)) > horizon
@@ -139,10 +142,10 @@ class TestKnnPatches:
         service = build_service(points)
         sub = service.subscribe(KNNRequest((0.5, 0.5), k=2))
         # oid 5 is a margin candidate (rank 6) but not a member.
-        assert 5 in sub._state.candidates
+        assert 5 in sub.answer.detail.candidates
         service.delete_object(5, points[5][0], points[5][1])
         assert sub.pending == 0  # shipped answer still sound
-        assert 5 not in sub._state.candidates  # but the state moved on
+        assert 5 not in sub.answer.detail.candidates  # but the state moved on
         service.close()
 
     def test_delete_of_member_is_patched(self):
@@ -166,10 +169,10 @@ class TestKnnPatches:
         service = build_service(points, continuous=ContinuousConfig(margin=2))
         sub = service.subscribe(KNNRequest((0.5, 0.5), k=3))
         # Delete every candidate: the margin cannot absorb that.
-        for entry in list(sub._state.candidates.values()):
+        for entry in list(sub.answer.detail.candidates.values()):
             service.delete_object(entry.oid, entry.point[0], entry.point[1])
             del live[entry.oid]
-            if sub._needs_refresh:
+            if sub.answer is None:  # invalidated
                 break
         updates = sub.drain()
         assert updates, "exhausting the margin must push something"
@@ -184,7 +187,7 @@ class TestKnnPatches:
         assert sub.moves_refetched >= 1
         assert _brute_knn_ok(live, (0.5, 0.5),
                              {e.oid for e in response.result}, 3)
-        assert not sub._needs_refresh
+        assert sub.answer is not None
         service.close()
 
     def test_move_within_margin_costs_zero_node_accesses(self):
@@ -304,6 +307,33 @@ class TestWindowAndRangePatches:
         service.close()
 
 
+class TestSnapshotKindSubscriptions:
+    def test_a_subscribed_probknn_answer_costs_what_a_polled_one_does(self):
+        """The hub ships the held answer's entries at its own price: 29
+        bytes per probabilistic kNN entry, as a polled answer pays."""
+        service = build_service(_dataset())
+        polled = MobileClient(service)
+        subscribed = MobileClient(service, subscribe=True)
+        for client in (polled, subscribed):
+            client.probknn((0.5, 0.5), 0.02, k=3)
+        assert subscribed.stats.bytes_received \
+            == polled.stats.bytes_received > 0
+        service.close()
+
+    def test_an_rknn_insert_that_changes_nothing_pushes_nothing(self):
+        points = _dataset()
+        service = build_service(points)
+        sub = service.subscribe(RKNNRequest((0.5, 0.5), k=2))
+        shipped = sub.response
+        # Far corners: no member's radius shrinks, and neither insert
+        # comes near joining the answer.
+        service.insert_object(len(points), 0.001, 0.999)
+        service.insert_object(len(points) + 1, 0.999, 0.001)
+        assert sub.pending == 0
+        assert sub.response is shipped
+        service.close()
+
+
 class TestBackpressure:
     """Satellite contract: deterministic slow-subscriber semantics."""
 
@@ -365,7 +395,7 @@ class TestBackpressure:
         service = build_service(points, continuous=ContinuousConfig(
             margin=1, queue_capacity=2))
         sub = service.subscribe(KNNRequest((0.5, 0.5), k=3))
-        for entry in list(sub._state.candidates.values()):
+        for entry in list(sub.answer.detail.candidates.values()):
             service.delete_object(entry.oid, entry.point[0], entry.point[1])
             del live[entry.oid]
         for i in range(5):  # stale reminders while exhausted
@@ -383,7 +413,9 @@ class TestBrokenSubscriptions:
         points = _dataset()
         service = build_service(points)
         sub = service.subscribe(KNNRequest((0.5, 0.5), k=3))
-        sub._state.candidates = None  # simulate corrupted server state
+        # Simulate corrupted server state.
+        sub.answer = replace(sub.answer, detail=replace(
+            sub.answer.detail, candidates=None))
         service.insert_object(len(points), 0.5, 0.5)  # patch will raise
         assert sub.broken
         assert "TypeError" in sub.broken_reason
@@ -405,7 +437,8 @@ class TestBrokenSubscriptions:
         service = build_service(points)
         bad = service.subscribe(KNNRequest((0.5, 0.5), k=3))
         good = service.subscribe(KNNRequest((0.5, 0.5), k=3))
-        bad._state.candidates = None
+        bad.answer = replace(bad.answer, detail=replace(
+            bad.answer.detail, candidates=None))
         service.insert_object(len(points), 0.5001, 0.5)
         live[len(points)] = (0.5001, 0.5)
         assert bad.broken and not good.broken

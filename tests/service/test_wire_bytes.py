@@ -16,8 +16,8 @@ an annulus 32, a disk 24 and a kNN region its influence points plus
 one id per pair.  A full answer ships its entries and its region; a
 §7 delta and a subscription patch ship the added points, the removed
 ids and the region; a replica's answer ships the region it served.
-The byte total of each shape's stream is pinned as well: it was
-measured on the code before the response classes became one record.
+The byte total of each shape's stream is pinned as well (see
+``TOTALS``).
 """
 
 import math
@@ -58,9 +58,9 @@ SHAPES = {
                                           default_max_stale=2)},
 }
 
-#: Each shape's stream total, measured before the response classes
-#: became one record; the record changes no byte.
-TOTALS = {"single": 24954, "shards": 25298, "replicas": 24990}
+#: Each shape's stream total (CHANGES.md has the row arithmetic of
+#: each re-pin).
+TOTALS = {"single": 25399, "shards": 25743, "replicas": 25435}
 
 
 def _requests(location):
@@ -113,8 +113,27 @@ def _answer_bytes(request, response) -> int:
     if response.added is not None:
         return _delta_bytes(len(response.added), len(response.removed_ids),
                             response.region)
-    entry = PROB_POINT if request.kind == "probknn" else POINT
+    return _full_bytes(request.kind, response)
+
+
+def _full_bytes(kind, response) -> int:
+    """Every entry of a full answer of ``kind``, plus its region."""
+    entry = PROB_POINT if kind == "probknn" else POINT
     return entry * len(response.result) + _region_bytes(response.region)
+
+
+def _behind_member(sub):
+    """A point beyond the first member of a reverse-kNN answer, seen
+    from the query point, halfway between the query's distance and the
+    member's k-th neighbour's: nearer the member than its k-th
+    neighbour, farther than the query point."""
+    detail = sub.answer.detail
+    member = detail.members[0]
+    qx, qy = detail.query
+    near = math.hypot(member.x - qx, member.y - qy)
+    step = (near + detail.member_knn[member.oid][-1]) / 2.0
+    return (member.x + (member.x - qx) / near * step,
+            member.y + (member.y - qy) / near * step)
 
 
 def _stream(service, seed: int = 29):
@@ -149,22 +168,10 @@ def _stream(service, seed: int = 29):
     seen = {}
     for sub in subs:
         rows.append((f"subscribe {sub.kind}", sub.response.transfer_bytes(),
-                     POINT * len(sub.response.result)
-                     + _region_bytes(sub.response.region)))
+                     _full_bytes(sub.kind, sub.response)))
         seen[sub.sid] = {e.oid for e in sub.response.result}
-    # One insert just beyond the probabilistic horizon (it shrinks the
-    # annulus), four anywhere, then eight closing in on the anchor.
-    horizon = answer("horizon probknn", _requests(anchor)[-1]).detail
-    reach = (horizon.distances[-1] + 2.0 * horizon.uncertainty
-             + horizon.safety_radius)
-    inserts = [(anchor[0] + reach, anchor[1])]
-    inserts += [(rng.random(), rng.random()) for _ in range(4)]
-    for i in range(8):
-        radius = 0.005 * (i + 1)
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        inserts.append((anchor[0] + radius * math.cos(angle),
-                        anchor[1] + radius * math.sin(angle)))
-    for oid, (x, y) in enumerate(inserts, start=100_000):
+
+    def insert(oid, x, y):
         service.insert_object(oid, x, y)
         for sub in subs:
             for update in sub.drain():
@@ -179,11 +186,26 @@ def _stream(service, seed: int = 29):
                                           len(previous - current),
                                           update.response.region)))
                 seen[sub.sid] = current
+
+    # One insert just beyond the probabilistic horizon (it shrinks the
+    # annulus), four anywhere, then eight closing in on the anchor.
+    horizon = answer("horizon probknn", _requests(anchor)[-1]).detail
+    reach = (horizon.distances[-1] + 2.0 * horizon.uncertainty
+             + horizon.safety_radius)
+    inserts = [(anchor[0] + reach, anchor[1])]
+    inserts += [(rng.random(), rng.random()) for _ in range(4)]
+    for i in range(8):
+        radius = 0.005 * (i + 1)
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        inserts.append((anchor[0] + radius * math.cos(angle),
+                        anchor[1] + radius * math.sin(angle)))
+    for oid, (x, y) in enumerate(inserts, start=100_000):
+        insert(oid, x, y)
     for sub in subs:
         response = sub.move((anchor[0] + 0.003, anchor[1] - 0.002))
         rows.append((f"move {sub.kind}", response.transfer_bytes(),
-                     POINT * len(response.result)
-                     + _region_bytes(response.region)))
+                     _full_bytes(sub.kind, response)))
+        seen[sub.sid] = {e.oid for e in response.result}
 
     for _ in range(12):
         spot = (anchor[0] + rng.uniform(-0.05, 0.05),
@@ -198,6 +220,9 @@ def _stream(service, seed: int = 29):
                 own = replica.server.answer(request)
                 stale.append(_geometry(response.region)
                              != _geometry(own.region))
+    # Last, one insert behind a reverse-kNN member: it shrinks the
+    # member's radius, so the subscription ships a shrunk region.
+    insert(100_000 + len(inserts), *_behind_member(subs[3]))
     return rows, stale
 
 

@@ -15,7 +15,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_version():
-    assert repro.__version__ == "9.0.0"
+    assert repro.__version__ == "10.0.0"
 
 
 def test_all_exports_resolve():
