@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
+
+from perfbench_pairs import run_once
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORD = ROOT / "benchmarks" / "perfbench_counts.json"
@@ -40,18 +41,9 @@ def run_counts(workload: str, seed: int) -> Tuple[Dict[str, object],
                                                   Dict[str, object]]:
     """One ``--seconds 0 --trace 0`` run: its counts, ``correct`` and
     ``failed``, and the environment line it printed."""
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"),
-         "--workload", workload, "--seed", str(seed),
-         "--seconds", "0", "--trace", "0"],
-        cwd=ROOT, capture_output=True, text=True, check=False)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{workload} seed {seed} exited "
-                           f"{proc.returncode}:\n{proc.stderr}")
-    lines = proc.stdout.splitlines()
+    result, lines = run_once(ROOT, workload, seed, 0)
     env = next(json.loads(line[len("# env "):]) for line in lines
                if line.startswith("# env "))
-    result = json.loads(lines[-1])
     counts: Dict[str, object] = {
         name: result["metrics"][name]["value"] for name in COUNTS}
     counts["correct"] = result["correct"]

@@ -19,7 +19,10 @@ full battery for free:
   decision boundaries (inserts on rings just inside and just outside
   the farthest member's distance, an insert at the query location, a
   delete of each member) and a few uniform ones, each alone and each
-  list folded one at a time as the subscription hub does.  Every answer
+  list folded one at a time as the subscription hub does.  An answer
+  whose region is a disk or an annulus also meets two rings placed
+  from that region's radius, beyond the farthest member and short of
+  the nearest non-member, close enough to shrink it.  Every answer
   it certifies must hold the query location in a region inside the one
   it was given, and agree with a fresh execute on the dataset mutated
   so far at the location and at probes across its region;
@@ -55,6 +58,13 @@ _PROBES = 16
 #: location) and just outside it (it may shrink the region).
 _RING = 16
 _RING_SCALES = (0.999, 1.001)
+#: Offsets, in the region's own radius, of two more rings for an answer
+#: whose region is a disk or an annulus: past the farthest member and
+#: short of the nearest non-member.  The rings above mostly fall inside
+#: a range-like query, so their inserts join the answer; these can land
+#: just outside it, where a sound ``certify`` shrinks the region.
+_FARTHEST_OFFSET = 1.5
+_NEAREST_OFFSET = -0.5
 
 
 def _result_ids(response) -> set:
@@ -77,19 +87,33 @@ def _random_mutations(server: LocationServer, rng: random.Random,
     return muts
 
 
-def _targeted_mutations(response, loc, next_oid: int) -> list:
+def _targeted_mutations(response, loc, entries, next_oid: int) -> list:
     """Mutations at the answer's decision boundaries."""
     qx, qy = float(loc[0]), float(loc[1])
     muts = [Mutation("insert", next_oid, qx, qy)]
+
+    def ring(distance: float) -> None:
+        for i in range(_RING):
+            angle = 2.0 * math.pi * i / _RING
+            muts.append(Mutation("insert", next_oid + len(muts),
+                                 qx + distance * math.cos(angle),
+                                 qy + distance * math.sin(angle)))
+
+    members = _result_ids(response)
     reach = max((math.hypot(e.x - qx, e.y - qy) for e in response.result),
                 default=0.0)
     if reach > 0.0:
         for scale in _RING_SCALES:
-            for i in range(_RING):
-                angle = 2.0 * math.pi * i / _RING
-                muts.append(Mutation("insert", next_oid + len(muts),
-                                     qx + scale * reach * math.cos(angle),
-                                     qy + scale * reach * math.sin(angle)))
+            ring(scale * reach)
+    # A disk's radius or an annulus's outer one.
+    region = response.region
+    radius = getattr(region, "radius", getattr(region, "outer", None))
+    if radius is not None and 0.0 < radius < math.inf:
+        ring(reach + _FARTHEST_OFFSET * radius)
+        nearest = min((math.hypot(e.x - qx, e.y - qy) for e in entries
+                       if e.oid not in members), default=None)
+        if nearest is not None:
+            ring(nearest + _NEAREST_OFFSET * radius)
     muts.extend(Mutation("delete", e.oid, e.x, e.y) for e in response.result)
     return muts
 
@@ -260,7 +284,7 @@ def check_semantics(kind, points: Sequence, requests: Iterable,
             f"{sem.kind}: certify of no mutations returned a " \
             f"{type(unchanged).__name__}, not the answer itself"
         _check_reach(sem, request, response, universe, entries, next_oid)
-        targeted = _targeted_mutations(response, loc, next_oid)
+        targeted = _targeted_mutations(response, loc, entries, next_oid)
         for m in targeted + uniform:
             _fold(sem, request, response, points, [m], universe, rng)
         for mutations in (targeted, uniform):

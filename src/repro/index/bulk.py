@@ -7,21 +7,29 @@ benchmark harness bulk-loads with STR (Leutenegger et al.), the standard
 packing algorithm.  The resulting trees have the same height, page
 count and near-identical node extents as insertion-built R*-trees at
 the configured fill factor, which is what the cost experiments measure.
+
+The loader tiles coordinate columns, not entries.  The points become
+one float64 array, checked finite once, and each level is ordered by
+stable numpy argsorts: the x order cut into vertical slices, then the
+y order inside each slice (an upper level sorts its nodes' MBR centres
+the same way).  Each :class:`LeafEntry` is then built once, already in
+its leaf's order, from per-column ``tolist()``s.  Leaf MBRs still come
+from :meth:`Node.recompute_mbr`'s Python ``min``/``max``, which keep
+the first of two equal values, where a numpy reduction may return the
+other signed zero (``-0.0`` for ``0.0``).
 """
 
 from __future__ import annotations
 
 import math
-from operator import itemgetter
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.index.entry import LeafEntry
 from repro.index.node import Node
 from repro.index.rstar import RStarTree
 from repro.storage import DiskSimulator
-
-_X = itemgetter(1)
-_Y = itemgetter(2)
 
 
 def bulk_load_str(points: Sequence, capacity: Optional[int] = None,
@@ -34,9 +42,10 @@ def bulk_load_str(points: Sequence, capacity: Optional[int] = None,
     Parameters
     ----------
     points:
-        ``(x, y)`` pairs; object ids are the sequence positions unless
-        ``oids`` supplies them explicitly (a sharded server loads each
-        shard with its points' *global* ids).
+        ``(x, y)`` pairs, or an ``(n, 2)`` array (further columns are
+        ignored); object ids are the sequence positions unless ``oids``
+        supplies them explicitly (a sharded server loads each shard
+        with its points' *global* ids).
     fill:
         Target node occupancy (0 < fill <= 1).  0.7 approximates the
         average occupancy of an insertion-built R*-tree.
@@ -49,74 +58,82 @@ def bulk_load_str(points: Sequence, capacity: Optional[int] = None,
         raise ValueError("fill must be in (0, 1]")
     if oids is not None and len(oids) != len(points):
         raise ValueError("oids must match points one-to-one")
-    entries: List[LeafEntry] = [
-        LeafEntry(i if oids is None else int(oids[i]),
-                  float(p[0]), float(p[1]))
-        for i, p in enumerate(points)
-    ]
-    if entries and not _all_finite(entries):
+    # A long double beyond the float range loads as an infinity, which
+    # the check below refuses.
+    with np.errstate(over="ignore"):
+        xy = np.asarray(points, dtype=float)
+    if len(xy) and not np.isfinite(xy[:, :2]).all():
         raise ValueError("cannot bulk-load a NaN or infinite coordinate")
     tree = RStarTree(capacity=capacity, disk=disk, **tree_kwargs)
-    if not entries:
+    if not len(xy):
         return tree
     per_node = max(tree.min_fill, min(tree.capacity, int(round(tree.capacity * fill))))
 
     # Free the page of the placeholder empty root before packing.
     tree.pages.free(tree.root.page_id)
 
+    xs, ys = xy[:, 0], xy[:, 1]
+    order, sizes = _str_order(tree, xs, ys, per_node)
+    ids = order if oids is None else np.asarray(oids, dtype=np.int64)[order]
+    entries = list(map(LeafEntry, ids.tolist(), xs[order].tolist(),
+                       ys[order].tolist()))
     level = 0
-    nodes = _pack_level(tree, entries, per_node, level,
-                        key_of=lambda e: (e.x, e.y))
+    nodes = _pack_level(tree, entries, sizes, level)
     while len(nodes) > 1:
         level += 1
-        nodes = _pack_level(tree, nodes, per_node, level,
-                            key_of=lambda n: n.mbr.center())
+        mbrs = np.array([node.mbr for node in nodes])
+        with np.errstate(over="ignore"):  # as Rect.center's float sums
+            centres = (mbrs[:, :2] + mbrs[:, 2:]) / 2.0
+        order, sizes = _str_order(tree, centres[:, 0], centres[:, 1],
+                                  per_node)
+        nodes = _pack_level(tree, [nodes[i] for i in order.tolist()],
+                            sizes, level)
     tree.root = nodes[0]
     tree._size = len(entries)
     return tree
 
 
-def _all_finite(entries: List[LeafEntry]) -> bool:
-    """Whether every entry's coordinates are finite: one float sum over
-    them, which a NaN or an infinity makes non-finite (only a sum that
-    is not finite, such as an overflow of huge finite terms, is settled
-    point by point)."""
-    if math.isfinite(sum(map(_X, entries)) + sum(map(_Y, entries))):
-        return True
-    return all(math.isfinite(e.x) and math.isfinite(e.y) for e in entries)
+def _str_order(tree: RStarTree, xs: np.ndarray, ys: np.ndarray,
+               per_node: int) -> Tuple[np.ndarray, List[int]]:
+    """The STR order of one level's items and the sizes of its nodes.
 
-
-def _pack_level(tree: RStarTree, items: List, per_node: int, level: int,
-                key_of) -> List[Node]:
-    """Tile ``items`` into nodes of about ``per_node`` entries, STR-style.
-
-    Unlike textbook STR, chunk sizes within each vertical slice are
-    balanced so that every node respects the tree's ``[min_fill,
-    capacity]`` occupancy invariant (a lone root-level node may be
-    smaller).
+    The items sorted by x are cut into vertical slices, each slice
+    sorted by y and cut into nodes; both sorts are stable, so ties keep
+    the order the items came in.  Unlike textbook STR, chunk sizes
+    within each slice are balanced so that every node respects the
+    tree's ``[min_fill, capacity]`` occupancy invariant (a lone
+    root-level node may be smaller).
     """
-    n = len(items)
+    n = len(xs)
     num_nodes = math.ceil(n / per_node)
     num_slices = max(1, math.ceil(math.sqrt(num_nodes)))
     per_slice = math.ceil(n / num_slices)
-
-    items = sorted(items, key=lambda it: key_of(it)[0])
-    runs = [items[s:s + per_slice] for s in range(0, n, per_slice)]
+    starts = list(range(0, n, per_slice))
     # A trailing sliver of a slice cannot form a legal node on its own;
     # fold it into the previous slice.
-    if len(runs) > 1 and len(runs[-1]) < tree.min_fill:
-        runs[-2].extend(runs.pop())
+    if len(starts) > 1 and n - starts[-1] < tree.min_fill:
+        starts.pop()
+    by_x = np.argsort(xs, kind="stable")
+    order = np.empty_like(by_x)
+    sizes: List[int] = []
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        run = by_x[lo:hi]
+        order[lo:hi] = run[np.argsort(ys[run], kind="stable")]
+        sizes += _chunk_sizes(hi - lo, tree.min_fill, per_node, tree.capacity)
+    return order, sizes
 
+
+def _pack_level(tree: RStarTree, items: List, sizes: List[int],
+                level: int) -> List[Node]:
+    """Cut ``items``, already in STR order, into nodes of ``sizes``."""
     nodes: List[Node] = []
-    for run in runs:
-        run = sorted(run, key=lambda it: key_of(it)[1])
-        start = 0
-        for size in _chunk_sizes(len(run), tree.min_fill, per_node, tree.capacity):
-            node = Node(level=level, page_id=tree.pages.allocate())
-            node.entries = run[start:start + size]
-            node.recompute_mbr()
-            nodes.append(node)
-            start += size
+    start = 0
+    for size in sizes:
+        node = Node(level=level, page_id=tree.pages.allocate())
+        node.entries = items[start:start + size]
+        node.recompute_mbr()
+        nodes.append(node)
+        start += size
     return nodes
 
 

@@ -288,8 +288,8 @@ class ShardedServer:
         starts = np.flatnonzero(np.diff(keys[order])) + 1
         shards: List[Shard] = []
         for sid, oids in enumerate(np.split(order, starts)):
-            tree = bulk_load_str(xy[oids, :2].tolist(), capacity=capacity,
-                                 fill=fill, oids=oids.tolist())
+            tree = bulk_load_str(xy[oids, :2], capacity=capacity,
+                                 fill=fill, oids=oids)
             if buffer_fraction > 0.0:
                 tree.attach_lru_buffer(buffer_fraction)
             key = int(keys[oids[0]])

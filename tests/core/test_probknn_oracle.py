@@ -14,7 +14,8 @@ against brute force here:
 
 The battery then drives the same answer through the validity cache,
 the stale-serving path, continuous subscriptions under mutation
-streams, and a sharded server's thread-pool fan-out.
+streams, ``certify``'s shrunk annuli and a sharded server's
+thread-pool fan-out.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro import CacheConfig, ContinuousConfig, build_service
+from repro.core.api import query_semantics
 from repro.core.probknn import ProbKNNRequest, compute_probknn_validity
 from repro.core.server import LocationServer
 from repro.service.staleness import Mutation, shrunk_stale_region
@@ -246,6 +248,49 @@ def test_oracle_holds_on_a_sharded_server():
                 f"step {step}: sharded probabilistic kNN diverged")
     finally:
         service.close()
+
+
+def test_shrunk_annuli_answer_as_brute_force_does():
+    """An insert at ``max(distances) + 2u + outer`` from the centre stays
+    outside the horizon and every certain-band count, but nearer to
+    them than twice the annulus reaches: ``certify`` must shrink the
+    annulus, and the shrunk copy must hold wherever it claims."""
+    points, _, rnd = _instance(4242)
+    server = LocationServer.from_points(points, universe=UNIT)
+    sem = query_semantics("probknn")
+    shrunk = 0
+    for query, u, k in (((0.4, 0.6), 0.03, 3), ((0.6, 0.4), 0.01, 1),
+                        ((0.5, 0.5), 0.02, 2)):
+        request = ProbKNNRequest(query, uncertainty=u, k=k)
+        response = server.answer(request)
+        outer = response.region.outer
+        assert outer > 0.0
+        reach = max(response.detail.distances) + 2.0 * u + outer
+        for i in range(16):
+            angle = 2.0 * math.pi * i / 16
+            m = Mutation("insert", len(points),
+                         query[0] + reach * math.cos(angle),
+                         query[1] + reach * math.sin(angle))
+            after = sem.certify(request, response, (m,), UNIT)
+            assert after is not None and after is not response
+            assert after.result is response.result
+            assert after.region.outer < outer
+            shrunk += 1
+            live = dict(enumerate(points))
+            live[m.oid] = (m.x, m.y)
+            served = {e.oid for e in after.result}
+            probes = [query]
+            for _ in range(8):
+                a = rnd.uniform(0.0, 2.0 * math.pi)
+                r = after.region.outer * math.sqrt(rnd.random())
+                probes.append((query[0] + r * math.cos(a),
+                               query[1] + r * math.sin(a)))
+            for p in probes:
+                assert after.region.contains(p, EPS)
+                assert _prob_ok(live, p, u, served, k), (
+                    f"u={u} k={k}: the insert at ({m.x:.6g}, {m.y:.6g}) "
+                    f"changes the candidates at {p}")
+    assert shrunk == 48
 
 
 def test_empty_dataset_gives_empty_answer_and_wide_region():

@@ -18,6 +18,7 @@ every server shape, and enforces the refactor invariant itself: no
 
 from __future__ import annotations
 
+import collections
 import math
 import os
 import pathlib
@@ -495,6 +496,49 @@ class TestMutationCertificate:
             check_semantics("rknn", _points(),
                             [RKNNRequest((0.4, 0.6), k=2),
                              RKNNRequest((0.7, 0.2), k=4)])
+
+    @pytest.mark.parametrize("base,requests", [
+        (RangeSemantics, [RangeRequest((0.3, 0.3), 0.15)]),
+        (NearCountSemantics, [NearCountRequest((0.5, 0.5), radius=0.12),
+                              NearCountRequest((0.2, 0.8), radius=0.05)]),
+    ], ids=["range", "nearcount"])
+    def test_suite_reaches_shrunk_copies_of_disks_and_annuli(
+            self, monkeypatch, base, requests):
+        """The rings placed from the region's radius give certify an
+        insert outside the query that shrinks the region, so the fold
+        and probe checks see shrunk copies, not only kept and dropped
+        answers."""
+        outcomes = collections.Counter()
+
+        class Counted(base):
+            def certify(self, request, response, mutations, universe):
+                after = super().certify(request, response, mutations,
+                                        universe)
+                if mutations:
+                    outcomes["same" if after is response else
+                             "none" if after is None else
+                             "shrunk" if after.result is response.result
+                             else "patched"] += 1
+                return after
+
+        _swap(monkeypatch, Counted())
+        check_semantics(base.kind, _points(), requests)
+        assert outcomes["shrunk"] >= 1, dict(outcomes)
+
+    def test_suite_catches_a_forgotten_shrink(self, monkeypatch):
+        class Forgets(NearCountSemantics):
+            """Keeps the whole annulus where it should shrink it."""
+
+            def certify(self, request, response, mutations, universe):
+                after = super().certify(request, response, mutations,
+                                        universe)
+                return None if after is None else response
+
+        _swap(monkeypatch, Forgets())
+        with pytest.raises(AssertionError, match="kept a region .* "
+                                                 "invalidates"):
+            check_semantics("nearcount", _points(),
+                            [NearCountRequest((0.5, 0.5), radius=0.12)])
 
 
 class TestReachBox:

@@ -14,6 +14,11 @@ A subscriber learns of an invalidation only as a client does: from an
 ``invalidate`` update it drains, until its next ``move``.  Until it
 drains, a subscription with queued updates is not judged, since one of
 them may be the invalidation.
+
+The service's replica telemetry is checked after every step too: its
+``service.replica.queries`` counters add up to the replicas' own query
+counts, and its ``service.replica.stale_served`` counter equals the
+replica set's stale-served count.
 """
 
 from __future__ import annotations
@@ -132,7 +137,19 @@ class SubscriptionMachine(RuleBasedStateMachine):
         self.where[sub.sid] = location
         self.invalidated.discard(sub.sid)
 
-    # -- the invariant ---------------------------------------------------
+    # -- the invariants --------------------------------------------------
+    @invariant()
+    def replica_telemetry_matches_the_replicas(self):
+        if not hasattr(self, "service"):
+            return
+        replicas = self.service.server
+        metrics = self.service.metrics
+        answered = sum(row["queries"] for row in replicas.replica_snapshot())
+        assert metrics.counter_total("service.replica.queries") == answered
+        stale = metrics.snapshot()["counters"].get(
+            "service.replica.stale_served", 0)
+        assert stale == replicas.stale_served
+
     @invariant()
     def every_live_subscription_answers_correctly(self):
         if not hasattr(self, "subs"):
